@@ -4,10 +4,9 @@
 // WP_JOBS, exactly like every figure bench), then serves evaluation
 // requests over a Unix-domain socket until drained — see
 // driver/service.hpp for the protocol and the WP_SERVE_* knobs, and
-// EXPERIMENTS.md for the schema. Run it under WP_STORE (and optionally
-// WP_CHECKPOINT) to make every answered request durable: a SIGKILLed
-// daemon restarted on the same store re-serves its history
-// byte-identically with zero recomputation.
+// EXPERIMENTS.md for the schema. Run it under WP_STORE to make every
+// answered request durable: a SIGKILLed daemon restarted on the same
+// store re-serves its history byte-identically with zero recomputation.
 //
 // Exit codes: 0 after a clean drain (SIGTERM or a drain request),
 // 1 when the socket cannot be bound or the environment is malformed.

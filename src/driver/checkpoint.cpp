@@ -5,26 +5,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <type_traits>
 
+#include "support/fnv.hpp"
 #include "support/metrics.hpp"
 
 namespace wp::driver {
 
 namespace {
-
-constexpr u64 kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr u64 kFnvPrime = 0x100000001b3ULL;
-
-u64 fnv1aBytes(u64 h, const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const u8*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::string hexEncode(const std::vector<u8>& bytes) {
   static const char* kDigits = "0123456789abcdef";
@@ -57,8 +45,8 @@ bool hexDecode(const std::string& hex, std::vector<u8>& out) {
 }
 
 /// "%.17g" round-trips every IEEE double exactly through strtod, which
-/// is what makes a resumed table byte-identical to the uninterrupted
-/// one.
+/// is what makes a table served from records byte-identical to the one
+/// its original computes printed.
 std::string fmtDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -100,7 +88,7 @@ void visitCacheEnergy(const std::string& prefix, E& e, V&& v) {
 /// report consume. One visitor serves serialization, restoration and
 /// digesting, so the three can never drift apart. Host timings
 /// (simulate/price seconds) are deliberately absent: they are recorded
-/// separately and excluded from the stats digest so a restored record
+/// separately and excluded from the stats digest so a record read back
 /// re-digests to the same value.
 template <class R, class V>
 void visitGuestFields(R& r, V&& v) {
@@ -268,14 +256,9 @@ bool parseDoubleText(const std::string& text, double& out) {
   return true;
 }
 
-[[noreturn]] void dieOnJournal(const std::string& path, const char* why) {
-  std::fprintf(stderr, "error: WP_CHECKPOINT: %s '%s'\n", why, path.c_str());
-  std::exit(1);
-}
-
 /// Extracts a CheckpointRecord from a parsed cell line's tokens.
-/// Structural validation only — the caller decides what a stats-digest
-/// mismatch means (journal: rejected; worker pipe: torn result).
+/// Structural validation only — parseRecordLine reports a stats-digest
+/// mismatch separately (store: rejected; worker pipe: torn result).
 bool tokensToRecord(const std::map<std::string, JsonToken>& tokens,
                     CheckpointRecord& rec) {
   bool ok = true;
@@ -335,9 +318,7 @@ u64 imageDigest(const mem::Image& image) {
   return h;
 }
 
-u64 stringDigest(std::string_view s) {
-  return fnv1aBytes(kFnvOffset, s.data(), s.size());
-}
+u64 stringDigest(std::string_view s) { return fnv1a(s); }
 
 RecordParse parseRecordLine(const std::string& line, CheckpointRecord& out) {
   std::map<std::string, JsonToken> tokens;
@@ -357,7 +338,7 @@ RecordParse parseRecordLine(const std::string& line, CheckpointRecord& out) {
 u64 statsDigest(const RunResult& r) {
   u64 h = kFnvOffset;
   visitGuestFields(r, [&h](const std::string& name, const auto& field) {
-    h = fnv1aBytes(h, name.data(), name.size());
+    h = fnv1aBytes(h, name);
     using T = std::decay_t<decltype(field)>;
     if constexpr (std::is_floating_point_v<T>) {
       u64 bits = 0;
@@ -369,14 +350,9 @@ u64 statsDigest(const RunResult& r) {
       h = fnv1aBytes(h, &wide, sizeof wide);
     }
   });
-  h = fnv1aBytes(h, r.layout_strategy.data(), r.layout_strategy.size());
+  h = fnv1aBytes(h, r.layout_strategy);
   h = fnv1aBytes(h, r.output.data(), r.output.size());
   return h;
-}
-
-std::string renderHeader(u64 seed) {
-  return "{\"ev\": \"sweep\", \"version\": 1, \"seed\": " +
-         std::to_string(seed) + "}";
 }
 
 std::string renderRecord(const std::string& key, u64 image_digest,
@@ -400,78 +376,6 @@ std::string renderRecord(const std::string& key, u64 image_digest,
   });
   out += "}";
   return out;
-}
-
-CheckpointJournal readJournal(const std::string& path, u64 expected_seed) {
-  CheckpointJournal journal;
-  std::ifstream in(path);
-  if (!in.good()) return journal;  // no journal yet: a fresh sweep
-
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::map<std::string, JsonToken> tokens;
-    if (!parseFlatJsonLine(line, tokens)) {
-      ++journal.lines_skipped;
-      continue;
-    }
-    const auto ev = tokens.find("ev");
-    if (ev == tokens.end() || !ev->second.is_string) {
-      ++journal.lines_skipped;
-      continue;
-    }
-
-    if (ev->second.text == "sweep") {
-      u64 version = 0;
-      u64 seed = 0;
-      const auto ver = tokens.find("version");
-      const auto sd = tokens.find("seed");
-      if (ver == tokens.end() || sd == tokens.end() ||
-          !parseU64Text(ver->second.text, version) ||
-          !parseU64Text(sd->second.text, seed)) {
-        ++journal.lines_skipped;
-        continue;
-      }
-      if (version != 1) {
-        dieOnJournal(path, "unsupported journal version in");
-      }
-      if (seed != expected_seed) {
-        std::fprintf(stderr,
-                     "error: WP_CHECKPOINT: journal '%s' was recorded under "
-                     "seed %llu but this sweep runs under seed %llu — "
-                     "resuming would silently mix experiments (delete the "
-                     "journal or match WP_SEED)\n",
-                     path.c_str(), static_cast<unsigned long long>(seed),
-                     static_cast<unsigned long long>(expected_seed));
-        std::exit(1);
-      }
-      journal.had_header = true;
-      continue;
-    }
-
-    if (ev->second.text != "cell") {
-      ++journal.lines_skipped;  // unknown event kind: tolerate, count
-      continue;
-    }
-    if (!journal.had_header) {
-      dieOnJournal(path, "cell records with no sweep header in");
-    }
-
-    CheckpointRecord rec;
-    if (!tokensToRecord(tokens, rec)) {
-      ++journal.lines_skipped;
-      continue;
-    }
-    // A record that parsed but whose payload no longer matches its own
-    // digest was tampered with or damaged in place: reject it and let
-    // the sweep recompute that cell.
-    if (statsDigest(rec.result) != rec.stats_digest) {
-      ++journal.records_rejected;
-      continue;
-    }
-    journal.records[rec.key] = std::move(rec);  // last record wins
-  }
-  return journal;
 }
 
 }  // namespace wp::driver

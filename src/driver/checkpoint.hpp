@@ -1,28 +1,21 @@
-// Crash-safe checkpoint journal for sweeps (WP_CHECKPOINT=<path>).
+// The cell record: the one serialized form of a finished cell, shared
+// by the result store (WP_STORE, driver/result_store.hpp), the isolated-
+// worker pipe (driver/worker.hpp) and the sweep service's replies.
 //
-// Every completed (non-quarantined, freshly computed) cell is appended
-// to the journal as one fsync'd JSONL record carrying the full guest-
-// side RunResult — every stat the tables, the per-workload benches and
-// the WP_JSON report consume — plus two digests:
+// A record is one flat JSON line carrying the cell key, the full
+// guest-side RunResult — every stat the tables, the per-workload benches
+// and the WP_JSON report consume — and two digests:
 //
 //   image_digest  FNV-1a over the code+data bytes of the image the cell
-//                 simulated. On resume it is re-checked against the
-//                 *freshly prepared* image: a journal recorded under
-//                 different code, a different layout pass, or different
-//                 workload inputs is rejected cell-by-cell and those
-//                 cells recompute.
+//                 simulated. Readers check it against the *freshly
+//                 prepared* image, so a record made under different
+//                 code, a different layout pass or different workload
+//                 inputs is never served; the cell recomputes instead.
 //   stats_digest  FNV-1a over the record's own guest-side payload,
 //                 catching torn or hand-edited records.
 //
-// On startup the executor replays the journal, seeds its memo with
-// every record that verifies, and recomputes the rest — so a sweep
-// killed mid-run resumes from where it was and prints a byte-identical
-// table (doubles round-trip at 17 significant digits, and aggregation
-// order never depended on compute order in the first place). The
-// journal's header pins the experiment seed; resuming under a
-// different WP_SEED is a startup error, not a silently mixed journal.
-// Quarantined cells are never journaled: a resumed sweep gives them a
-// fresh set of attempts.
+// Doubles round-trip at 17 significant digits, so a cell read back from
+// a record prints exactly the bytes its original compute printed.
 #pragma once
 
 #include <map>
@@ -36,9 +29,9 @@
 
 namespace wp::driver {
 
-/// One journaled cell: the memo key, verification digests, the restore
-/// payload (full guest-side RunResult), and the host-side timings of
-/// the original compute (observability only).
+/// One recorded cell: the memo key, verification digests, the payload
+/// (full guest-side RunResult), and the host-side timings of the
+/// original compute (observability only).
 struct CheckpointRecord {
   std::string key;
   u64 image_digest = 0;
@@ -54,20 +47,17 @@ struct CheckpointRecord {
 [[nodiscard]] u64 stringDigest(std::string_view s);
 
 /// FNV-1a over a result's guest-side fields (stats, energy, output,
-/// layout ride-alongs) — host-side timings excluded, so a restored
-/// record re-digests to the same value.
+/// layout ride-alongs) — host-side timings excluded, so a record read
+/// back re-digests to the same value.
 [[nodiscard]] u64 statsDigest(const RunResult& r);
 
-/// Renders one journal record line (no trailing newline).
+/// Renders one record line (no trailing newline).
 [[nodiscard]] std::string renderRecord(const std::string& key,
                                        u64 image_digest, const RunResult& r,
                                        double wall_seconds);
 
-/// Renders the journal header line pinning @p seed.
-[[nodiscard]] std::string renderHeader(u64 seed);
-
 /// One parsed `"key": value` pair of a flat one-line JSON object (the
-/// only JSON shape the journal, the result store and the worker pipe
+/// only JSON shape the result store, the worker pipe and the service
 /// protocol ever emit).
 struct JsonToken {
   bool is_string = false;
@@ -88,27 +78,9 @@ enum class RecordParse {
 };
 
 /// Parses one record line (as produced by renderRecord) and verifies
-/// its stats digest. Shared by the journal reader, the result store and
-/// the isolated-worker pipe protocol, so all three trust records under
-/// exactly the same rules.
+/// its stats digest. Shared by the result store and the isolated-worker
+/// pipe protocol, so both trust records under exactly the same rules.
 [[nodiscard]] RecordParse parseRecordLine(const std::string& line,
                                           CheckpointRecord& out);
-
-/// A parsed journal: records keyed by cell key (last record wins) plus
-/// what the reader skipped.
-struct CheckpointJournal {
-  std::map<std::string, CheckpointRecord> records;
-  u64 lines_skipped = 0;     ///< unparsable lines (torn tail, corruption)
-  u64 records_rejected = 0;  ///< parsed records whose stats digest lied
-  bool had_header = false;
-};
-
-/// Reads @p path (which may not exist — an empty journal) and verifies
-/// its header against @p expected_seed. A seed mismatch or a journal
-/// with records but no header exits 1 (strict WP_* policy: resuming
-/// the wrong experiment must never silently mix results). A torn final
-/// line — the SIGKILL case — is skipped and counted, never fatal.
-[[nodiscard]] CheckpointJournal readJournal(const std::string& path,
-                                            u64 expected_seed);
 
 }  // namespace wp::driver

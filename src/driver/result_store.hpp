@@ -1,7 +1,9 @@
 // Persistent, content-addressed result store for sweeps (WP_STORE).
 //
-// Generalizes the crash-recovery checkpoint journal into a cross-run,
-// cross-bench cache: one record file per cell under WP_STORE=<dir>,
+// The sweep's one durability path: a cross-run, cross-bench cache that
+// is also its crash recovery (a killed sweep re-run on the same store
+// recomputes only the cells it never published). One record file per
+// cell (driver/checkpoint.hpp's record format) under WP_STORE=<dir>,
 // addressed by (experiment seed, cell key, image digest) — the image
 // digest covers the exact bytes the cell would simulate, so a store
 // populated under other code, another layout pipeline or other inputs
@@ -26,11 +28,11 @@
 //                  §10 for why this is O_EXCL + pid probing and not
 //                  flock.
 //
-// Trust rules match the journal's: every read re-verifies the record's
-// own stats digest plus its header (version, seed, key) and the image
-// digest; tampered, torn or version-mismatched records are rejected,
-// counted, and recomputed — never served. An unwritable or corrupt
-// store *degrades loudly* to compute-everything (stderr warning +
+// Trust rules match the worker pipe's: every read re-verifies the
+// record's own stats digest plus its header (version, seed, key) and
+// the image digest; tampered, torn or version-mismatched records are
+// rejected, counted, and recomputed — never served. An unwritable or
+// corrupt store *degrades loudly* to compute-everything (stderr warning +
 // store.degraded metric) instead of aborting: losing the cache must
 // never lose the sweep. Environment parsing, by contrast, stays strict
 // — a malformed WP_LEASE_TIMEOUT_MS exits 1 like every other WP_* knob.

@@ -311,8 +311,8 @@ RunResult Runner::runCoRun(const std::vector<const PreparedWorkload*>& group,
   ScopedTimer price_span(metrics_.timer("phase.price"));
   result.energy = sim::Processor::price(model_, machine, result.stats);
   // The cell's output is every guest's output, concatenated in group
-  // order: the stats digest (and so the journal/store verification)
-  // covers each process's result bytes, not just the primary's.
+  // order: the stats digest (and so the store's verification) covers
+  // each process's result bytes, not just the primary's.
   for (std::size_t i = 0; i < group.size(); ++i) {
     std::vector<u8> out =
         group[i]->workload->output(sched.memoryOf(asids[i]));

@@ -519,7 +519,6 @@ std::string SweepService::statsReply(const Request& req) {
   addStr(out, "op", req.op);
   addStr(out, "fate", "ok");
   addNum(out, "cells_computed", m.counter("cells.computed").value());
-  addNum(out, "cells_restored", m.counter("cells.restored").value());
   addNum(out, "cells_from_store", m.counter("cells.from_store").value());
   addNum(out, "cells_quarantined", m.counter("cells.quarantined").value());
   addNum(out, "memo_hits", m.counter("memo.hits").value());

@@ -4,13 +4,12 @@
 // across many geometries, CI dashboards — keep re-paying suite
 // preparation and process startup for every query. The service keeps
 // one prepared SweepExecutor resident behind a Unix-domain socket and
-// answers evaluation requests from its memo/store/journal hierarchy,
+// answers evaluation requests from its memo, then its result store,
 // so a warm cell costs a socket round-trip instead of a process.
 //
 // Protocol: one flat one-line JSON object per message in each direction
-// (the same shape the checkpoint journal, result store and worker pipe
-// already speak — parseFlatJsonLine is the only parser). Requests name
-// an op:
+// (the same shape the result store records and the worker pipe already
+// speak — parseFlatJsonLine is the only parser). Requests name an op:
 //
 //   eval       price one (workload, geometry, scheme) cell, normalized
 //              against its implied baseline
@@ -24,10 +23,10 @@
 //
 // Design rules (DESIGN.md §14):
 //   crash-only    The daemon owns no durable state of its own: every
-//                 computed cell is published to WP_STORE/WP_CHECKPOINT
-//                 before its reply is sent, so SIGKILL at any instant
-//                 loses at most in-flight replies and a restarted
-//                 daemon re-serves every previously answered request
+//                 computed cell is published to WP_STORE before its
+//                 reply is sent, so SIGKILL at any instant loses at
+//                 most in-flight replies and a restarted daemon
+//                 re-serves every previously answered request
 //                 byte-identically without recomputing.
 //   admission     A bounded queue fronts the executor. A full queue
 //                 sheds load with an `overloaded` reply carrying a
@@ -92,8 +91,7 @@ struct ServiceConfig {
 /// a bounded queue onto worker threads, and executes them against one
 /// shared SweepExecutor. The executor's memo makes concurrent requests
 /// for the same cell collapse to one compute (call_once per cell), and
-/// its WP_STORE/WP_CHECKPOINT plumbing makes every reply durable before
-/// it is sent.
+/// its WP_STORE plumbing makes every reply durable before it is sent.
 class SweepService {
  public:
   /// @p suite must outlive the service. @p latch is the process

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "support/ensure.hpp"
+#include "support/fnv.hpp"
 
 namespace wp::driver {
 
@@ -30,18 +31,6 @@ u64 u64FromEnv(const char* name, u64 default_value, u64 max_value,
     std::exit(1);
   }
   return static_cast<u64>(v);
-}
-
-constexpr u64 kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr u64 kFnvPrime = 0x100000001b3ULL;
-
-u64 fnv1a(std::string_view s) {
-  u64 h = kFnvOffset;
-  for (const char c : s) {
-    h ^= static_cast<u8>(c);
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 /// splitmix64 finalizer: decorrelates nearby inputs.

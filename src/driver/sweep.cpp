@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "support/ensure.hpp"
+#include "support/fnv.hpp"
 #include "support/stats.hpp"
 
 namespace wp::driver {
@@ -38,29 +39,28 @@ struct SweepExecutor::CellEntry {
   SchemeSpec spec;
   std::once_flag once;
   /// Set after the once-body produced a usable result (computed or
-  /// restored); writeJsonReport and aggregation skip entries without
-  /// it. Mutually exclusive with `quarantined`.
+  /// served from the store); writeJsonReport and aggregation skip
+  /// entries without it. Mutually exclusive with `quarantined`.
   std::atomic<bool> ready{false};
   /// Set when every supervised attempt failed. The entry then carries
   /// `failure` instead of `result`, and stays quarantined for the
-  /// executor's lifetime (a resumed sweep gets fresh attempts because
-  /// quarantined cells are never journaled).
+  /// executor's lifetime (a re-run gets fresh attempts because
+  /// quarantined cells are never published to the store).
   std::atomic<bool> quarantined{false};
   RunResult result;
   /// Tagged error of the most recent failed attempt:
   /// "cell '<key>' (attempt i/n): <what>".
   std::string failure;
-  /// Attempts spent on this cell (0 = restored from the checkpoint
-  /// journal without running anything).
+  /// Attempts spent on this cell (0 = served from the store without
+  /// running anything).
   unsigned attempts = 0;
   /// Quarantined-without-running because the shutdown latch fired.
   bool interrupted = false;
-  bool restored = false;    ///< came from the WP_CHECKPOINT journal
   bool from_store = false;  ///< served from the WP_STORE result store
   /// Host wall-clock of the whole cell compute (simulate + price) and
   /// the pool worker that ran it (-1: computed on an external thread;
-  /// -2: restored from the journal; -3: served from the result store —
-  /// wall_seconds is then the original compute's).
+  /// -3: served from the result store — wall_seconds is then the
+  /// original compute's).
   double wall_seconds = 0.0;
   int worker = -1;
 };
@@ -89,36 +89,6 @@ SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
                            supervisor_.config().cell_timeout_ms)
                       .num("workloads",
                            static_cast<u64>(workload_names.size())));
-  }
-  if (const char* ckpt = std::getenv("WP_CHECKPOINT");
-      ckpt != nullptr && *ckpt != '\0') {
-    // Replay before opening for append: verified records seed the memo
-    // (inside ensureCell, against the freshly prepared images); the
-    // writer's open failure is fatal before any work happens.
-    restored_ = readJournal(ckpt, runner_.seed());
-    journal_ = std::make_unique<DurableJsonlWriter>(ckpt, "WP_CHECKPOINT");
-    if (!restored_.had_header) journal_->append(renderHeader(runner_.seed()));
-    if (restored_.lines_skipped > 0) {
-      metrics_.counter("checkpoint.lines_skipped")
-          .add(restored_.lines_skipped);
-    }
-    if (restored_.records_rejected > 0) {
-      metrics_.counter("checkpoint.rejected").add(restored_.records_rejected);
-    }
-    std::fprintf(stderr,
-                 "[wayplace] checkpoint journal '%s': %zu cell record(s) "
-                 "replayed, %llu line(s) skipped, %llu record(s) rejected\n",
-                 ckpt, restored_.records.size(),
-                 static_cast<unsigned long long>(restored_.lines_skipped),
-                 static_cast<unsigned long long>(restored_.records_rejected));
-    if (trace_) {
-      trace_->write(TraceEvent("checkpoint_replay")
-                        .str("path", ckpt)
-                        .num("records",
-                             static_cast<u64>(restored_.records.size()))
-                        .num("lines_skipped", restored_.lines_skipped)
-                        .num("records_rejected", restored_.records_rejected));
-    }
   }
   if (auto store_config = ResultStore::fromEnv()) {
     store_ = std::make_unique<ResultStore>(*store_config, runner_.seed(),
@@ -170,7 +140,6 @@ SweepExecutor::~SweepExecutor() {
     trace_->write(
         TraceEvent("sweep_end")
             .num("cells_computed", metrics_.counter("cells.computed").value())
-            .num("cells_restored", metrics_.counter("cells.restored").value())
             .num("cells_quarantined",
                  metrics_.counter("cells.quarantined").value())
             .num("memo_hits", metrics_.counter("memo.hits").value())
@@ -182,8 +151,8 @@ std::string SweepExecutor::keyOf(const std::string& workload,
                                  const cache::CacheGeometry& g,
                                  const SchemeSpec& s) {
   // WP_ENGINE is deliberately absent: both engines produce identical
-  // results (the equivalence suite enforces it), so a journal or result
-  // store recorded under one engine legitimately serves the other.
+  // results (the equivalence suite enforces it), so a result store
+  // recorded under one engine legitimately serves the other.
   std::ostringstream os;
   os << workload << '/' << g.size_bytes << '/' << g.ways << '/'
      << g.line_bytes << '/' << static_cast<int>(s.scheme) << '/'
@@ -191,10 +160,9 @@ std::string SweepExecutor::keyOf(const std::string& workload,
      << s.wm_precise_invalidation << '/' << s.drowsy_window << '/'
      // Canonicalized so an alias spelling (or any equivalent spelling
      // of a parameterized spec) memoizes to the same cell, and so every
-     // tuned param value is key material — a journal or store record
-     // can never serve a differently-tuned cell. Default-param specs
-     // canonicalize to the bare name, keeping pre-parameterization
-     // journals and stores valid.
+     // tuned param value is key material — a store record can never
+     // serve a differently-tuned cell. Default-param specs canonicalize
+     // to the bare name, keeping pre-parameterization stores valid.
      << layout::resolveStrategy(s.layout).canonical();
   if (s.fault.runtimeEnabled()) {
     os << "/f" << s.fault.period << ':' << s.fault.seed << ':'
@@ -214,7 +182,7 @@ std::string SweepExecutor::keyOf(const std::string& workload,
     // the quantum, the TLB switch policy and the partner set all change
     // the shared fetch path's history, so they are all key material.
     // Solo cells keep their exact pre-multiprog keys (no suffix), so
-    // existing journals and result stores stay valid.
+    // existing result stores stay valid.
     os << "/m" << s.corun_quantum << ':' << static_cast<int>(s.corun_tlb)
        << ':' << s.corun_partners;
   }
@@ -246,11 +214,11 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
 
   // Co-run cells resolve their partner group up front (the primary
   // first, then every corun_partners name against the prepared suite)
-  // and fold every participant's image digest, so a journal or store
-  // record is tied to *all* the code the cell simulates, not just the
-  // primary's. An unresolvable partner is a deterministic cell failure:
-  // it rides the normal retry/quarantine ladder with the key attached
-  // instead of aborting the sweep.
+  // and fold every participant's image digest, so a store record is
+  // tied to *all* the code the cell simulates, not just the primary's.
+  // An unresolvable partner is a deterministic cell failure: it rides
+  // the normal retry/quarantine ladder with the key attached instead of
+  // aborting the sweep.
   std::vector<const PreparedWorkload*> group;
   std::string group_error;
   u64 image_digest = 0;
@@ -281,12 +249,11 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
       group.push_back(partner);
     }
     if (group_error.empty()) {
-      u64 h = 0xcbf29ce484222325ULL;
+      image_digest = kFnvOffset;
       for (const PreparedWorkload* pw : group) {
-        h ^= imageDigest(pw->imageFor(spec.layout));
-        h *= 0x100000001b3ULL;
+        image_digest =
+            fnv1aWord(image_digest, imageDigest(pw->imageFor(spec.layout)));
       }
-      image_digest = h;
     }
   } else {
     image_digest = imageDigest(p.imageFor(spec.layout));
@@ -310,51 +277,10 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                           .str("key", key)
                           .num("worker", worker));
       }
-      // A store hit still journals: a later resume under WP_CHECKPOINT
-      // alone must not depend on the store staying reachable.
-      if (journal_) {
-        journal_->append(renderRecord(key, image_digest, entry.result,
-                                      entry.wall_seconds));
-      }
       entry.ready.store(true, std::memory_order_release);
       return;
     }
     lease = std::move(outcome.lease);
-  }
-
-  // Journal restore next: a record that survives both digests stands
-  // in for the compute. The image digest ties the record to the bytes
-  // this sweep would actually simulate — a journal recorded under other
-  // code, another layout pipeline or other inputs recomputes instead.
-  if (!restored_.records.empty()) {
-    const auto it = restored_.records.find(key);
-    if (it != restored_.records.end()) {
-      if (it->second.image_digest == image_digest) {
-        entry.result = it->second.result;
-        entry.wall_seconds = it->second.wall_seconds;
-        entry.worker = -2;
-        entry.restored = true;
-        entry.attempts = 0;
-        metrics_.counter("cells.restored").add();
-        if (trace_) {
-          trace_->write(TraceEvent("cell_restored")
-                            .str("key", key)
-                            .num("worker", worker));
-        }
-        // Publish the journal's answer so the next run hits the store.
-        if (store_) {
-          store_->put(lease, key, image_digest, entry.result,
-                      entry.wall_seconds);
-        }
-        entry.ready.store(true, std::memory_order_release);
-        return;
-      }
-      metrics_.counter("checkpoint.rejected").add();
-      if (trace_) {
-        trace_->write(TraceEvent("checkpoint_image_mismatch")
-                          .str("key", key));
-      }
-    }
   }
 
   const unsigned max_attempts = supervisor_.maxAttempts();
@@ -442,10 +368,6 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
             .num("wp_area_coverage", entry.result.wp_area_coverage);
         trace_->write(ev);
       }
-      if (journal_) {
-        journal_->append(renderRecord(key, image_digest, entry.result,
-                                      entry.wall_seconds));
-      }
       if (store_) {
         store_->put(lease, key, image_digest, entry.result,
                     entry.wall_seconds);
@@ -480,7 +402,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
 
   // Quarantine releases the lease (via Lease's destructor) without
   // publishing: another process gets a fresh claim at this cell, and a
-  // resumed sweep gets fresh attempts.
+  // re-run gets fresh attempts.
   entry.quarantined.store(true, std::memory_order_release);
   metrics_.counter("cells.quarantined").add();
   std::fprintf(stderr,
@@ -666,7 +588,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   os << ", \"mips_measurable_cells\": " << mips_measurable
      << ", \"mips_unmeasurable_cells\": " << mips_unmeasurable
      << ", \"cells_computed\": " << metrics_.counter("cells.computed").value()
-     << ", \"cells_restored\": " << metrics_.counter("cells.restored").value()
      << ", \"cells_from_store\": "
      << metrics_.counter("cells.from_store").value()
      << ", \"cells_isolated\": " << metrics_.counter("cells.isolated").value()
@@ -765,7 +686,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
        << ", \"cycles\": " << entry->result.stats.cycles
        << ", \"instructions\": " << entry->result.stats.instructions
        << ", \"attempts\": " << entry->attempts
-       << ", \"restored\": " << jsonBool(entry->restored)
        << ", \"from_store\": " << jsonBool(entry->from_store)
        << ", \"wall_seconds\": " << entry->wall_seconds
        << ", \"simulate_seconds\": " << entry->result.simulate_seconds
@@ -824,16 +744,13 @@ void SweepExecutor::printSummary(std::ostream& os) const {
     std::snprintf(mips, sizeof mips, "%.1f MIPS",
                   static_cast<double>(insts) / simulate / 1e6);
   }
-  const u64 restored = metrics_.counter("cells.restored").value();
   const u64 quar = metrics_.counter("cells.quarantined").value();
   char extras[256] = "";
   std::size_t extras_len = 0;
-  if (restored > 0 || quar > 0) {
-    extras_len += static_cast<std::size_t>(std::snprintf(
-        extras + extras_len, sizeof extras - extras_len,
-        ", %llu restored, %llu quarantined",
-        static_cast<unsigned long long>(restored),
-        static_cast<unsigned long long>(quar)));
+  if (quar > 0) {
+    extras_len = static_cast<std::size_t>(
+        std::snprintf(extras, sizeof extras, ", %llu quarantined",
+                      static_cast<unsigned long long>(quar)));
   }
   if (store_) {
     // store.hits/store.misses/store.rejected: the warm-store smoke

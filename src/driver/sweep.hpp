@@ -35,25 +35,21 @@
 //                 forked worker process (driver/worker.hpp), so a
 //                 SIGSEGV or wedged loop costs one attempt of one
 //                 cell, not the bench.
-//   WP_CHECKPOINT path of a durable JSONL journal (fsync'd per record):
-//                 every freshly computed cell is appended, and on
-//                 startup the journal is replayed — records whose
-//                 digests verify against the freshly prepared images
-//                 seed the memo, the rest recompute. A killed sweep
-//                 resumed with the same journal prints a byte-identical
-//                 table. See driver/checkpoint.hpp.
 //   WP_STORE      directory of a persistent cross-run result store:
 //                 cells whose stored record verifies (image digest +
 //                 stats digest + seed) are served instead of simulated,
 //                 freshly computed cells are published atomically, and
 //                 concurrent sweeps sharing the directory coordinate
 //                 through lock-file leases (WP_LEASE_TIMEOUT_MS) so a
-//                 cell is computed once across processes. See
+//                 cell is computed once across processes. It is also
+//                 the crash-recovery path: a killed sweep re-run on the
+//                 same store recomputes only the cells it never
+//                 published and prints a byte-identical table. See
 //                 driver/result_store.hpp.
 //
 // Instrumentation is host-side only: with or without WP_TRACE/WP_JSON/
-// WP_CHECKPOINT/WP_STORE, at any WP_JOBS, with or without WP_ISOLATE,
-// the printed tables are byte-identical.
+// WP_STORE, at any WP_JOBS, with or without WP_ISOLATE, the printed
+// tables are byte-identical.
 #pragma once
 
 #include <chrono>
@@ -94,7 +90,7 @@ class SweepExecutor {
   struct CellView {
     const RunResult* result = nullptr;
     bool quarantined = false;
-    unsigned attempts = 0;    ///< attempts spent (0 = restored from journal)
+    unsigned attempts = 0;    ///< attempts spent (0 = served from the store)
     const std::string* error = nullptr;
   };
 
@@ -127,9 +123,9 @@ class SweepExecutor {
   /// WP_JOBS (which itself defaults to the hardware thread count).
   /// @p supervisor overrides the WP_RETRIES/WP_CELL_TIMEOUT_MS/
   /// WP_CELL_FAULT environment policy (tests pin it; benches pass
-  /// nothing). All WP_* parsing and the WP_CHECKPOINT journal open
-  /// happen before any workload is prepared, so a bad environment fails
-  /// in milliseconds.
+  /// nothing). All WP_* parsing and the WP_STORE open happen before
+  /// any workload is prepared, so a bad environment fails in
+  /// milliseconds.
   /// @p interrupt_latch, when non-null, makes the executor *interrupt-
   /// aware*: once the latch fires (SIGTERM/SIGINT), cells that have not
   /// started yet are immediately quarantined with `interrupted` set
@@ -223,20 +219,18 @@ class SweepExecutor {
   void emitJsonIfRequested() const;
 
   /// One-line human summary of the sweep so far — cells priced, memo
-  /// hits, restored/quarantined counts, guest instructions, host
+  /// hits, quarantined and store counts, guest instructions, host
   /// throughput (MIPS), wall-clock and job count. Benches print this to
   /// stderr (stderr, so the stdout tables stay byte-identical across
   /// job counts).
   void printSummary(std::ostream& os) const;
 
   /// Host-side counters/timers: this executor's "cells.computed" /
-  /// "memo.hits" / "cells.restored" / "cells.quarantined" /
+  /// "memo.hits" / "cells.from_store" / "cells.quarantined" /
   /// "cells.failed_attempts" plus the shared Runner phase timers.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
   /// True when WP_TRACE requested a JSONL event log.
   [[nodiscard]] bool tracing() const { return trace_ != nullptr; }
-  /// True when WP_CHECKPOINT is journaling this sweep.
-  [[nodiscard]] bool checkpointing() const { return journal_ != nullptr; }
   /// The WP_STORE result store, or null when the store is not enabled.
   [[nodiscard]] const ResultStore* store() const { return store_.get(); }
 
@@ -245,7 +239,7 @@ class SweepExecutor {
 
   /// Finds-or-creates the memo entry and computes it exactly once
   /// (concurrent callers for the same key block until it is ready).
-  /// The compute is supervised: journal restore first, then up to
+  /// The compute is supervised: store lookup first, then up to
   /// maxAttempts() tries, then quarantine. Never throws for a cell
   /// failure.
   CellEntry& ensureCell(const PreparedWorkload& p,
@@ -267,11 +261,6 @@ class SweepExecutor {
   /// Created before (and so destroyed after) the pool whose workers
   /// write to it. Null unless WP_TRACE is set.
   std::unique_ptr<TraceWriter> trace_;
-  /// WP_CHECKPOINT journal writer (null when not checkpointing) and the
-  /// verified records replayed from it at startup (read-only after the
-  /// constructor).
-  std::unique_ptr<DurableJsonlWriter> journal_;
-  CheckpointJournal restored_;
   /// WP_STORE cross-run result store (null when not enabled). Created
   /// before the pool so workers can use it; destroyed after.
   std::unique_ptr<ResultStore> store_;

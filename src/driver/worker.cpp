@@ -192,10 +192,10 @@ WorkerResult runCellInWorker(const std::string& key, u64 image_digest,
   }
 
   // Exit 0: the line must be a record that verifies against its own
-  // stats digest and names this cell — the same trust rules the journal
-  // and the result store apply. A child that was killed between write()
-  // and _exit cannot happen (the write precedes the exit), but a torn
-  // or alien line still must never become a table cell.
+  // stats digest and names this cell — the same trust rules the result
+  // store applies. A child that was killed between write() and _exit
+  // cannot happen (the write precedes the exit), but a torn or alien
+  // line still must never become a table cell.
   CheckpointRecord rec;
   switch (parseRecordLine(line, rec)) {
     case RecordParse::kOk:

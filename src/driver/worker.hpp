@@ -27,9 +27,9 @@
 // message names the cell key, so the sweep executor can feed it into
 // the exact same retry/backoff/quarantine ladder as an in-process
 // SimError. Results that do come back are verified against their own
-// stats digest before they are trusted (the same discipline the
-// checkpoint journal and the result store apply): a worker that died
-// mid-write can produce a torn line, never a wrong table.
+// stats digest before they are trusted (the same discipline the result
+// store applies): a worker that died mid-write can produce a torn line,
+// never a wrong table.
 //
 // The serialized record round-trips every double at 17 significant
 // digits, so a table produced through workers is byte-identical to an
@@ -56,9 +56,9 @@ struct WorkerResult {
 
 /// Runs @p attempt in a forked worker process and returns its fate.
 /// @p key tags every failure message; @p image_digest rides along in
-/// the serialized record (the same digest the journal/store would
-/// record). @p timeout_ms > 0 arms the parent-side wall-clock kill;
-/// 0 waits forever. @p attempt runs in the child only — side effects
+/// the serialized record (the same digest the store would record).
+/// @p timeout_ms > 0 arms the parent-side wall-clock kill; 0 waits
+/// forever. @p attempt runs in the child only — side effects
 /// on parent memory (metrics, traces, memo state) do not come back,
 /// which is exactly the isolation being bought.
 [[nodiscard]] WorkerResult runCellInWorker(

@@ -4,6 +4,7 @@
 
 #include "sim/block_cache.hpp"
 #include "support/ensure.hpp"
+#include "support/fnv.hpp"
 
 namespace wp::sim {
 
@@ -34,16 +35,6 @@ Processor::Processor(const MachineConfig& config, const mem::Image& image,
       fetch_(config.fetch),
       dcache_(config.dcache),
       timing_(config.timing) {}
-
-namespace {
-
-constexpr u64 fnv1a(u64 h, u64 v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-}  // namespace
 
 RunStats Processor::run() {
   // The block engine's batched fetchLine accounting is closed-form only
@@ -83,12 +74,12 @@ RunStats Processor::runInterp() {
 
     const StepInfo info = core_.step(state);
     ++stats.instructions;
-    stats.retired_pc_hash = fnv1a(stats.retired_pc_hash, pc);
+    stats.retired_pc_hash = fnv1aWord(stats.retired_pc_hash, pc);
 
     u32 mem_cycles = 0;
     if (info.mem_addr.has_value()) {
       const bool is_store = isa::isStore(info.inst.op);
-      stats.dataflow_hash = fnv1a(
+      stats.dataflow_hash = fnv1aWord(
           stats.dataflow_hash,
           (static_cast<u64>(*info.mem_addr) << 1) | (is_store ? 1u : 0u));
       mem_cycles = is_store ? dcache_.store(*info.mem_addr)
@@ -151,12 +142,12 @@ RunStats Processor::runBlock() {
       const u32 pc = state.pc;
       const StepInfo info = core_.step(state);
       ++stats.instructions;
-      stats.retired_pc_hash = fnv1a(stats.retired_pc_hash, pc);
+      stats.retired_pc_hash = fnv1aWord(stats.retired_pc_hash, pc);
 
       u32 mem_cycles = 0;
       if (info.mem_addr.has_value()) {
         const bool is_store = isa::isStore(info.inst.op);
-        stats.dataflow_hash = fnv1a(
+        stats.dataflow_hash = fnv1aWord(
             stats.dataflow_hash,
             (static_cast<u64>(*info.mem_addr) << 1) | (is_store ? 1u : 0u));
         mem_cycles = is_store ? dcache_.store(*info.mem_addr)

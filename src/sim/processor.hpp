@@ -10,6 +10,7 @@
 #include "energy/energy_model.hpp"
 #include "pipeline/timing.hpp"
 #include "sim/core.hpp"
+#include "support/fnv.hpp"
 
 namespace wp::sim {
 
@@ -60,13 +61,13 @@ struct RunStats {
   /// equivalence invariant: any run of the same binary and inputs must
   /// reproduce this hash exactly, no matter what advisory fetch state
   /// was corrupted along the way.
-  u64 retired_pc_hash = 0xcbf29ce484222325ULL;
+  u64 retired_pc_hash = kFnvOffset;
   /// FNV-1a over every data access (effective address + load/store
   /// kind), in order. Unlike retired_pc_hash this is layout-invariant:
   /// relinking under a different (even corrupt) profile legitimately
   /// changes pc values but must never change the data the program
   /// touches or produces.
-  u64 dataflow_hash = 0xcbf29ce484222325ULL;
+  u64 dataflow_hash = kFnvOffset;
   cache::CacheStats icache;
   cache::CacheStats dcache;
   cache::TlbStats itlb;

@@ -3,18 +3,9 @@
 #include <algorithm>
 
 #include "support/ensure.hpp"
+#include "support/fnv.hpp"
 
 namespace wp::sim {
-
-namespace {
-
-constexpr u64 fnv1a(u64 h, u64 v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-}  // namespace
 
 ProcessContext::ProcessContext(u32 asid_in, std::string name_in,
                                const mem::Image& image,
@@ -89,16 +80,16 @@ CoRunStats GuestScheduler::run() {
                           u32 fetch_cycles, bool block_engine) {
     ++c.instructions;
     ++p.instructions;
-    c.retired_pc_hash = fnv1a(c.retired_pc_hash, pc);
-    p.retired_pc_hash = fnv1a(p.retired_pc_hash, pc);
+    c.retired_pc_hash = fnv1aWord(c.retired_pc_hash, pc);
+    p.retired_pc_hash = fnv1aWord(p.retired_pc_hash, pc);
 
     u32 mem_cycles = 0;
     if (info.mem_addr.has_value()) {
       const bool is_store = isa::isStore(info.inst.op);
       const u64 v =
           (static_cast<u64>(*info.mem_addr) << 1) | (is_store ? 1u : 0u);
-      c.dataflow_hash = fnv1a(c.dataflow_hash, v);
-      p.dataflow_hash = fnv1a(p.dataflow_hash, v);
+      c.dataflow_hash = fnv1aWord(c.dataflow_hash, v);
+      p.dataflow_hash = fnv1aWord(p.dataflow_hash, v);
       mem_cycles = is_store ? p.dcache.store(*info.mem_addr)
                             : p.dcache.load(*info.mem_addr);
     }

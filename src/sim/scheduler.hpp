@@ -65,8 +65,8 @@ struct ProcessContext {
   cache::FetchFlow flow = cache::FetchFlow::kSequential;
   // Per-process accounting: must equal the same workload's solo run.
   u64 instructions = 0;
-  u64 retired_pc_hash = 0xcbf29ce484222325ULL;
-  u64 dataflow_hash = 0xcbf29ce484222325ULL;
+  u64 retired_pc_hash = kFnvOffset;
+  u64 dataflow_hash = kFnvOffset;
 };
 
 /// Per-process slice of a finished co-run.

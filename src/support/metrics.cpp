@@ -125,46 +125,6 @@ void MetricsRegistry::writeJsonFields(std::ostream& os,
   os << "}";
 }
 
-DurableJsonlWriter::DurableJsonlWriter(std::string path, std::string knob)
-    : path_(std::move(path)), knob_(std::move(knob)) {
-  errno = 0;
-  // O_APPEND: resumed sweeps extend the existing journal; records from
-  // the interrupted run stay in place.
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) dieOnIoError(knob_, path_, "cannot open journal file");
-  // fsync the *directory* too: O_CREAT may have added a new directory
-  // entry, and without this a crash right after creation can lose the
-  // whole journal file on ext4 even though every record was fsync'd.
-  if (!fsyncDirContaining(path_)) {
-    dieOnIoError(knob_, path_, "cannot fsync directory containing");
-  }
-}
-
-DurableJsonlWriter::~DurableJsonlWriter() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void DurableJsonlWriter::append(const std::string& json_line) {
-  const std::string line = json_line + "\n";
-  std::lock_guard<std::mutex> lock(mutex_);
-  errno = 0;
-  // One write(2) per record: with O_APPEND the line lands atomically at
-  // the end, so concurrent workers never interleave bytes.
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      dieOnIoError(knob_, path_, "write failed on journal file");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
-    dieOnIoError(knob_, path_, "fsync failed on journal file");
-  }
-  ++records_;
-}
-
 TraceEvent& TraceEvent::str(const std::string& key, const std::string& value) {
   fields_.emplace_back(key, "\"" + jsonEscape(value) + "\"");
   return *this;

@@ -44,8 +44,7 @@ namespace wp {
 /// bytes durable, but on ext4-class filesystems the directory entry
 /// pointing at them is separate metadata with its own durability.
 /// Returns false (with errno set) instead of exiting so callers choose
-/// their own severity — the checkpoint journal dies, the result store
-/// degrades.
+/// their own severity — the result store degrades rather than dying.
 [[nodiscard]] bool fsyncDirContaining(const std::string& path);
 
 /// CPU time consumed by the *calling thread*, in seconds. Unlike a wall
@@ -175,38 +174,6 @@ class TraceEvent {
  private:
   std::string name_;
   std::vector<std::pair<std::string, std::string>> fields_;
-};
-
-/// Append-only JSONL writer with per-record *durability*: every line is
-/// written straight to the file descriptor and fsync'd before append()
-/// returns, so even a SIGKILL loses at most the in-flight record. This
-/// is the storage primitive under the sweep checkpoint journal
-/// (WP_CHECKPOINT), where a torn tail must be the worst possible
-/// damage. Thread-safe; construction and every append fail loudly
-/// (exit 1, naming @p knob) on I/O errors — see dieOnIoError().
-class DurableJsonlWriter {
- public:
-  DurableJsonlWriter(std::string path, std::string knob);
-  ~DurableJsonlWriter();
-  DurableJsonlWriter(const DurableJsonlWriter&) = delete;
-  DurableJsonlWriter& operator=(const DurableJsonlWriter&) = delete;
-
-  /// Appends @p json_line (one JSON object, no trailing newline) and
-  /// fsyncs before returning.
-  void append(const std::string& json_line);
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] u64 recordsWritten() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_;
-  }
-
- private:
-  std::string path_;
-  std::string knob_;
-  int fd_ = -1;
-  mutable std::mutex mutex_;
-  u64 records_ = 0;
 };
 
 /// Append-only JSONL event log. Thread-safe; every line is flushed so a

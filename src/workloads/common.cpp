@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "support/fnv.hpp"
+
 namespace wp::workloads {
 
 namespace {
@@ -10,11 +12,7 @@ u64 seedFor(const std::string& workload, InputSize size,
             u64 experiment_seed) {
   // FNV-1a over the name, salted by the input size and the experiment
   // seed (seed 0 leaves the hash — and thus the inputs — unchanged).
-  u64 h = 0xcbf29ce484222325ULL;
-  for (const char c : workload) {
-    h ^= static_cast<u8>(c);
-    h *= 0x100000001b3ULL;
-  }
+  const u64 h = fnv1a(workload);
   return mixSeed(h ^ (size == InputSize::kSmall ? 0x5eedULL : 0x1a56eULL),
                  experiment_seed);
 }

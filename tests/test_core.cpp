@@ -152,6 +152,10 @@ struct BranchCase {
   bool expect_taken;
 };
 
+// gtest's default printer dumps the struct's bytes, pointer included,
+// into the listed test name; print the case name so the name is stable.
+void PrintTo(const BranchCase& c, std::ostream* os) { *os << c.name; }
+
 class CoreBranch : public ::testing::TestWithParam<BranchCase> {};
 
 TEST_P(CoreBranch, Semantics) {

@@ -15,6 +15,10 @@ struct SchemeCase {
   driver::SchemeSpec spec;
 };
 
+// gtest's default printer dumps the struct's bytes, pointers included,
+// into the listed test name; print the case name so the name is stable.
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.name; }
+
 class CounterInvariants : public ::testing::TestWithParam<SchemeCase> {};
 
 TEST_P(CounterInvariants, HoldOnRealRun) {

@@ -1,12 +1,13 @@
 // Multiprogramming tests: the guest scheduler's architectural
 // invariants (every process's retired stream equals its solo run at any
 // switch quantum, under both engines and all four schemes), the co-run
-// driver plumbing (runCoRun, cell keys, co-run baselines, checkpoint
+// driver plumbing (runCoRun, cell keys, co-run baselines, result-store
 // round-trips) and the switch-policy energy asymmetry (ASID tagging
 // walks less than flush-on-switch).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "driver/checkpoint.hpp"
@@ -378,11 +379,10 @@ TEST(CoRunSweep, UnknownPartnerQuarantinesWithTheKeyAttached) {
       << "the failure names the full cell key";
 }
 
-TEST(CoRunSweep, CoRunCellsRoundTripThroughTheCheckpointJournal) {
-  const std::string path =
-      testing::TempDir() + "corun_checkpoint_test.jsonl";
-  std::remove(path.c_str());
-  ScopedEnv env("WP_CHECKPOINT", path.c_str());
+TEST(CoRunSweep, CoRunCellsRoundTripThroughTheResultStore) {
+  const std::string dir = testing::TempDir() + "corun_store_test";
+  std::filesystem::remove_all(dir);
+  ScopedEnv env("WP_STORE", dir.c_str());
   const driver::SchemeSpec spec = corunSpec(
       driver::SchemeSpec::wayPlacement(16 * 1024), 2000, "sha");
   u64 first_digest = 0;
@@ -391,13 +391,14 @@ TEST(CoRunSweep, CoRunCellsRoundTripThroughTheCheckpointJournal) {
     first_digest = driver::statsDigest(
         suite.run(suite.prepared()[0], kXScale, spec));
   }
-  driver::SweepExecutor resumed({"crc", "sha"}, energy::EnergyParams{}, 0, 1);
+  driver::SweepExecutor warm({"crc", "sha"}, energy::EnergyParams{}, 0, 1);
   const driver::SweepExecutor::CellView view =
-      resumed.tryRun(resumed.prepared()[0], kXScale, spec);
+      warm.tryRun(warm.prepared()[0], kXScale, spec);
   ASSERT_FALSE(view.quarantined);
-  EXPECT_EQ(view.attempts, 0u) << "restored from the journal, not re-run";
+  EXPECT_EQ(view.attempts, 0u) << "served from the store, not re-run";
+  EXPECT_EQ(warm.metrics().counter("cells.from_store").value(), 1u);
   EXPECT_EQ(driver::statsDigest(*view.result), first_digest);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the persistent result store (driver/result_store.hpp +
-// WP_STORE): verified round-trips, tamper/torn rejection, the lock-file
-// lease protocol (wait, dead-holder reclaim, expiry reclaim), loud
-// degradation on an unusable store, warm sweeps serving every cell
-// byte-identically, and two processes racing one store without
+// WP_STORE), the sweep's one durability path: verified round-trips,
+// tamper/torn rejection, pinned digests, the lock-file lease protocol
+// (wait, dead-holder reclaim, expiry reclaim), loud degradation on an
+// unusable store, warm and partially populated stores resuming a sweep
+// byte-identically at any job count, quarantined cells never published,
+// seeds never mixed, and two processes racing one store without
 // double-computing or leaving locks behind.
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include "driver/result_store.hpp"
 #include "driver/sweep.hpp"
 #include "support/ensure.hpp"
+#include "support/fnv.hpp"
 
 namespace wp {
 namespace {
@@ -375,6 +378,31 @@ TEST(ResultStore, WaitsOutALiveHolderAndServesItsRecord) {
 }
 
 // ---------------------------------------------------------------------
+// Digest stability: store file names embed stringDigest and imageDigest,
+// and records carry the equivalence hashes, so a changed hash would
+// orphan every existing store. The literals are the values existing
+// stores were written with; they must never change.
+
+static_assert(fnv1a("") == kFnvOffset);
+static_assert(fnv1a("a") == 0xaf63dc4c8601ec8cULL);
+static_assert(fnv1a("foobar") == 0x85944171f73967e8ULL);
+
+TEST(ResultStore, DigestsKeepTheValuesExistingStoresWereNamedWith) {
+  EXPECT_EQ(
+      driver::stringDigest("crc/32768/32/32/1/16384/1/0/0/way_placement"),
+      0x6b52d3b76ba85565ULL);
+
+  driver::SchemeSpec spec = wpSpec();
+  spec.layout = "way_placement";
+  const driver::Runner runner;
+  const driver::PreparedWorkload crc = runner.prepare("crc");
+  EXPECT_EQ(driver::imageDigest(crc.imageFor(spec.layout)),
+            0x5c46269c552f210bULL);
+  EXPECT_EQ(runner.run(crc, kXScale, spec).stats.retired_pc_hash,
+            0x4b26193649e667bdULL);
+}
+
+// ---------------------------------------------------------------------
 // The store under the sweep executor.
 
 TEST(StoreSweep, WarmRunServesEveryCellByteIdentically) {
@@ -403,6 +431,147 @@ TEST(StoreSweep, WarmRunServesEveryCellByteIdentically) {
   EXPECT_EQ(warm.tryRun(p, kXScale, wpSpec()).attempts, 0u)
       << "0 attempts marks a cell served without running anything";
   EXPECT_EQ(filesWithSuffix(dir, ".lock").size(), 0u);
+}
+
+// Resume: a sweep re-run on the store its first run populated reproduces
+// the first run's tables byte-identically at any job count.
+TEST(Checkpoint, ResumedSweepIsByteIdenticalAtAnyJobCount) {
+  const std::string dir = freshDir("store_resume");
+  ScopedEnv env("WP_STORE", dir.c_str());
+  const auto ed = [](const driver::Normalized& n) { return n.ed_product; };
+
+  double e_first = 0.0;
+  double ed_first = 0.0;
+  u64 cycles = 0;
+  std::vector<u8> output;
+  {
+    driver::SweepExecutor first(fastSubset(), energy::EnergyParams{}, 0, 8);
+    first.runAll({{kXScale, wpSpec()}});
+    e_first = first.averageNormalized(kXScale, wpSpec(), icacheEnergy);
+    ed_first = first.averageNormalized(kXScale, wpSpec(), ed);
+    const driver::RunResult& r =
+        first.run(first.prepared().at(0), kXScale, wpSpec());
+    cycles = r.stats.cycles;
+    output = r.output;
+    EXPECT_EQ(first.metrics().counter("cells.from_store").value(), 0u);
+    EXPECT_EQ(first.metrics().counter("cells.computed").value(), 4u)
+        << "2 workloads x (baseline + way-placement)";
+  }
+
+  for (const unsigned jobs : {1u, 8u}) {
+    driver::SweepExecutor resumed(fastSubset(), energy::EnergyParams{}, 0,
+                                  jobs);
+    resumed.runAll({{kXScale, wpSpec()}});
+    EXPECT_EQ(resumed.metrics().counter("cells.computed").value(), 0u)
+        << "every cell must come from the store at jobs=" << jobs;
+    EXPECT_EQ(resumed.metrics().counter("cells.from_store").value(), 4u);
+    EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), icacheEnergy),
+              e_first);
+    EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), ed), ed_first);
+    const auto view = resumed.tryRun(resumed.prepared().at(0), kXScale,
+                                     wpSpec());
+    EXPECT_EQ(view.attempts, 0u) << "0 attempts marks a cell served";
+    EXPECT_EQ(view.result->stats.cycles, cycles);
+    EXPECT_EQ(view.result->output, output);
+  }
+}
+
+TEST(StoreSweep, PartialStoreServesItsCellsAndComputesTheRest) {
+  // Reference numbers from a sweep without a store.
+  driver::SweepExecutor fresh(fastSubset(), energy::EnergyParams{}, 0, 2);
+  const double e_fresh =
+      fresh.averageNormalized(kXScale, wpSpec(), icacheEnergy);
+
+  const std::string dir = freshDir("store_partial");
+  ScopedEnv env("WP_STORE", dir.c_str());
+  {  // Publish only crc's two cells (as if killed before bitcount).
+    driver::SweepExecutor first({"crc"}, energy::EnergyParams{}, 0, 2);
+    first.runAll({{kXScale, wpSpec()}});
+  }
+  {  // ...while bitcount's way-placement cell was mid-compute: its
+     // SIGKILLed holder left a lease behind.
+    const pid_t dead = ::fork();
+    ASSERT_GE(dead, 0);
+    if (dead == 0) std::_Exit(0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(dead, &status, 0), dead);
+    MetricsRegistry metrics;
+    const driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
+    const driver::PreparedWorkload& bitcount = fresh.prepared().at(1);
+    std::ofstream lock(
+        store.recordPathFor(
+            driver::SweepExecutor::keyOf(bitcount.name, kXScale, wpSpec()),
+            driver::imageDigest(bitcount.imageFor(wpSpec().layout))) +
+        ".lock");
+    lock << "{\"pid\": " << dead << ", \"seed\": 0}\n";
+  }
+
+  driver::SweepExecutor resumed(fastSubset(), energy::EnergyParams{}, 0, 2);
+  resumed.runAll({{kXScale, wpSpec()}});
+  EXPECT_EQ(resumed.metrics().counter("cells.from_store").value(), 2u)
+      << "crc's baseline + way-placement are served";
+  EXPECT_EQ(resumed.metrics().counter("cells.computed").value(), 2u)
+      << "bitcount's cells compute";
+  EXPECT_EQ(resumed.metrics().counter("store.leases_reclaimed").value(), 1u);
+  EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), icacheEnergy),
+            e_fresh)
+      << "a resumed sweep must reproduce the uninterrupted numbers";
+  EXPECT_EQ(filesWithSuffix(dir, ".rec").size(), 4u);
+  EXPECT_EQ(filesWithSuffix(dir, ".lock").size(), 0u);
+}
+
+TEST(StoreSweep, QuarantinedCellsAreNeverPublishedSoReRunRetries) {
+  const std::string dir = freshDir("store_quar");
+  ScopedEnv env("WP_STORE", dir.c_str());
+  driver::SchemeSpec bad = wpSpec();
+  bad.fault.cell_fault = fault::CellFault::kPersistent;
+
+  driver::SupervisorConfig cfg;
+  cfg.retries = 0;
+  {
+    driver::SweepExecutor first({"crc"}, energy::EnergyParams{}, 0, 1, &cfg);
+    const auto& p = first.prepared().at(0);
+    EXPECT_TRUE(first.tryRun(p, kXScale, bad).quarantined);
+    EXPECT_FALSE(first.tryRun(p, kXScale, wpSpec()).quarantined);
+  }
+  EXPECT_EQ(filesWithSuffix(dir, ".rec").size(), 1u)
+      << "only the healthy cell may be published";
+  EXPECT_EQ(filesWithSuffix(dir, ".lock").size(), 0u)
+      << "quarantine releases the lease";
+
+  // On a re-run the quarantined cell gets a fresh set of attempts (and
+  // with the spec-level persistent fault still present, quarantines
+  // again after recomputing — not after a store read).
+  driver::SweepExecutor again({"crc"}, energy::EnergyParams{}, 0, 1, &cfg);
+  const auto& p = again.prepared().at(0);
+  const auto view = again.tryRun(p, kXScale, bad);
+  EXPECT_TRUE(view.quarantined);
+  EXPECT_EQ(view.attempts, 1u) << "the cell was retried, not served";
+  EXPECT_EQ(again.tryRun(p, kXScale, wpSpec()).attempts, 0u)
+      << "the healthy cell is served from the store";
+}
+
+TEST(StoreSweep, StoreOfAnotherSeedServesNothing) {
+  // Seed-8 numbers from a sweep without a store.
+  driver::SweepExecutor fresh({"crc"}, energy::EnergyParams{}, 8, 1);
+  const double e_seed8 =
+      fresh.averageNormalized(kXScale, wpSpec(), icacheEnergy);
+
+  const std::string dir = freshDir("store_seed");
+  ScopedEnv env("WP_STORE", dir.c_str());
+  {
+    driver::SweepExecutor seed7({"crc"}, energy::EnergyParams{}, 7, 1);
+    seed7.runAll({{kXScale, wpSpec()}});
+    EXPECT_EQ(seed7.metrics().counter("store.records_written").value(), 2u);
+  }
+  driver::SweepExecutor seed8({"crc"}, energy::EnergyParams{}, 8, 1);
+  EXPECT_EQ(seed8.averageNormalized(kXScale, wpSpec(), icacheEnergy), e_seed8)
+      << "another seed's records must never stand in for this seed's cells";
+  EXPECT_EQ(seed8.metrics().counter("store.hits").value(), 0u);
+  EXPECT_EQ(seed8.metrics().counter("cells.from_store").value(), 0u);
+  EXPECT_EQ(seed8.metrics().counter("cells.computed").value(), 2u);
+  EXPECT_EQ(filesWithSuffix(dir, ".rec").size(), 4u)
+      << "both seeds' records coexist in one store";
 }
 
 TEST(StoreSweep, TamperedRecordIsRecomputedNotServed) {

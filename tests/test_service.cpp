@@ -78,11 +78,10 @@ std::string field(const std::string& reply, const std::string& key) {
 std::string fate(const std::string& reply) { return field(reply, "fate"); }
 
 /// The service under test: one prepared executor (crc — the suite's
-/// fastest workload) plus the process shutdown latch. WP_STORE and
-/// WP_CHECKPOINT are pinned (to @p store_dir / off) so ambient
-/// environment never leaks persistence into a test that did not ask
-/// for it. Restores the latch on destruction so drain tests cannot
-/// poison later ones.
+/// fastest workload) plus the process shutdown latch. WP_STORE is
+/// pinned (to @p store_dir) so ambient environment never leaks
+/// persistence into a test that did not ask for it. Restores the latch
+/// on destruction so drain tests cannot poison later ones.
 struct TestService {
   explicit TestService(u64 seed = 7, unsigned jobs = 1,
                        driver::SupervisorConfig sup = {},
@@ -90,7 +89,6 @@ struct TestService {
                        std::vector<std::string> workloads = {"crc"},
                        const std::string& store_dir = "")
       : store_env("WP_STORE", store_dir.c_str()),
-        no_ckpt("WP_CHECKPOINT", ""),
         sup_config(sup),
         suite(std::move(workloads), energy::EnergyParams{}, seed, jobs,
               &sup_config, nullptr),
@@ -100,7 +98,6 @@ struct TestService {
   ~TestService() { ShutdownLatch::instance().reset(); }
 
   ScopedEnv store_env;
-  ScopedEnv no_ckpt;
   driver::SupervisorConfig sup_config;
   driver::SweepExecutor suite;
   driver::SweepService service;

@@ -1,15 +1,12 @@
-// Tests for the cell supervision layer (driver/supervisor.hpp) and the
-// WP_CHECKPOINT journal (driver/checkpoint.hpp): deterministic backoff,
-// transient faults healing on retry, persistent faults quarantining
-// without polluting the memo, watchdog timeouts, and crash-safe resume
-// reproducing bit-identical results at any job count.
+// Tests for the cell supervision layer (driver/supervisor.hpp):
+// deterministic backoff, transient faults healing on retry, persistent
+// faults quarantining without polluting the memo, and watchdog timeouts.
+// Crash-safe resume through the result store lives in
+// test_result_store.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "driver/checkpoint.hpp"
 #include "driver/sweep.hpp"
@@ -19,8 +16,6 @@ namespace wp {
 namespace {
 
 const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
-
-std::vector<std::string> fastSubset() { return {"crc", "bitcount"}; }
 
 driver::SchemeSpec wpSpec() {
   return driver::SchemeSpec::wayPlacement(16 * 1024);
@@ -190,215 +185,6 @@ TEST(CellSupervision, WatchdogQuarantinesRunawayCell) {
   EXPECT_NE(view.error
                 ->find(driver::SweepExecutor::keyOf(p.name, kXScale, wpSpec())),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint journal: record round-trip and verification.
-
-TEST(Checkpoint, RecordRoundTripsVerifiesAndRejectsTampering) {
-  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1);
-  const auto& p = suite.prepared().at(0);
-  const driver::RunResult& r = suite.run(p, kXScale, wpSpec());
-  const std::string key =
-      driver::SweepExecutor::keyOf(p.name, kXScale, wpSpec());
-  const std::string record = driver::renderRecord(key, 1234, r, 0.5);
-
-  const std::string path = testing::TempDir() + "ckpt_roundtrip.jsonl";
-  {
-    std::ofstream out(path);
-    out << driver::renderHeader(0) << "\n" << record << "\n";
-  }
-  const auto journal = driver::readJournal(path, 0);
-  EXPECT_TRUE(journal.had_header);
-  EXPECT_EQ(journal.lines_skipped, 0u);
-  EXPECT_EQ(journal.records_rejected, 0u);
-  ASSERT_EQ(journal.records.count(key), 1u);
-  const driver::CheckpointRecord& rec = journal.records.at(key);
-  EXPECT_EQ(rec.image_digest, 1234u);
-  EXPECT_EQ(rec.wall_seconds, 0.5);
-  // The restored payload re-digests to the recorded value: every
-  // guest-side field (u64 stats and %.17g doubles) round-trips exactly.
-  EXPECT_EQ(driver::statsDigest(rec.result), driver::statsDigest(r));
-  EXPECT_EQ(rec.result.output, r.output);
-  EXPECT_EQ(rec.result.stats.cycles, r.stats.cycles);
-  EXPECT_EQ(rec.result.energy.total(), r.energy.total());
-  EXPECT_EQ(rec.result.layout_strategy, r.layout_strategy);
-
-  // Tampering with one digit of the payload trips the stats digest.
-  std::string tampered = record;
-  const std::size_t at = tampered.find("\"instructions\": ");
-  ASSERT_NE(at, std::string::npos);
-  char& digit = tampered[at + 16];
-  digit = digit == '9' ? '8' : '9';
-  {
-    std::ofstream out(path);
-    out << driver::renderHeader(0) << "\n" << tampered << "\n";
-  }
-  const auto bad = driver::readJournal(path, 0);
-  EXPECT_EQ(bad.records.size(), 0u);
-  EXPECT_EQ(bad.records_rejected, 1u);
-
-  // A torn final line — the SIGKILL case — is skipped, never fatal.
-  {
-    std::ofstream out(path);
-    out << driver::renderHeader(0) << "\n"
-        << record << "\n"
-        << record.substr(0, record.size() / 2);
-  }
-  const auto torn = driver::readJournal(path, 0);
-  EXPECT_EQ(torn.records.size(), 1u);
-  EXPECT_EQ(torn.lines_skipped, 1u);
-
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Resume: a journaled sweep restores to byte-identical tables.
-
-TEST(Checkpoint, ResumedSweepIsByteIdenticalAtAnyJobCount) {
-  const std::string path = testing::TempDir() + "ckpt_resume.jsonl";
-  std::remove(path.c_str());
-  ScopedEnv env("WP_CHECKPOINT", path.c_str());
-  const auto ed = [](const driver::Normalized& n) { return n.ed_product; };
-
-  double e_first = 0.0;
-  double ed_first = 0.0;
-  u64 cycles = 0;
-  std::vector<unsigned char> output;
-  {
-    driver::SweepExecutor first(fastSubset(), energy::EnergyParams{}, 0, 8);
-    EXPECT_TRUE(first.checkpointing());
-    first.runAll({{kXScale, wpSpec()}});
-    e_first = first.averageNormalized(kXScale, wpSpec(), icacheEnergy);
-    ed_first = first.averageNormalized(kXScale, wpSpec(), ed);
-    const auto& p = first.prepared().at(0);
-    cycles = first.run(p, kXScale, wpSpec()).stats.cycles;
-    output = first.run(p, kXScale, wpSpec()).output;
-    EXPECT_EQ(first.metrics().counter("cells.restored").value(), 0u);
-    EXPECT_EQ(first.metrics().counter("cells.computed").value(), 4u)
-        << "2 workloads x (baseline + way-placement)";
-  }
-
-  for (const unsigned jobs : {1u, 8u}) {
-    driver::SweepExecutor resumed(fastSubset(), energy::EnergyParams{}, 0,
-                                  jobs);
-    resumed.runAll({{kXScale, wpSpec()}});
-    EXPECT_EQ(resumed.metrics().counter("cells.computed").value(), 0u)
-        << "every cell must restore from the journal at jobs=" << jobs;
-    EXPECT_EQ(resumed.metrics().counter("cells.restored").value(), 4u);
-    EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), icacheEnergy),
-              e_first);
-    EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), ed), ed_first);
-    const auto& p = resumed.prepared().at(0);
-    const auto view = resumed.tryRun(p, kXScale, wpSpec());
-    EXPECT_EQ(view.attempts, 0u) << "0 attempts marks a restored cell";
-    EXPECT_EQ(view.result->stats.cycles, cycles);
-    EXPECT_EQ(view.result->output, output);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, PartialJournalRestoresPrefixAndRecomputesRest) {
-  const std::string path = testing::TempDir() + "ckpt_partial.jsonl";
-  std::remove(path.c_str());
-
-  // Reference numbers from an un-journaled sweep.
-  driver::SweepExecutor fresh(fastSubset(), energy::EnergyParams{}, 0, 2);
-  fresh.runAll({{kXScale, wpSpec()}});
-  const double e_fresh =
-      fresh.averageNormalized(kXScale, wpSpec(), icacheEnergy);
-
-  {  // Journal only crc's two cells (as if killed before bitcount).
-    ScopedEnv env("WP_CHECKPOINT", path.c_str());
-    driver::SweepExecutor first({"crc"}, energy::EnergyParams{}, 0, 2);
-    first.runAll({{kXScale, wpSpec()}});
-  }
-  {  // Fake the SIGKILL torn tail on top of the valid records.
-    std::ofstream out(path, std::ios::app);
-    out << "{\"ev\": \"cell\", \"key\": \"torn-mid-wr";
-  }
-
-  ScopedEnv env("WP_CHECKPOINT", path.c_str());
-  driver::SweepExecutor resumed(fastSubset(), energy::EnergyParams{}, 0, 2);
-  resumed.runAll({{kXScale, wpSpec()}});
-  EXPECT_EQ(resumed.metrics().counter("cells.restored").value(), 2u)
-      << "crc's baseline + way-placement restore";
-  EXPECT_EQ(resumed.metrics().counter("cells.computed").value(), 2u)
-      << "bitcount's cells recompute";
-  EXPECT_EQ(resumed.metrics().counter("checkpoint.lines_skipped").value(), 1u);
-  EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), icacheEnergy),
-            e_fresh)
-      << "a resumed sweep must reproduce the uninterrupted numbers";
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, QuarantinedCellsAreNeverJournaledSoResumeRetries) {
-  const std::string path = testing::TempDir() + "ckpt_quar.jsonl";
-  std::remove(path.c_str());
-  ScopedEnv env("WP_CHECKPOINT", path.c_str());
-  const driver::SchemeSpec bad = cellFaulted(fault::CellFault::kPersistent);
-
-  driver::SupervisorConfig cfg;
-  cfg.retries = 0;
-  {
-    driver::SweepExecutor first({"crc"}, energy::EnergyParams{}, 0, 1, &cfg);
-    const auto& p = first.prepared().at(0);
-    EXPECT_TRUE(first.tryRun(p, kXScale, bad).quarantined);
-    EXPECT_FALSE(first.tryRun(p, kXScale, wpSpec()).quarantined);
-  }
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      EXPECT_EQ(line.find("/c2:"), std::string::npos)
-          << "a quarantined (persistent cell-fault) cell leaked into the "
-             "journal: "
-          << line;
-    }
-  }
-
-  // On resume the quarantined cell gets a fresh set of attempts (and
-  // with the spec-level persistent fault still present, quarantines
-  // again after recomputing — not after restoring).
-  driver::SweepExecutor resumed({"crc"}, energy::EnergyParams{}, 0, 1, &cfg);
-  const auto& p = resumed.prepared().at(0);
-  const auto view = resumed.tryRun(p, kXScale, bad);
-  EXPECT_TRUE(view.quarantined);
-  EXPECT_EQ(view.attempts, 1u) << "the cell was retried, not restored";
-  EXPECT_EQ(resumed.tryRun(p, kXScale, wpSpec()).attempts, 0u)
-      << "the healthy cell restores from the journal";
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Strict journal policy: mixing experiments is fatal, not silent.
-
-using CheckpointDeathTest = ::testing::Test;
-
-TEST(CheckpointDeathTest, SeedMismatchRefusesToResume) {
-  const std::string path = testing::TempDir() + "ckpt_seed.jsonl";
-  {
-    std::ofstream out(path);
-    out << driver::renderHeader(7) << "\n";
-  }
-  EXPECT_EXIT((void)driver::readJournal(path, 8),
-              testing::ExitedWithCode(1), "WP_CHECKPOINT.*seed 7.*seed 8");
-  ScopedEnv env("WP_CHECKPOINT", path.c_str());
-  EXPECT_EXIT(driver::SweepExecutor({"crc"}, energy::EnergyParams{}, 8, 1),
-              testing::ExitedWithCode(1), "silently mix experiments");
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointDeathTest, CellRecordsWithoutHeaderAreFatal) {
-  const std::string path = testing::TempDir() + "ckpt_headerless.jsonl";
-  {
-    std::ofstream out(path);
-    out << driver::renderRecord("some/key", 0, driver::RunResult{}, 0.0)
-        << "\n";
-  }
-  EXPECT_EXIT((void)driver::readJournal(path, 0),
-              testing::ExitedWithCode(1), "no sweep header");
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

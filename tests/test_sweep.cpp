@@ -109,7 +109,7 @@ TEST(SweepKey, DistinctSpecsGetDistinctKeys) {
 
   // Cell-fault schedules (the supervision layer): kind and failure
   // count are key material, so a faulted cell never aliases the clean
-  // one in the memo or the checkpoint journal.
+  // one in the memo or the result store.
   {
     driver::SchemeSpec s = driver::SchemeSpec::wayPlacement(1024);
     s.fault.cell_fault = fault::CellFault::kTransient;
@@ -396,13 +396,6 @@ TEST(SweepReportDeathTest, UnwritableTracePathExitsNamingWpTrace) {
   EXPECT_EXIT(
       driver::SweepExecutor({"crc"}, energy::EnergyParams{}, 0, 1),
       testing::ExitedWithCode(1), "WP_TRACE.*cannot open");
-}
-
-TEST(SweepReportDeathTest, UnwritableCheckpointPathExitsNamingKnob) {
-  ScopedEnv env("WP_CHECKPOINT", "/nonexistent-dir-zzz/journal.jsonl");
-  EXPECT_EXIT(
-      driver::SweepExecutor({"crc"}, energy::EnergyParams{}, 0, 1),
-      testing::ExitedWithCode(1), "WP_CHECKPOINT.*cannot open");
 }
 
 // ---------------------------------------------------------------------
