@@ -30,7 +30,22 @@ std::vector<std::string> selectedWorkloads() {
       std::fprintf(stderr, "\n");
       std::exit(1);
     }
+    // A repeat would be prepared twice and weigh twice in every suite
+    // average.
+    if (std::find(names.begin(), names.end(), item) != names.end()) {
+      std::fprintf(stderr,
+                   "error: WP_BENCH_WORKLOADS names workload '%s' twice\n",
+                   item.c_str());
+      std::exit(1);
+    }
     names.push_back(item);
+  }
+  if (names.empty()) {
+    std::fprintf(stderr,
+                 "error: WP_BENCH_WORKLOADS='%s' names no workload (leave "
+                 "it unset or empty for the full suite)\n",
+                 env);
+    std::exit(1);
   }
   return names;
 }

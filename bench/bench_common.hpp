@@ -25,10 +25,12 @@
 
 namespace wp::bench {
 
-/// Workload names selected by WP_BENCH_WORKLOADS (default: full suite).
-/// Every name is validated against workloads::suiteNames(); a typo
-/// exits with the bad name and the valid list instead of failing deep
-/// inside workload construction.
+/// Workload names selected by WP_BENCH_WORKLOADS (default: full suite,
+/// also for an empty value). Every name is validated against
+/// workloads::suiteNames(); a typo exits with the bad name and the
+/// valid list instead of failing deep inside workload construction. A
+/// list naming no workload (`,`) or one workload twice also exits 1,
+/// rather than printing an empty or double-weighted table.
 [[nodiscard]] std::vector<std::string> selectedWorkloads();
 
 /// Experiment-wide RNG seed from WP_SEED (default 0); every bench

@@ -76,7 +76,7 @@ BENCHMARK(BM_FetchPathOutOfArea)
     ->Arg(static_cast<int>(cache::Scheme::kWayPlacement))
     ->Arg(static_cast<int>(cache::Scheme::kWayMemoization));
 
-// Batched line fetch (the block engine's path): one fetchLine per
+// Batched line fetch (the retire loop's path): one fetchLine per
 // 8-instruction line instead of 8 fetch() calls.
 void BM_FetchLine(benchmark::State& state) {
   cache::FetchPathConfig cfg;
@@ -117,16 +117,14 @@ void BM_FunctionalExecution(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalExecution)->Unit(benchmark::kMillisecond);
 
-// Arg 0 = interpreter, 1 = block engine. The CI throughput smoke
-// parses the /1 variant's insts/s counter and enforces a floor.
+// The CI throughput smoke parses this benchmark's insts/s counter and
+// enforces a floor.
 void BM_FullProcessorSimulation(benchmark::State& state) {
   auto w = workloads::makeWorkload("crc");
   const ir::Module module = w->build();
   const mem::Image image =
       layout::layoutImage(module, "original");
-  sim::MachineConfig machine = sim::baselineMachine();
-  machine.engine =
-      state.range(0) == 0 ? sim::Engine::kInterp : sim::Engine::kBlock;
+  const sim::MachineConfig machine = sim::baselineMachine();
   double total_insts = 0;
   for (auto _ : state) {
     mem::Memory memory;
@@ -140,8 +138,7 @@ void BM_FullProcessorSimulation(benchmark::State& state) {
   state.counters["insts/s"] =
       benchmark::Counter(total_insts, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FullProcessorSimulation)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullProcessorSimulation)->Unit(benchmark::kMillisecond);
 
 void BM_ChainFormationAndLink(benchmark::State& state) {
   auto w = workloads::makeWorkload("rijndael_e");

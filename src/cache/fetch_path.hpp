@@ -105,8 +105,9 @@ class FetchPath {
   /// True when fetchLine's closed form is exact: no fault hook (hooks
   /// observe and may corrupt state between individual fetches) and no
   /// drowsy controller (lines can fall drowsy mid-line between two
-  /// sequential fetches). The block engine checks this and falls back
-  /// to the per-instruction interpreter otherwise.
+  /// sequential fetches). The retire loop checks this once per run and
+  /// otherwise dispatches one-instruction batches, which fetchLine
+  /// serves as a plain fetch().
   [[nodiscard]] bool batchedLineFetchExact() const {
     return fault_hook_ == nullptr && !drowsy_.enabled();
   }

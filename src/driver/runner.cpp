@@ -1,8 +1,6 @@
 #include "driver/runner.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "mem/memory.hpp"
 #include "sim/scheduler.hpp"
@@ -25,18 +23,6 @@ u32 clampWpAreaToImage(u32 wp_area_bytes, const mem::Image& image) {
 
 }  // namespace
 
-sim::Engine engineFromEnv() {
-  const char* env = std::getenv("WP_ENGINE");
-  if (env == nullptr || *env == '\0') return sim::Engine::kBlock;
-  if (std::strcmp(env, "block") == 0) return sim::Engine::kBlock;
-  if (std::strcmp(env, "interp") == 0) return sim::Engine::kInterp;
-  std::fprintf(stderr,
-               "error: WP_ENGINE='%s' is not a valid simulation engine "
-               "(expected 'block' or 'interp')\n",
-               env);
-  std::exit(1);
-}
-
 Normalized normalize(const RunResult& scheme, const RunResult& baseline,
                      const std::string& workload) {
   const std::string who = workload.empty() ? "<unnamed>" : workload;
@@ -58,7 +44,7 @@ Normalized normalize(const RunResult& scheme, const RunResult& baseline,
 }
 
 Runner::Runner(energy::EnergyParams params, u64 seed)
-    : model_(params), seed_(seed), engine_(engineFromEnv()) {}
+    : model_(params), seed_(seed) {}
 
 const layout::LayoutResult& PreparedWorkload::layoutFor(
     std::string_view spec_str) const {
@@ -163,7 +149,6 @@ sim::MachineConfig Runner::machineFor(const cache::CacheGeometry& icache,
   m.fetch.intraline_skip = spec.intraline_skip;
   m.fetch.wm_precise_invalidation = spec.wm_precise_invalidation;
   m.fetch.drowsy_window = spec.drowsy_window;
-  m.engine = engine_;
   return m;
 }
 

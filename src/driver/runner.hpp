@@ -30,13 +30,6 @@
 
 namespace wp::driver {
 
-/// Simulation engine from WP_ENGINE: "block" (default when unset or
-/// empty) or "interp". Parsed strictly like every other knob — any
-/// other value exits with a clear message instead of silently running
-/// the wrong engine. The choice is host-side only: both engines produce
-/// byte-identical tables, so it is deliberately absent from cell keys.
-[[nodiscard]] sim::Engine engineFromEnv();
-
 /// Which fetch scheme to run, with its knobs.
 struct SchemeSpec {
   cache::Scheme scheme = cache::Scheme::kBaseline;
@@ -220,9 +213,6 @@ class Runner {
                   u64 seed = 0);
 
   [[nodiscard]] u64 seed() const { return seed_; }
-  /// The WP_ENGINE choice captured at construction; machineFor() stamps
-  /// it into every machine this runner builds.
-  [[nodiscard]] sim::Engine engine() const { return engine_; }
 
   /// Steps 1-3 above. Profiling is cache-independent, so one prepared
   /// workload serves every geometry. @p profile_input selects the
@@ -302,7 +292,6 @@ class Runner {
  private:
   energy::EnergyModel model_;
   u64 seed_ = 0;
-  sim::Engine engine_ = sim::Engine::kBlock;
   mutable MetricsRegistry metrics_;
 };
 

@@ -150,9 +150,10 @@ SweepExecutor::~SweepExecutor() {
 std::string SweepExecutor::keyOf(const std::string& workload,
                                  const cache::CacheGeometry& g,
                                  const SchemeSpec& s) {
-  // WP_ENGINE is deliberately absent: both engines produce identical
-  // results (the equivalence suite enforces it), so a result store
-  // recorded under one engine legitimately serves the other.
+  // How the retire loop batches its fetches is deliberately absent:
+  // batching is host-side only and never changes a result (the
+  // equivalence tests enforce it), so a store recorded before any
+  // batching change legitimately serves the runs after it.
   std::ostringstream os;
   os << workload << '/' << g.size_bytes << '/' << g.ways << '/'
      << g.line_bytes << '/' << static_cast<int>(s.scheme) << '/'
@@ -575,7 +576,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   os << "{\n"
      << "  \"seed\": " << runner_.seed() << ",\n"
      << "  \"jobs\": " << pool_.threadCount() << ",\n"
-     << "  \"engine\": \"" << sim::engineName(runner_.engine()) << "\",\n"
      << "  \"wall_seconds\": " << wall << ",\n"
      << "  \"workloads\": " << prepared_.size() << ",\n"
      << "  \"host\": {\"guest_instructions\": " << guest_insts

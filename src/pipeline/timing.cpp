@@ -138,13 +138,6 @@ bool TimingModel::predictAndUpdate(u32 pc, bool taken, u32 target) {
   return correct;
 }
 
-void TimingModel::onInstruction(const Instruction& inst, u32 pc,
-                                u32 fetch_cycles, u32 mem_cycles, bool taken,
-                                u32 target) {
-  onInstruction(inst, regUsesOf(inst), pc, fetch_cycles, mem_cycles, taken,
-                target);
-}
-
 void TimingModel::reset() {
   cycle_ = 0;
   reg_ready_.fill(0);

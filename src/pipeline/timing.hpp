@@ -7,7 +7,7 @@
 // becomes available; an instruction issues at the max of the pipeline
 // cycle and its source-ready cycles, matching a scoreboard stall. Fetch
 // and data-cache penalties are supplied per instruction by the caller
-// (the Processor), which owns the cache models.
+// (the retire loop in sim::GuestScheduler), which owns the cache models.
 #pragma once
 
 #include <algorithm>
@@ -48,19 +48,16 @@ class TimingModel {
  public:
   explicit TimingModel(const TimingConfig& config);
 
-  /// Advances time over one committed instruction.
+  /// Advances time over one committed instruction. Runs once per
+  /// committed instruction — defined inline so the retire loop can
+  /// absorb it.
+  /// @param use           regUsesOf(inst); the BlockCache precomputes it
+  ///                      per static instruction, so the hot loop skips
+  ///                      the format/opcode switch
   /// @param fetch_cycles  cycles the fetch path reported (>= 1)
   /// @param mem_cycles    D-cache cycles for loads/stores (0 otherwise)
   /// @param taken         branch outcome (control transfers only)
   /// @param target        branch target (control transfers only)
-  void onInstruction(const isa::Instruction& inst, u32 pc, u32 fetch_cycles,
-                     u32 mem_cycles, bool taken, u32 target);
-
-  /// Same, with the register-use decode precomputed. The block engine
-  /// caches regUsesOf() per static instruction alongside its basic-block
-  /// index, so the hot loop skips the format/opcode switch. Runs once
-  /// per committed instruction — defined inline below so the engine
-  /// loops can absorb it.
   void onInstruction(const isa::Instruction& inst, const RegUse& use, u32 pc,
                      u32 fetch_cycles, u32 mem_cycles, bool taken, u32 target) {
     WP_ENSURE(fetch_cycles >= 1, "fetch must take at least one cycle");

@@ -1,4 +1,5 @@
-// Decode-once basic-block index for the block-level engine.
+// Decode-once basic-block index for the retire loop
+// (GuestScheduler::run).
 //
 // Built in one backwards pass over a Core's predecoded code segment,
 // the cache answers "how many instructions can be dispatched as one
@@ -26,8 +27,8 @@ class BlockCache {
   /// Instructions dispatchable as one batch starting at @p pc: from pc
   /// straight-line to (and including) the first control transfer or
   /// halt, without leaving pc's cache line. Out-of-range or misaligned
-  /// pcs return 1 so the engine's fetch/step raise exactly the faults
-  /// the interpreter would, in the same order.
+  /// pcs return 1 so the loop's fetch/step raise exactly the faults a
+  /// per-instruction fetch would, in the same order.
   [[nodiscard]] u32 blockLenAt(u32 pc) const {
     if (pc < code_base_ || pc >= code_end_ || (pc & 3u) != 0) return 1;
     return len_[(pc - code_base_) / 4];

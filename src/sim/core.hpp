@@ -1,8 +1,9 @@
 // Functional execution core for WRISC-32.
 //
 // The core is deliberately separate from timing: the profiler runs it
-// bare (fast block counting on the training input), the Processor wraps
-// it with the fetch path, D-cache and timing model for measurement runs.
+// bare (fast block counting on the training input), the retire loop in
+// GuestScheduler::run — behind every Processor — wraps it with the fetch
+// path, D-cache and timing model for measurement runs.
 //
 // Code is predecoded once from the loaded image — the guest ISA has no
 // self-modifying code — while loads and stores go to the live Memory.
@@ -46,9 +47,9 @@ class Core {
 
   /// Executes the instruction at @p state.pc. Returns what happened.
   /// Defined inline at the bottom of this header: it runs once per
-  /// simulated instruction, and keeping it visible to the engine loops
-  /// lets them inline the dispatch switch and drop the StepInfo fields
-  /// they never read (the profiler discards all of them).
+  /// simulated instruction, and keeping it visible to its loops lets
+  /// them inline the dispatch switch and drop the StepInfo fields they
+  /// never read (the profiler discards all of them).
   StepInfo step(CoreState& state);
 
   [[nodiscard]] u32 codeBase() const { return code_base_; }

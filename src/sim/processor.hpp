@@ -1,9 +1,15 @@
 // The whole simulated processor: functional core + fetch path (way-hint,
 // I-TLB, I-cache) + D-cache + timing model. This is the XTREM substitute
 // the experiments run on.
+//
+// Processor is a facade over a one-process GuestScheduler running on
+// the caller's memory (sim/scheduler.hpp holds the one retire loop):
+// the quantum is the instruction budget, so a solo run is one slice and
+// never switches, and the scheduler's first install is flush-free.
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "cache/data_cache.hpp"
 #include "cache/fetch_path.hpp"
@@ -14,12 +20,13 @@
 
 namespace wp::sim {
 
+class GuestScheduler;
+
 /// Host-side supervision hook: check(instructions) is invoked after
 /// every `interval`-th instruction retires, with the exact retired
-/// count (k * interval on the k-th call) — under both engines, the
-/// block engine splitting a batch mid-block when a boundary falls
-/// inside it. The hook observes only
-/// — it may throw SimError to abort the run (the sweep supervisor's
+/// count (k * interval on the k-th call) — the retire loop splits a
+/// batch mid-block when a boundary falls inside it. The hook observes
+/// only — it may throw SimError to abort the run (the sweep supervisor's
 /// watchdog does) but never feeds anything back into the machine, so a
 /// run that completes retires a bit-identical instruction stream with
 /// or without a hook installed.
@@ -28,23 +35,12 @@ struct BudgetHook {
   std::function<void(u64 instructions)> check;
 };
 
-/// Which engine executes the run. Both retire a bit-identical
-/// instruction stream and produce identical RunStats; the block engine
-/// is simply faster on the host.
-enum class Engine : u8 {
-  kInterp,  ///< reference per-instruction interpreter
-  kBlock,   ///< decode-once basic-block engine with per-line batched fetch
-};
-
-[[nodiscard]] const char* engineName(Engine e);
-
 struct MachineConfig {
   cache::FetchPathConfig fetch;   ///< I-cache geometry + scheme selection
   cache::DataCacheConfig dcache;
   pipeline::TimingConfig timing;
   u64 max_instructions = 4'000'000'000ULL;
   BudgetHook budget_hook;         ///< optional watchdog (empty = off)
-  Engine engine = Engine::kBlock;
 };
 
 /// Returns the baseline machine of Table 1 (32 KB 32-way 32 B caches,
@@ -89,8 +85,10 @@ class Processor {
   /// The image must already be loaded into @p memory (Image::loadInto).
   Processor(const MachineConfig& config, const mem::Image& image,
             mem::Memory& memory);
+  ~Processor();
 
   /// Runs from the image entry point until HALT; returns activity counts.
+  /// Call once: the guest has mutated memory and warmed the caches.
   RunStats run();
 
   /// Prices a run with @p model, filling a RunEnergy breakdown.
@@ -98,27 +96,14 @@ class Processor {
       const energy::EnergyModel& model, const MachineConfig& config,
       const RunStats& stats);
 
-  [[nodiscard]] const MachineConfig& config() const { return config_; }
+  [[nodiscard]] const MachineConfig& config() const;
 
   /// The fetch path, exposed so the driver can attach a fault injector
   /// (and tests can poke the fault surface directly).
-  [[nodiscard]] cache::FetchPath& fetchPath() { return fetch_; }
+  [[nodiscard]] cache::FetchPath& fetchPath();
 
  private:
-  /// Reference engine: one fetch + step per loop iteration.
-  RunStats runInterp();
-  /// Block engine: decode-once basic blocks, one fetchLine per cache
-  /// line entered. Selected by config_.engine when the fetch path's
-  /// batched accounting is exact (no fault hook, no drowsy lines);
-  /// otherwise run() falls back to runInterp(), which is equivalent.
-  RunStats runBlock();
-  void collectInto(RunStats& stats) const;
-
-  MachineConfig config_;
-  Core core_;
-  cache::FetchPath fetch_;
-  cache::DataCache dcache_;
-  pipeline::TimingModel timing_;
+  std::unique_ptr<GuestScheduler> sched_;
 };
 
 }  // namespace wp::sim

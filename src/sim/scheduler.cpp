@@ -9,16 +9,16 @@ namespace wp::sim {
 
 ProcessContext::ProcessContext(u32 asid_in, std::string name_in,
                                const mem::Image& image,
+                               mem::Memory& memory_in,
                                const MachineConfig& config)
     : asid(asid_in),
       name(std::move(name_in)),
+      memory(memory_in),
       core(image, memory),
       state(core.initialState()),
       blocks(core, config.fetch.icache.line_bytes),
       dcache(config.dcache),
-      timing(config.timing) {
-  image.loadInto(memory);
-}
+      timing(config.timing) {}
 
 GuestScheduler::GuestScheduler(const MachineConfig& machine,
                                const SchedulerConfig& sched)
@@ -29,10 +29,19 @@ GuestScheduler::GuestScheduler(const MachineConfig& machine,
 
 u32 GuestScheduler::addProcess(const std::string& name,
                                const mem::Image& image, u32 wp_area_bytes) {
+  mem::Memory& memory =
+      *owned_memory_.emplace_back(std::make_unique<mem::Memory>());
+  image.loadInto(memory);
+  return addProcessOn(name, image, memory, wp_area_bytes);
+}
+
+u32 GuestScheduler::addProcessOn(const std::string& name,
+                                 const mem::Image& image, mem::Memory& memory,
+                                 u32 wp_area_bytes) {
   WP_ENSURE(!ran_, "addProcess after run()");
   const u32 asid = static_cast<u32>(procs_.size());
   procs_.push_back(
-      std::make_unique<ProcessContext>(asid, name, image, machine_));
+      std::make_unique<ProcessContext>(asid, name, image, memory, machine_));
   procs_.back()->wp_area_bytes = wp_area_bytes;
   return asid;
 }
@@ -66,18 +75,15 @@ CoRunStats GuestScheduler::run() {
   }
   u64 until_check = hooked ? machine_.budget_hook.interval : 0;
 
-  // Same engine-selection rule as Processor::run: the batched fetchLine
-  // accounting is only exact without a fault hook and without drowsy
-  // lines; otherwise the per-instruction path is equivalent.
-  const bool use_block =
-      machine_.engine == Engine::kBlock && fetch_.batchedLineFetchExact();
+  // The batched fetchLine accounting is only exact without a fault hook
+  // and without drowsy lines; otherwise every batch is one instruction,
+  // and fetchLine(pc, flow, 1) is exactly fetch(pc, flow).
+  const bool batched = fetch_.batchedLineFetchExact();
 
   // Retires one instruction of @p p: hashes (per-process and the
-  // interleaved combined ones), D-cache, timing, flow. A line-for-line
-  // match of the Processor engines' loop bodies so a one-process co-run
-  // stays bit-identical to a solo run.
+  // interleaved combined ones), D-cache, timing, flow.
   const auto retire = [&](ProcessContext& p, u32 pc, const StepInfo& info,
-                          u32 fetch_cycles, bool block_engine) {
+                          u32 fetch_cycles) {
     ++c.instructions;
     ++p.instructions;
     c.retired_pc_hash = fnv1aWord(c.retired_pc_hash, pc);
@@ -94,14 +100,8 @@ CoRunStats GuestScheduler::run() {
                             : p.dcache.load(*info.mem_addr);
     }
 
-    if (block_engine) {
-      p.timing.onInstruction(info.inst, p.blocks.regUseAt(pc), pc,
-                             fetch_cycles, mem_cycles, info.taken,
-                             info.next_pc);
-    } else {
-      p.timing.onInstruction(info.inst, pc, fetch_cycles, mem_cycles,
-                             info.taken, info.next_pc);
-    }
+    p.timing.onInstruction(info.inst, p.blocks.regUseAt(pc), pc, fetch_cycles,
+                           mem_cycles, info.taken, info.next_pc);
 
     if (info.control_transfer && info.taken) {
       p.flow = info.indirect ? cache::FetchFlow::kTakenIndirect
@@ -127,40 +127,31 @@ CoRunStats GuestScheduler::run() {
       WP_ENSURE(c.instructions < machine_.max_instructions,
                 "instruction budget exhausted (runaway guest?)");
 
-      if (use_block) {
-        // Batch: the basic block, clipped at the slice boundary (so a
-        // batch never spans a context switch), the instruction budget
-        // and the watchdog interval. A clipped batch resumes mid-line
-        // on this process's next slice; re-entering the line takes the
-        // same fetch paths the interpreter would.
-        u64 n64 = p.blocks.blockLenAt(p.state.pc);
-        n64 = std::min(n64, slice_remaining);
-        n64 = std::min(n64, machine_.max_instructions - c.instructions);
-        if (hooked) n64 = std::min(n64, until_check);
-        const u32 n = static_cast<u32>(n64);
+      // Batch: the basic block, clipped at the slice boundary (so a
+      // batch never spans a context switch), the instruction budget and
+      // the watchdog interval. A clipped batch resumes mid-line on this
+      // process's next batch; re-entering the line sequentially takes
+      // the same fetch paths per-instruction fetches would.
+      u64 n64 = batched ? p.blocks.blockLenAt(p.state.pc) : 1;
+      n64 = std::min(n64, slice_remaining);
+      n64 = std::min(n64, machine_.max_instructions - c.instructions);
+      if (hooked) n64 = std::min(n64, until_check);
+      const u32 n = static_cast<u32>(n64);
 
-        const u32 first_cycles = fetch_.fetchLine(p.state.pc, p.flow, n);
-        for (u32 i = 0; i < n; ++i) {
-          const u32 pc = p.state.pc;
-          const StepInfo info = p.core.step(p.state);
-          retire(p, pc, info, i == 0 ? first_cycles : 1,
-                 /*block_engine=*/true);
-        }
-        slice_remaining -= n;
-        if (hooked && (until_check -= n) == 0) {
-          machine_.budget_hook.check(c.instructions);
-          until_check = machine_.budget_hook.interval;
-        }
-      } else {
+      // Follow-up fetches within the batch cost exactly one cycle (the
+      // fetchLine contract); only the first carries miss/walk penalties.
+      const u32 first_cycles = fetch_.fetchLine(p.state.pc, p.flow, n);
+      for (u32 i = 0; i < n; ++i) {
         const u32 pc = p.state.pc;
-        const u32 fetch_cycles = fetch_.fetch(pc, p.flow);
         const StepInfo info = p.core.step(p.state);
-        retire(p, pc, info, fetch_cycles, /*block_engine=*/false);
-        --slice_remaining;
-        if (hooked && --until_check == 0) {
-          machine_.budget_hook.check(c.instructions);
-          until_check = machine_.budget_hook.interval;
-        }
+        retire(p, pc, info, i == 0 ? first_cycles : 1);
+      }
+      slice_remaining -= n;
+      // The check runs after the batch retires, so the hook sees the
+      // exact retired count (k * interval on the k-th call).
+      if (hooked && (until_check -= n) == 0) {
+        machine_.budget_hook.check(c.instructions);
+        until_check = machine_.budget_hook.interval;
       }
     }
 

@@ -1,5 +1,7 @@
 // Round-robin guest scheduler: time-slices N guest processes over one
-// shared instruction-fetch path.
+// shared instruction-fetch path. Its run() is the simulator's only
+// retire loop — a solo Processor run is a one-process scheduler whose
+// quantum is the instruction budget (one slice, no switch).
 //
 // This is the multiprogramming fix for the model's original
 // flat-address-space assumption: each guest owns a ProcessContext — its
@@ -15,11 +17,12 @@
 // retired_pc_hash/dataflow_hash must equal its solo run for any switch
 // quantum, which the multiprog bench and test_multiprog enforce.
 //
-// Both engines are implemented and byte-identical, like Processor's:
-// the block engine clips its batches at quantum boundaries (and at the
-// budget-hook boundary), so a slice never spans a context switch; runs
-// that need per-fetch observation (fault hooks, drowsy lines) fall
-// back to the per-instruction interpreter, which is equivalent.
+// The loop dispatches one FetchPath::fetchLine per batch: the
+// BlockCache run at the pc, clipped at the slice boundary (so a batch
+// never spans a context switch), the instruction budget and the
+// budget-hook countdown. When the closed-form line fetch is inexact
+// (fault hook attached, drowsy lines on) every batch is one
+// instruction, which is a plain FetchPath::fetch per retirement.
 #pragma once
 
 #include <memory>
@@ -48,14 +51,16 @@ struct SchedulerConfig {
 /// costs the paper's mechanism is sensitive to (DESIGN.md §12).
 struct ProcessContext {
   ProcessContext(u32 asid, std::string name, const mem::Image& image,
-                 const MachineConfig& config);
+                 mem::Memory& memory, const MachineConfig& config);
 
   u32 asid;
   std::string name;
   /// Per-process way-placement area (clamped to this process's image by
   /// the driver); 0 for non-way-placement schemes.
   u32 wp_area_bytes = 0;
-  mem::Memory memory;
+  /// Private memory, holding the loaded image: the scheduler's own
+  /// (addProcess) or the caller's (addProcessOn).
+  mem::Memory& memory;
   Core core;
   CoreState state;
   BlockCache blocks;
@@ -107,6 +112,12 @@ class GuestScheduler {
   u32 addProcess(const std::string& name, const mem::Image& image,
                  u32 wp_area_bytes = 0);
 
+  /// Same, over caller-owned @p memory that already holds @p image
+  /// (Image::loadInto) — Processor's contract. The scheduler neither
+  /// loads nor owns it; it must outlive the scheduler.
+  u32 addProcessOn(const std::string& name, const mem::Image& image,
+                   mem::Memory& memory, u32 wp_area_bytes = 0);
+
   /// The process's private memory — the driver writes workload inputs
   /// here after addProcess and reads outputs back after run().
   [[nodiscard]] mem::Memory& memoryOf(u32 asid);
@@ -129,8 +140,10 @@ class GuestScheduler {
   MachineConfig machine_;
   SchedulerConfig sched_;
   cache::FetchPath fetch_;
-  /// unique_ptr: Core/BlockCache hold references into their sibling
-  /// members, so a ProcessContext must never relocate.
+  /// Memories addProcess allocated; declared before procs_ so they
+  /// outlive the contexts that reference them.
+  std::vector<std::unique_ptr<mem::Memory>> owned_memory_;
+  /// The registered guests, indexed by ASID.
   std::vector<std::unique_ptr<ProcessContext>> procs_;
   bool ran_ = false;
 };

@@ -1,15 +1,17 @@
-// Interpreter-vs-block-engine equivalence: the block engine is a host
-// optimisation, never a model change. Over the full workload suite the
-// two engines must agree on the retired instruction stream, the data
-// flow, the workload output and every RunStats counter (statsDigest
-// also folds in the priced energy and layout ride-alongs), plus the
-// strict WP_ENGINE parse and the engine field of the WP_JSON report.
+// One-loop equivalence: batching is a host optimisation, never a model
+// change. The retire loop dispatches whole BlockCache runs through
+// FetchPath::fetchLine, or one instruction per fetch when the closed
+// form is inexact — and an attached fault hook is what makes it
+// inexact. So the same machine runs twice here: with a no-op
+// FetchFaultHook (the per-instruction reference, every retirement one
+// FetchPath::fetch) and without (batched). Over the full workload suite
+// the two must agree on the retired instruction stream, the data flow,
+// the workload output and every RunStats counter (statsDigest also
+// folds in the priced energy).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "driver/checkpoint.hpp"
-#include "driver/sweep.hpp"
+#include "driver/runner.hpp"
 #include "workloads/workload.hpp"
 
 namespace wp {
@@ -17,69 +19,31 @@ namespace {
 
 const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
-/// Sets an environment variable for the enclosing scope; restores the
-/// previous value (or unsets) on destruction.
-class ScopedEnv {
+/// Observes nothing; attaching it only forces one-instruction batches.
+class NoOpHook : public cache::FetchFaultHook {
  public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
+  void onFetch(cache::FetchPath&) override {}
 };
 
-TEST(EngineKnob, DefaultsToBlock) {
-  ScopedEnv env("WP_ENGINE", "");
-  EXPECT_EQ(driver::engineFromEnv(), sim::Engine::kBlock);
-}
-
-TEST(EngineKnob, ParsesBothEngines) {
-  {
-    ScopedEnv env("WP_ENGINE", "interp");
-    EXPECT_EQ(driver::engineFromEnv(), sim::Engine::kInterp);
-  }
-  {
-    ScopedEnv env("WP_ENGINE", "block");
-    EXPECT_EQ(driver::engineFromEnv(), sim::Engine::kBlock);
-  }
-}
-
-TEST(EngineKnob, GarbageIsAStartupErrorNotASilentDefault) {
-  ScopedEnv env("WP_ENGINE", "fast");
-  EXPECT_EXIT((void)driver::engineFromEnv(), testing::ExitedWithCode(1),
-              "WP_ENGINE.*not a valid simulation engine");
-}
-
-TEST(EngineKnob, RunnerCapturesTheEngineAtConstruction) {
-  ScopedEnv env("WP_ENGINE", "interp");
-  driver::Runner runner;
-  EXPECT_EQ(runner.engine(), sim::Engine::kInterp);
-  EXPECT_EQ(runner.machineFor(kXScale, driver::SchemeSpec::baseline()).engine,
-            sim::Engine::kInterp);
-}
-
-TEST(EngineJson, ReportNamesTheEngine) {
-  ScopedEnv env("WP_ENGINE", "interp");
-  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1);
-  (void)suite.averageNormalized(
-      kXScale, driver::SchemeSpec::wayPlacement(16 * 1024),
-      [](const driver::Normalized& n) { return n.icache_energy; });
-  std::ostringstream os;
-  suite.writeJsonReport(os);
-  EXPECT_NE(os.str().find("\"engine\": \"interp\""), std::string::npos);
+/// Runs @p spec on @p p through a Processor built the way Runner::run
+/// builds it (Runner::run has no hook seam), with @p hook attached when
+/// non-null.
+driver::RunResult runOnProcessor(const driver::Runner& runner,
+                                 const driver::PreparedWorkload& p,
+                                 const driver::SchemeSpec& spec,
+                                 cache::FetchFaultHook* hook) {
+  const mem::Image& image = p.imageFor(spec.layout);
+  mem::Memory memory;
+  image.loadInto(memory);
+  p.workload->prepare(memory, workloads::InputSize::kLarge);
+  const sim::MachineConfig machine = runner.machineFor(kXScale, spec);
+  sim::Processor proc(machine, image, memory);
+  proc.fetchPath().attachFaultHook(hook);
+  driver::RunResult r;
+  r.stats = proc.run();
+  r.energy = sim::Processor::price(runner.energyModel(), machine, r.stats);
+  r.output = p.workload->output(memory);
+  return r;
 }
 
 // ---------------------------------------------------------------------
@@ -87,19 +51,15 @@ TEST(EngineJson, ReportNamesTheEngine) {
 // identical results.
 
 TEST(EngineEquivalence, AllWorkloadsIdenticalAcrossEngines) {
-  ScopedEnv interp_env("WP_ENGINE", "interp");
-  driver::Runner interp_runner;
-  ScopedEnv block_env("WP_ENGINE", "block");
-  driver::Runner block_runner;
-  ASSERT_EQ(interp_runner.engine(), sim::Engine::kInterp);
-  ASSERT_EQ(block_runner.engine(), sim::Engine::kBlock);
+  driver::Runner runner;
+  NoOpHook hook;
 
   // All four schemes: way placement exercises the richest fetch path
   // (hint, TLB WP bit, single-way lookups, intra-line skips), way
   // memoization the link/flash-clear machinery, way prediction the
   // per-set MRU batching, and the baseline the plain path. One
   // prepared workload is shared per name, so any divergence is the
-  // engine's, not the build's.
+  // batching's, not the build's.
   const driver::SchemeSpec specs[] = {
       driver::SchemeSpec::baseline(),
       driver::SchemeSpec::wayPlacement(16 * 1024),
@@ -108,11 +68,11 @@ TEST(EngineEquivalence, AllWorkloadsIdenticalAcrossEngines) {
   };
   for (const std::string& name : workloads::suiteNames()) {
     SCOPED_TRACE(name);
-    const driver::PreparedWorkload p = block_runner.prepare(name);
+    const driver::PreparedWorkload p = runner.prepare(name);
     for (const driver::SchemeSpec& spec : specs) {
       SCOPED_TRACE(cache::schemeName(spec.scheme));
-      const driver::RunResult interp = interp_runner.run(p, kXScale, spec);
-      const driver::RunResult block = block_runner.run(p, kXScale, spec);
+      const driver::RunResult interp = runOnProcessor(runner, p, spec, &hook);
+      const driver::RunResult block = runOnProcessor(runner, p, spec, nullptr);
       EXPECT_EQ(interp.stats.retired_pc_hash, block.stats.retired_pc_hash);
       EXPECT_EQ(interp.stats.dataflow_hash, block.stats.dataflow_hash);
       EXPECT_EQ(interp.stats.instructions, block.stats.instructions);
@@ -120,7 +80,7 @@ TEST(EngineEquivalence, AllWorkloadsIdenticalAcrossEngines) {
       EXPECT_EQ(interp.output, block.output);
       EXPECT_EQ(interp.output,
                 p.workload->expected(workloads::InputSize::kLarge));
-      // Full RunStats + energy + layout ride-alongs, in one digest.
+      // Full RunStats + priced energy, in one digest.
       EXPECT_EQ(driver::statsDigest(interp), driver::statsDigest(block));
     }
   }

@@ -10,8 +10,6 @@
 // fault-free run, and match the host reference.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "driver/runner.hpp"
 #include "fault/fault.hpp"
 
@@ -124,57 +122,29 @@ TEST(Equivalence, AllClassesOnWayMemoization) {
 }
 
 // ---------------------------------------------------------------------
-// The same invariant replayed under WP_ENGINE=block. Attaching the
-// injector's fetch hook forces the faulted run onto the interpreter
-// fallback (batched line fetches are closed-form only without a hook),
-// while the clean run batches whole blocks — so each of these doubles
-// as a cross-engine check: a faulted interpreter run must match a
-// clean block-engine run bit for bit.
-
-/// Sets an environment variable for the enclosing scope; restores the
-/// previous value (or unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
+// The same invariant, read as a batching check. Attaching the
+// injector's fetch hook puts the faulted run on one-instruction batches
+// (batched line fetches are closed-form only without a hook), while the
+// clean run batches whole blocks — so each of these doubles as a
+// batching-equivalence check: a faulted per-instruction run must match
+// a clean batched run bit for bit.
 
 TEST(EquivalenceUnderBlockEngine, WayHintFlip) {
-  ScopedEnv env("WP_ENGINE", "block");
   expectEquivalent("crc", driver::SchemeSpec::wayPlacement(16 * 1024),
                    one(&fault::FaultSpec::flip_way_hint));
 }
 
 TEST(EquivalenceUnderBlockEngine, MemoLinkScramble) {
-  ScopedEnv env("WP_ENGINE", "block");
   expectEquivalent("crc", driver::SchemeSpec::wayMemoization(),
                    one(&fault::FaultSpec::scramble_memo_links));
 }
 
 TEST(EquivalenceUnderBlockEngine, ResizeStorm) {
-  ScopedEnv env("WP_ENGINE", "block");
   expectEquivalent("crc", driver::SchemeSpec::wayPlacement(16 * 1024),
                    one(&fault::FaultSpec::resize_storm, 499));
 }
 
 TEST(EquivalenceUnderBlockEngine, AllClassesCombined) {
-  ScopedEnv env("WP_ENGINE", "block");
   expectEquivalent("sha", driver::SchemeSpec::wayPlacement(16 * 1024),
                    fault::FaultSpec::allClasses(101));
 }

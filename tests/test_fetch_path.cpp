@@ -4,37 +4,12 @@
 // batching preconditions, and context-switch semantics.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <string_view>
 
 #include "cache/fetch_path.hpp"
 
 namespace wp::cache {
 namespace {
-
-/// Sets an environment variable for the enclosing scope; restores the
-/// previous value (or unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 FetchPathConfig configFor(Scheme scheme, u32 wp_area = 16 * 1024) {
   FetchPathConfig c;
@@ -234,18 +209,43 @@ TEST(FetchPath, SchemeNames) {
 
 // ---------------------------------------------------------------------
 // fetchLine preconditions. These are model invariants of the fetch path
-// itself, not of the engine that drives it, so each misuse is asserted
-// under both WP_ENGINE values: the env knob selects which *driver*
-// batches, but neither setting may relax the batching guards.
+// itself, so each misuse is asserted after both ways the retire loop can
+// have driven the path before it: "interp", per-instruction fetch()
+// calls, and "block", line batches dispatched as the loop does (one
+// fetchLine per line when the closed form is exact, else one-instruction
+// batches). Neither history may relax the batching guards.
 
-class FetchLineDeath : public testing::TestWithParam<const char*> {};
+class FetchLineDeath : public testing::TestWithParam<const char*> {
+ protected:
+  /// Fetches the eight-instruction line at 0x1000 the way GetParam()
+  /// names, so the guards below run on a path with that history.
+  void driveOneLine(FetchPath& fp) const {
+    constexpr u32 kBase = 0x1000;
+    constexpr u32 kInsts = 8;
+    const bool batched = std::string_view(GetParam()) == "block";
+    if (batched && fp.batchedLineFetchExact()) {
+      fp.fetchLine(kBase, FetchFlow::kTakenDirect, kInsts);
+      return;
+    }
+    for (u32 i = 0; i < kInsts; ++i) {
+      const u32 addr = kBase + 4 * i;
+      const FetchFlow flow =
+          i == 0 ? FetchFlow::kTakenDirect : FetchFlow::kSequential;
+      if (batched) {
+        fp.fetchLine(addr, flow, 1);
+      } else {
+        fp.fetch(addr, flow);
+      }
+    }
+  }
+};
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, FetchLineDeath,
                          testing::Values("interp", "block"));
 
 TEST_P(FetchLineDeath, SpanCrossingALineBoundaryIsRejected) {
-  ScopedEnv env("WP_ENGINE", GetParam());
   FetchPath fp(configFor(Scheme::kWayPlacement));
+  driveOneLine(fp);
   // 32 B lines: 4 instructions from 0x18 would end at 0x24, one word
   // into the next line — the closed form would misattribute that fetch.
   EXPECT_THROW(fp.fetchLine(0x18, FetchFlow::kSequential, 4), SimError);
@@ -253,10 +253,10 @@ TEST_P(FetchLineDeath, SpanCrossingALineBoundaryIsRejected) {
 }
 
 TEST_P(FetchLineDeath, DrowsyLinesOnRejectBatches) {
-  ScopedEnv env("WP_ENGINE", GetParam());
   FetchPathConfig cfg = configFor(Scheme::kBaseline);
   cfg.drowsy_window = 8;
   FetchPath fp(cfg);
+  driveOneLine(fp);
   ASSERT_FALSE(fp.batchedLineFetchExact())
       << "lines can fall drowsy between two sequential fetches";
   // A 1-instruction "batch" is a plain fetch and stays legal.
@@ -265,12 +265,12 @@ TEST_P(FetchLineDeath, DrowsyLinesOnRejectBatches) {
 }
 
 TEST_P(FetchLineDeath, AttachedFaultHookRejectsBatches) {
-  ScopedEnv env("WP_ENGINE", GetParam());
   class NullHook : public FetchFaultHook {
    public:
     void onFetch(FetchPath&) override {}
   } hook;
   FetchPath fp(configFor(Scheme::kWayMemoization));
+  driveOneLine(fp);
   fp.attachFaultHook(&hook);
   ASSERT_FALSE(fp.batchedLineFetchExact())
       << "hooks observe state between individual fetches";
@@ -282,8 +282,8 @@ TEST_P(FetchLineDeath, AttachedFaultHookRejectsBatches) {
 }
 
 TEST_P(FetchLineDeath, EmptyBatchIsRejected) {
-  ScopedEnv env("WP_ENGINE", GetParam());
   FetchPath fp(configFor(Scheme::kBaseline));
+  driveOneLine(fp);
   EXPECT_THROW(fp.fetchLine(0x0, FetchFlow::kSequential, 0), SimError);
 }
 

@@ -1,9 +1,9 @@
 // Multiprogramming tests: the guest scheduler's architectural
 // invariants (every process's retired stream equals its solo run at any
-// switch quantum, under both engines and all four schemes), the co-run
-// driver plumbing (runCoRun, cell keys, co-run baselines, result-store
-// round-trips) and the switch-policy energy asymmetry (ASID tagging
-// walks less than flush-on-switch).
+// switch quantum, batched or per-instruction, under all four schemes),
+// the co-run driver plumbing (runCoRun, cell keys, co-run baselines,
+// result-store round-trips) and the switch-policy energy asymmetry
+// (ASID tagging walks less than flush-on-switch).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -208,27 +208,56 @@ TEST(CoRunEquivalence, QuantumOfOneStillMatchesSolo) {
   }
 }
 
-TEST(CoRunEquivalence, InterpAndBlockEnginesAgreeOnCoRuns) {
-  ScopedEnv interp_env("WP_ENGINE", "interp");
-  driver::Runner interp_runner;
-  ScopedEnv block_env("WP_ENGINE", "block");
-  driver::Runner block_runner;
-  ASSERT_EQ(interp_runner.engine(), sim::Engine::kInterp);
-  ASSERT_EQ(block_runner.engine(), sim::Engine::kBlock);
+/// Observes nothing; attaching it only forces one-instruction batches.
+class NoOpHook : public cache::FetchFaultHook {
+ public:
+  void onFetch(cache::FetchPath&) override {}
+};
 
-  const driver::PreparedWorkload a = block_runner.prepare("crc");
-  const driver::PreparedWorkload b = block_runner.prepare("bitcount");
-  // 97: a prime quantum, so block-engine batches are clipped at odd
-  // offsets and the clipping itself is exercised against the
-  // per-instruction reference.
-  const driver::SchemeSpec spec =
-      corunSpec(driver::SchemeSpec::wayPlacement(16 * 1024), 97);
-  const driver::RunResult interp =
-      interp_runner.runCoRun({&a, &b}, kXScale, spec);
-  const driver::RunResult block =
-      block_runner.runCoRun({&a, &b}, kXScale, spec);
-  EXPECT_EQ(driver::statsDigest(interp), driver::statsDigest(block));
-  EXPECT_EQ(interp.output, block.output);
+TEST(CoRunEquivalence, InterpAndBlockEnginesAgreeOnCoRuns) {
+  driver::Runner runner;
+  const driver::PreparedWorkload a = runner.prepare("crc");
+  const driver::PreparedWorkload b = runner.prepare("bitcount");
+  const driver::SchemeSpec spec = driver::SchemeSpec::wayPlacement(16 * 1024);
+  const sim::MachineConfig machine = runner.machineFor(kXScale, spec);
+  // 97: a prime quantum, so batches are clipped at odd offsets and the
+  // clipping itself is exercised against the per-instruction reference
+  // (a NoOpHook attached).
+  sim::SchedulerConfig sched_config;
+  sched_config.quantum = 97;
+  const auto coRun = [&](cache::FetchFaultHook* hook) {
+    sim::GuestScheduler sched(machine, sched_config);
+    for (const driver::PreparedWorkload* pw : {&a, &b}) {
+      const u32 asid = sched.addProcess(pw->name, pw->imageFor(spec.layout),
+                                        spec.wp_area_bytes);
+      pw->workload->prepare(sched.memoryOf(asid),
+                            workloads::InputSize::kLarge);
+    }
+    sched.fetchPath().attachFaultHook(hook);
+    return sched.run();
+  };
+  NoOpHook hook;
+  const sim::CoRunStats interp = coRun(&hook);
+  const sim::CoRunStats block = coRun(nullptr);
+
+  driver::RunResult interp_combined;
+  interp_combined.stats = interp.combined;
+  driver::RunResult block_combined;
+  block_combined.stats = block.combined;
+  EXPECT_EQ(driver::statsDigest(interp_combined),
+            driver::statsDigest(block_combined));
+  EXPECT_EQ(interp.context_switches, block.context_switches);
+  ASSERT_EQ(interp.processes.size(), 2u);
+  ASSERT_EQ(block.processes.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(interp.processes[i].name);
+    EXPECT_EQ(interp.processes[i].instructions, block.processes[i].instructions);
+    EXPECT_EQ(interp.processes[i].retired_pc_hash,
+              block.processes[i].retired_pc_hash);
+    EXPECT_EQ(interp.processes[i].dataflow_hash,
+              block.processes[i].dataflow_hash);
+    EXPECT_EQ(interp.processes[i].cycles, block.processes[i].cycles);
+  }
 }
 
 TEST(CoRunEquivalence, DrowsyCoRunFallsBackToInterpAndStaysSolo) {

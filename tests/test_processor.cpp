@@ -1,5 +1,6 @@
 // Whole-processor tests: fetch/execute integration, cache statistics on
-// controlled programs, timing of misses, and energy pricing plumbing.
+// controlled programs, timing of misses, energy pricing plumbing,
+// batched-vs-per-instruction equivalence and watchdog exactness.
 #include <gtest/gtest.h>
 
 #include "asmkit/builder.hpp"
@@ -37,12 +38,29 @@ ir::Module loopProgram(i32 iters, i32 stride_elems) {
   return mb.build();
 }
 
-sim::RunStats runProgram(const ir::Module& m, const sim::MachineConfig& cfg) {
+/// Observes nothing. Attaching it makes the batched line fetch inexact,
+/// so the retire loop fetches one instruction at a time — the
+/// per-instruction reference the batched runs are checked against.
+class NoOpHook : public cache::FetchFaultHook {
+ public:
+  void onFetch(cache::FetchPath&) override {}
+};
+
+/// Runs @p m on a fresh Processor; @p per_instruction attaches a
+/// NoOpHook first.
+sim::RunStats runProgram(const ir::Module& m, const sim::MachineConfig& cfg,
+                         bool per_instruction = false) {
   const mem::Image img = layout::layoutImage(m, "original");
   mem::Memory memory;
   img.loadInto(memory);
   sim::Processor proc(cfg, img, memory);
+  NoOpHook hook;
+  if (per_instruction) proc.fetchPath().attachFaultHook(&hook);
   return proc.run();
+}
+
+const char* batchingName(bool per_instruction) {
+  return per_instruction ? "per-instruction" : "batched";
 }
 
 TEST(Processor, InstructionCountMatchesProgram) {
@@ -100,6 +118,18 @@ TEST(Processor, RunawayGuestIsCaught) {
   mem::Memory memory;
   img.loadInto(memory);
   sim::Processor proc(cfg, img, memory);
+  EXPECT_THROW(proc.run(), SimError);
+}
+
+TEST(Processor, RunIsCallOnce) {
+  const ir::Module m = loopProgram(100, 1);
+  const mem::Image img = layout::layoutImage(m, "original");
+  mem::Memory memory;
+  img.loadInto(memory);
+  sim::Processor proc(sim::baselineMachine(), img, memory);
+  EXPECT_GT(proc.run().instructions, 0u);
+  // A second run would replay the guest over its own mutated memory on
+  // warm caches and report cumulative counters.
   EXPECT_THROW(proc.run(), SimError);
 }
 
@@ -184,12 +214,8 @@ void expectSameRunStats(const sim::RunStats& a, const sim::RunStats& b) {
   EXPECT_EQ(a.icache_lines, b.icache_lines);
 }
 
-sim::MachineConfig engineConfig(sim::Engine e, cache::Scheme scheme,
-                                u32 wp_area = 0) {
-  sim::MachineConfig cfg = sim::baselineMachine(scheme, wp_area);
-  cfg.engine = e;
-  return cfg;
-}
+// Batching is a host optimisation: a batched run must match the
+// per-instruction reference (a NoOpHook attached) counter for counter.
 
 TEST(Engine, BlockMatchesInterpreterAcrossSchemes) {
   const ir::Module m = loopProgram(2000, 8);  // D-cache misses included
@@ -204,11 +230,9 @@ TEST(Engine, BlockMatchesInterpreterAcrossSchemes) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(cache::schemeName(c.scheme));
-    const sim::RunStats interp = runProgram(
-        m, engineConfig(sim::Engine::kInterp, c.scheme, c.wp_area));
-    const sim::RunStats block =
-        runProgram(m, engineConfig(sim::Engine::kBlock, c.scheme, c.wp_area));
-    expectSameRunStats(interp, block);
+    const sim::MachineConfig cfg = sim::baselineMachine(c.scheme, c.wp_area);
+    expectSameRunStats(runProgram(m, cfg, /*per_instruction=*/true),
+                       runProgram(m, cfg));
   }
 }
 
@@ -219,52 +243,46 @@ TEST(Engine, BlockMatchesInterpreterWithoutIntralineSkip) {
         cache::Scheme::kWayPrediction}) {
     SCOPED_TRACE(cache::schemeName(scheme));
     const u32 area = scheme == cache::Scheme::kWayPlacement ? 4096u : 0u;
-    sim::MachineConfig interp_cfg =
-        engineConfig(sim::Engine::kInterp, scheme, area);
-    interp_cfg.fetch.intraline_skip = false;
-    sim::MachineConfig block_cfg =
-        engineConfig(sim::Engine::kBlock, scheme, area);
-    block_cfg.fetch.intraline_skip = false;
-    expectSameRunStats(runProgram(m, interp_cfg), runProgram(m, block_cfg));
+    sim::MachineConfig cfg = sim::baselineMachine(scheme, area);
+    cfg.fetch.intraline_skip = false;
+    expectSameRunStats(runProgram(m, cfg, /*per_instruction=*/true),
+                       runProgram(m, cfg));
   }
 }
 
 TEST(Engine, DrowsyRunsFallBackToInterpreterAndMatch) {
-  // drowsy_window != 0 makes the batched line fetch inexact, so the
-  // block engine must fall back — results are then trivially identical,
-  // which is exactly what this asserts.
+  // drowsy_window != 0 makes the batched line fetch inexact, so both
+  // runs fetch one instruction at a time — results are then trivially
+  // identical, which is exactly what this asserts.
   const ir::Module m = loopProgram(1000, 1);
-  sim::MachineConfig interp_cfg =
-      engineConfig(sim::Engine::kInterp, cache::Scheme::kWayPlacement, 4096);
-  interp_cfg.fetch.drowsy_window = 64;
-  sim::MachineConfig block_cfg =
-      engineConfig(sim::Engine::kBlock, cache::Scheme::kWayPlacement, 4096);
-  block_cfg.fetch.drowsy_window = 64;
-  const sim::RunStats a = runProgram(m, interp_cfg);
-  const sim::RunStats b = runProgram(m, block_cfg);
+  sim::MachineConfig cfg =
+      sim::baselineMachine(cache::Scheme::kWayPlacement, 4096);
+  cfg.fetch.drowsy_window = 64;
+  const sim::RunStats a = runProgram(m, cfg, /*per_instruction=*/true);
+  const sim::RunStats b = runProgram(m, cfg);
   expectSameRunStats(a, b);
   EXPECT_GT(a.drowsy.wakeups, 0u);
 }
 
-// The watchdog contract (fixed here): the hook fires with the *exact*
-// retired count — k * interval on the k-th call — under both engines,
-// the block engine splitting batches mid-block at hook boundaries.
-std::vector<u64> hookCounts(sim::Engine engine, u64 interval) {
+// The watchdog contract: the hook fires with the *exact* retired count
+// — k * interval on the k-th call — batched or not, the retire loop
+// splitting batches mid-block at hook boundaries.
+std::vector<u64> hookCounts(bool per_instruction, u64 interval) {
   const ir::Module m = loopProgram(200, 1);
-  sim::MachineConfig cfg = engineConfig(engine, cache::Scheme::kBaseline);
+  sim::MachineConfig cfg = sim::baselineMachine();
   std::vector<u64> counts;
   cfg.budget_hook.interval = interval;
   cfg.budget_hook.check = [&counts](u64 n) { counts.push_back(n); };
-  runProgram(m, cfg);
+  runProgram(m, cfg, per_instruction);
   return counts;
 }
 
 TEST(Watchdog, HookSeesExactRetiredCountsUnderBothEngines) {
-  // 7 is coprime to every block length, so under the block engine most
+  // 7 is coprime to every block length, so in the batched run most
   // firings land mid-block.
-  for (const sim::Engine engine : {sim::Engine::kInterp, sim::Engine::kBlock}) {
-    SCOPED_TRACE(sim::engineName(engine));
-    const std::vector<u64> counts = hookCounts(engine, 7);
+  for (const bool per_instruction : {true, false}) {
+    SCOPED_TRACE(batchingName(per_instruction));
+    const std::vector<u64> counts = hookCounts(per_instruction, 7);
     ASSERT_GT(counts.size(), 100u);
     for (std::size_t i = 0; i < counts.size(); ++i) {
       ASSERT_EQ(counts[i], 7 * (i + 1));
@@ -273,15 +291,15 @@ TEST(Watchdog, HookSeesExactRetiredCountsUnderBothEngines) {
 }
 
 TEST(Watchdog, BothEnginesDeliverIdenticalHookStreams) {
-  EXPECT_EQ(hookCounts(sim::Engine::kInterp, 13),
-            hookCounts(sim::Engine::kBlock, 13));
+  EXPECT_EQ(hookCounts(/*per_instruction=*/true, 13),
+            hookCounts(/*per_instruction=*/false, 13));
 }
 
 TEST(Watchdog, ThrowingHookAbortsAtTheExactCount) {
   const ir::Module m = loopProgram(200, 1);
-  for (const sim::Engine engine : {sim::Engine::kInterp, sim::Engine::kBlock}) {
-    SCOPED_TRACE(sim::engineName(engine));
-    sim::MachineConfig cfg = engineConfig(engine, cache::Scheme::kBaseline);
+  for (const bool per_instruction : {true, false}) {
+    SCOPED_TRACE(batchingName(per_instruction));
+    sim::MachineConfig cfg = sim::baselineMachine();
     u64 seen = 0;
     cfg.budget_hook.interval = 500;
     cfg.budget_hook.check = [&seen](u64 n) {
@@ -289,7 +307,7 @@ TEST(Watchdog, ThrowingHookAbortsAtTheExactCount) {
       if (n >= 1000) throw SimError("deadline exceeded after " +
                                     std::to_string(n) + " instructions");
     };
-    EXPECT_THROW(runProgram(m, cfg), SimError);
+    EXPECT_THROW(runProgram(m, cfg, per_instruction), SimError);
     // Fired at 500, 1000 — and aborted at exactly 1000, not 999 or at
     // the next block boundary.
     EXPECT_EQ(seen, 1000u);
@@ -303,11 +321,11 @@ TEST(Engine, RunawayGuestIsCaughtUnderBothEngines) {
   f.bind(loop);
   f.jmp(loop);
   const ir::Module m = mb.build();
-  for (const sim::Engine engine : {sim::Engine::kInterp, sim::Engine::kBlock}) {
-    SCOPED_TRACE(sim::engineName(engine));
-    sim::MachineConfig cfg = engineConfig(engine, cache::Scheme::kBaseline);
+  for (const bool per_instruction : {true, false}) {
+    SCOPED_TRACE(batchingName(per_instruction));
+    sim::MachineConfig cfg = sim::baselineMachine();
     cfg.max_instructions = 10000;
-    EXPECT_THROW(runProgram(m, cfg), SimError);
+    EXPECT_THROW(runProgram(m, cfg, per_instruction), SimError);
   }
 }
 

@@ -14,6 +14,14 @@ Instruction alu(u8 rd, u8 rn, u8 rm) {
   return {Opcode::kAdd, rd, rn, rm, 0};
 }
 
+/// Retires @p inst with its register-use decode, as the retire loop
+/// does with the BlockCache's precomputed copy.
+void retire(TimingModel& t, const Instruction& inst, u32 pc,
+            u32 fetch_cycles, u32 mem_cycles, bool taken, u32 target) {
+  t.onInstruction(inst, regUsesOf(inst), pc, fetch_cycles, mem_cycles, taken,
+                  target);
+}
+
 TEST(RegUse, CoversKeyShapes) {
   RegUse u = regUsesOf({Opcode::kAdd, 1, 2, 3, 0});
   EXPECT_TRUE(u.has_dst);
@@ -42,7 +50,7 @@ TEST(RegUse, CoversKeyShapes) {
 TEST(Timing, IndependentAluChainIsOneCpi) {
   TimingModel t(TimingConfig{});
   for (u32 i = 0; i < 100; ++i) {
-    t.onInstruction(alu(static_cast<u8>(i % 4), 4, 5), i * 4, 1, 0, false, 0);
+    retire(t, alu(static_cast<u8>(i % 4), 4, 5), i * 4, 1, 0, false, 0);
   }
   EXPECT_EQ(t.cycles(), 100u);
 }
@@ -51,17 +59,17 @@ TEST(Timing, LoadUseStalls) {
   TimingConfig cfg;
   cfg.load_use_latency = 3;
   TimingModel t(cfg);
-  t.onInstruction({Opcode::kLdr, 1, 2, 0, 0}, 0, 1, /*mem=*/1, false, 0);
+  retire(t, {Opcode::kLdr, 1, 2, 0, 0}, 0, 1, /*mem=*/1, false, 0);
   const u64 after_load = t.cycles();
-  t.onInstruction(alu(3, 1, 1), 4, 1, 0, false, 0);  // uses r1 immediately
+  retire(t, alu(3, 1, 1), 4, 1, 0, false, 0);  // uses r1 immediately
   EXPECT_GT(t.cycles(), after_load + 1);
 }
 
 TEST(Timing, IndependentInstructionAfterLoadDoesNotStall) {
   TimingModel t(TimingConfig{});
-  t.onInstruction({Opcode::kLdr, 1, 2, 0, 0}, 0, 1, 1, false, 0);
+  retire(t, {Opcode::kLdr, 1, 2, 0, 0}, 0, 1, 1, false, 0);
   const u64 after_load = t.cycles();
-  t.onInstruction(alu(3, 4, 5), 4, 1, 0, false, 0);
+  retire(t, alu(3, 4, 5), 4, 1, 0, false, 0);
   EXPECT_EQ(t.cycles(), after_load + 1);
 }
 
@@ -69,15 +77,15 @@ TEST(Timing, MultiplyLatencySeenByConsumer) {
   TimingConfig cfg;
   cfg.mul_latency = 3;
   TimingModel t(cfg);
-  t.onInstruction({Opcode::kMul, 1, 2, 3, 0}, 0, 1, 0, false, 0);
+  retire(t, {Opcode::kMul, 1, 2, 3, 0}, 0, 1, 0, false, 0);
   const u64 after_mul = t.cycles();
-  t.onInstruction(alu(4, 1, 1), 4, 1, 0, false, 0);
+  retire(t, alu(4, 1, 1), 4, 1, 0, false, 0);
   EXPECT_EQ(t.cycles(), after_mul + cfg.mul_latency);
 }
 
 TEST(Timing, FetchStallsAddDirectly) {
   TimingModel t(TimingConfig{});
-  t.onInstruction(alu(1, 2, 3), 0, /*fetch=*/59, 0, false, 0);
+  retire(t, alu(1, 2, 3), 0, /*fetch=*/59, 0, false, 0);
   EXPECT_EQ(t.cycles(), 59u);
 }
 
@@ -88,7 +96,7 @@ TEST(Timing, BtbLearnsLoopBranch) {
   // A backward branch taken 50 times: first occurrences mispredict,
   // steady state predicts correctly.
   for (int i = 0; i < 50; ++i) {
-    t.onInstruction({Opcode::kBne, 0, 0, 0, -4}, 0x100, 1, 0, true, 0xf4);
+    retire(t, {Opcode::kBne, 0, 0, 0, -4}, 0x100, 1, 0, true, 0xf4);
   }
   const BranchStats& s = t.branchStats();
   EXPECT_EQ(s.branches, 50u);
@@ -98,8 +106,7 @@ TEST(Timing, BtbLearnsLoopBranch) {
 TEST(Timing, AlternatingBranchMispredicts) {
   TimingModel t(TimingConfig{});
   for (int i = 0; i < 40; ++i) {
-    t.onInstruction({Opcode::kBne, 0, 0, 0, -4}, 0x100, 1, 0, i % 2 == 0,
-                    0xf4);
+    retire(t, {Opcode::kBne, 0, 0, 0, -4}, 0x100, 1, 0, i % 2 == 0, 0xf4);
   }
   EXPECT_GT(t.branchStats().mispredicts, 10u);
 }
@@ -108,14 +115,14 @@ TEST(Timing, MispredictPenaltyCharged) {
   TimingConfig cfg;
   cfg.branch_mispredict_penalty = 4;
   TimingModel t(cfg);
-  t.onInstruction({Opcode::kB, 0, 0, 0, 16}, 0, 1, 0, true, 0x44);
+  retire(t, {Opcode::kB, 0, 0, 0, 16}, 0, 1, 0, true, 0x44);
   // Cold BTB: the taken branch mispredicts and pays 4 cycles.
   EXPECT_EQ(t.cycles(), 1u + 4u);
 }
 
 TEST(Timing, ResetClearsState) {
   TimingModel t(TimingConfig{});
-  t.onInstruction(alu(1, 2, 3), 0, 10, 0, false, 0);
+  retire(t, alu(1, 2, 3), 0, 10, 0, false, 0);
   t.reset();
   EXPECT_EQ(t.cycles(), 0u);
   EXPECT_EQ(t.branchStats().branches, 0u);
