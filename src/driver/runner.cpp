@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "mem/memory.hpp"
-#include "sim/scheduler.hpp"
 #include "support/ensure.hpp"
 #include "workloads/common.hpp"
 
@@ -156,9 +155,38 @@ RunResult Runner::run(const PreparedWorkload& prepared,
                       const cache::CacheGeometry& icache,
                       const SchemeSpec& spec, workloads::InputSize input,
                       const sim::BudgetHook* budget_hook) const {
-  const layout::LayoutResult& laid = prepared.layoutFor(spec.layout);
-  const mem::Image& image = laid.image;
-  if (spec.scheme == cache::Scheme::kWayPlacement) {
+  return runGroup({&prepared}, icache, spec, input, budget_hook);
+}
+
+RunResult Runner::runCoRun(const std::vector<const PreparedWorkload*>& group,
+                           const cache::CacheGeometry& icache,
+                           const SchemeSpec& spec, workloads::InputSize input,
+                           const sim::BudgetHook* budget_hook,
+                           CoRunExtra* extra) const {
+  WP_ENSURE(spec.corunEnabled(),
+            "runCoRun needs corun_quantum > 0 (use run() for solo cells)");
+  return runGroup(group, icache, spec, input, budget_hook, extra);
+}
+
+RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
+                           const cache::CacheGeometry& icache,
+                           const SchemeSpec& spec, workloads::InputSize input,
+                           const sim::BudgetHook* budget_hook,
+                           CoRunExtra* extra) const {
+  WP_ENSURE(!group.empty(), "a cell needs at least one workload");
+  for (const PreparedWorkload* pw : group) {
+    WP_ENSURE(pw != nullptr, "null workload in a cell's group");
+  }
+  WP_ENSURE(spec.corunEnabled() || group.size() == 1,
+            "a solo cell runs exactly one workload, not " +
+                std::to_string(group.size()));
+  // Fault hooks observe per-fetch state of *one* run; wiring them to a
+  // time-sliced fetch path is a separate study, so co-run cells reject
+  // them instead of silently attributing injections across guests.
+  WP_ENSURE(!spec.corunEnabled() || !spec.fault.runtimeEnabled(),
+            "co-run cells do not support runtime fault injection");
+  const bool wp = spec.scheme == cache::Scheme::kWayPlacement;
+  if (wp) {
     WP_ENSURE(spec.wp_area_bytes > 0,
               "SchemeSpec.wp_area_bytes must be non-zero for the "
               "way-placement scheme");
@@ -178,115 +206,66 @@ RunResult Runner::run(const PreparedWorkload& prepared,
   // factor and making recordings incomparable across WP_JOBS settings.
   ScopedTimer simulate_span(metrics_.timer("phase.simulate"));
   const double simulate_cpu_start = threadCpuSeconds();
-  mem::Memory memory;
-  image.loadInto(memory);
-  prepared.workload->prepare(memory, input);
+
+  // Allocation order, both halves measured under wpbench: the primary's
+  // memory is allocated, loaded and given its inputs before the
+  // scheduler exists (after it, fig6_grid held one more 8 MB guest
+  // memory at peak RSS), and each partner's just before it registers
+  // (allocating every memory up front slowed corun_switch's p95 cell by
+  // a quarter). Each member's WP limit is clamped to *its* code pages.
+  std::vector<u32> wp_limits(group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    wp_limits[i] =
+        clampWpAreaToImage(spec.wp_area_bytes, group[i]->imageFor(spec.layout));
+  }
+  std::vector<mem::Memory> memories;
+  memories.reserve(group.size());  // registered members keep references
+  const auto load = [&](std::size_t i) -> mem::Memory& {
+    mem::Memory& memory = memories.emplace_back();
+    group[i]->imageFor(spec.layout).loadInto(memory);
+    group[i]->workload->prepare(memory, input);
+    return memory;
+  };
+  load(0);
 
   sim::MachineConfig machine = machineFor(icache, spec);
   if (budget_hook != nullptr) machine.budget_hook = *budget_hook;
-  if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
-    // Clamp the WP area to the image: keeps resize storms (which
-    // restore the configured area) inside the image too.
-    machine.fetch.wp_area_bytes =
-        clampWpAreaToImage(machine.fetch.wp_area_bytes, image);
-  }
+  // The configured area is the primary's clamped one: a fault injector
+  // restores it after a resize storm, and a co-run's first switch
+  // installs every member's own limit anyway.
+  machine.fetch.wp_area_bytes = wp_limits.front();
 
-  sim::Processor proc(machine, image, memory);
+  // A solo cell is one slice as long as the instruction budget; only a
+  // co-run spec's quantum and TLB policy reach the scheduler.
+  sim::SchedulerConfig sched_config;
+  sched_config.quantum = machine.max_instructions;
+  if (spec.corunEnabled()) {
+    sched_config.quantum = spec.corun_quantum;
+    sched_config.tlb_policy = spec.corun_tlb;
+  }
+  sim::GuestScheduler sched(machine, sched_config);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    sched.addProcessOn(group[i]->name, group[i]->imageFor(spec.layout),
+                       i == 0 ? memories.front() : load(i), wp_limits[i]);
+  }
 
   std::optional<fault::FaultInjector> injector;
   if (spec.fault.runtimeEnabled()) {
     injector.emplace(spec.fault, seed_);
-    injector->attach(proc.fetchPath());
-  }
-
-  RunResult result;
-  result.layout_strategy = laid.report.strategy;
-  result.layout_chains = laid.report.chains;
-  result.layout_repairs = laid.report.repairs;
-  if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
-    // Coverage against the *clamped* area — what the hardware will
-    // actually probe single-way.
-    result.wp_area_coverage = laid.report.coverage(machine.fetch.wp_area_bytes);
-  }
-  result.stats = proc.run();
-  result.simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
-  simulate_span.stop();
-  metrics_.counter("guest.instructions").add(result.stats.instructions);
-
-  ScopedTimer price_span(metrics_.timer("phase.price"));
-  result.energy = sim::Processor::price(model_, machine, result.stats);
-  result.output = prepared.workload->output(memory);
-  result.price_seconds = price_span.stop();
-  if (injector.has_value()) result.injected = injector->stats();
-  return result;
-}
-
-RunResult Runner::runCoRun(const std::vector<const PreparedWorkload*>& group,
-                           const cache::CacheGeometry& icache,
-                           const SchemeSpec& spec, workloads::InputSize input,
-                           const sim::BudgetHook* budget_hook,
-                           CoRunExtra* extra) const {
-  WP_ENSURE(spec.corunEnabled(),
-            "runCoRun needs corun_quantum > 0 (use run() for solo cells)");
-  WP_ENSURE(!group.empty(), "runCoRun needs at least one workload");
-  for (const PreparedWorkload* pw : group) {
-    WP_ENSURE(pw != nullptr, "runCoRun: null workload in the group");
-  }
-  // Fault hooks observe per-fetch state of *one* run; wiring them to a
-  // time-sliced fetch path is a separate study, so co-run cells reject
-  // them instead of silently attributing injections across guests.
-  WP_ENSURE(!spec.fault.runtimeEnabled(),
-            "co-run cells do not support runtime fault injection");
-  if (spec.scheme == cache::Scheme::kWayPlacement) {
-    WP_ENSURE(spec.wp_area_bytes > 0,
-              "SchemeSpec.wp_area_bytes must be non-zero for the "
-              "way-placement scheme");
-    WP_ENSURE(spec.wp_area_bytes % mem::kPageBytes == 0,
-              "SchemeSpec.wp_area_bytes (" +
-                  std::to_string(spec.wp_area_bytes) +
-                  ") must be a multiple of the " +
-                  std::to_string(mem::kPageBytes) + "-byte page size");
-  }
-
-  ScopedTimer simulate_span(metrics_.timer("phase.simulate"));
-  const double simulate_cpu_start = threadCpuSeconds();
-
-  sim::MachineConfig machine = machineFor(icache, spec);
-  if (budget_hook != nullptr) machine.budget_hook = *budget_hook;
-
-  sim::SchedulerConfig sched_config;
-  sched_config.quantum = spec.corun_quantum;
-  sched_config.tlb_policy = spec.corun_tlb;
-  sim::GuestScheduler sched(machine, sched_config);
-
-  // Register every guest with its own image, per-process WP limit
-  // (clamped to *its* code pages, exactly like run() clamps the solo
-  // area) and inputs written into its private memory.
-  std::vector<u32> asids;
-  asids.reserve(group.size());
-  u32 primary_wp_area = 0;
-  for (const PreparedWorkload* pw : group) {
-    const mem::Image& image = pw->layoutFor(spec.layout).image;
-    u32 wp_limit = 0;
-    if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
-      wp_limit = clampWpAreaToImage(spec.wp_area_bytes, image);
-    }
-    if (asids.empty()) primary_wp_area = wp_limit;
-    const u32 asid = sched.addProcess(pw->name, image, wp_limit);
-    pw->workload->prepare(sched.memoryOf(asid), input);
-    asids.push_back(asid);
+    injector->attach(sched.fetchPath());
   }
 
   sim::CoRunStats co = sched.run();
 
-  const PreparedWorkload& primary = *group.front();
-  const layout::LayoutResult& laid = primary.layoutFor(spec.layout);
+  const layout::LayoutResult& laid = group.front()->layoutFor(spec.layout);
   RunResult result;
   result.layout_strategy = laid.report.strategy;
   result.layout_chains = laid.report.chains;
   result.layout_repairs = laid.report.repairs;
-  if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
-    result.wp_area_coverage = laid.report.coverage(primary_wp_area);
+  if (wp) {
+    // Coverage against the *clamped* area — what the hardware will
+    // actually probe single-way.
+    result.wp_area_coverage = laid.report.coverage(wp_limits.front());
   }
   result.stats = co.combined;
   result.simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
@@ -295,25 +274,18 @@ RunResult Runner::runCoRun(const std::vector<const PreparedWorkload*>& group,
 
   ScopedTimer price_span(metrics_.timer("phase.price"));
   result.energy = sim::Processor::price(model_, machine, result.stats);
-  // The cell's output is every guest's output, concatenated in group
+  // The cell's output is every member's output, concatenated in group
   // order: the stats digest (and so the store's verification) covers
   // each process's result bytes, not just the primary's.
   for (std::size_t i = 0; i < group.size(); ++i) {
-    std::vector<u8> out =
-        group[i]->workload->output(sched.memoryOf(asids[i]));
-    if (extra != nullptr) {
-      CoRunProcess cp;
-      cp.name = co.processes[i].name;
-      cp.instructions = co.processes[i].instructions;
-      cp.retired_pc_hash = co.processes[i].retired_pc_hash;
-      cp.dataflow_hash = co.processes[i].dataflow_hash;
-      cp.cycles = co.processes[i].cycles;
-      cp.output = out;
-      extra->processes.push_back(std::move(cp));
-    }
+    std::vector<u8> out = group[i]->workload->output(memories[i]);
     result.output.insert(result.output.end(), out.begin(), out.end());
+    if (extra != nullptr) {
+      extra->processes.push_back({std::move(co.processes[i]), std::move(out)});
+    }
   }
   result.price_seconds = price_span.stop();
+  if (injector.has_value()) result.injected = injector->stats();
   if (extra != nullptr) {
     extra->context_switches = co.context_switches;
     extra->slices = co.slices;

@@ -24,7 +24,7 @@
 #include "fault/fault.hpp"
 #include "layout/strategy.hpp"
 #include "profile/profiler.hpp"
-#include "sim/processor.hpp"
+#include "sim/scheduler.hpp"
 #include "support/metrics.hpp"
 #include "workloads/workload.hpp"
 
@@ -227,10 +227,11 @@ class Runner {
       workloads::InputSize profile_input = workloads::InputSize::kSmall,
       fault::ProfileFault profile_fault = fault::ProfileFault::kNone) const;
 
-  /// Step 4-5 for one scheme on one I-cache geometry. @p budget_hook,
-  /// when non-null, is installed as the simulation's instruction-budget
-  /// hook (the sweep supervisor's per-cell watchdog rides it); it is
-  /// host-side only and cannot change a completed run's results.
+  /// Step 4-5 for one scheme on one I-cache geometry: runGroup over
+  /// the group of one. @p budget_hook, when non-null, is installed as
+  /// the simulation's instruction-budget hook (the sweep supervisor's
+  /// per-cell watchdog rides it); it is host-side only and cannot change
+  /// a completed run's results.
   [[nodiscard]] RunResult run(const PreparedWorkload& prepared,
                               const cache::CacheGeometry& icache,
                               const SchemeSpec& spec,
@@ -239,14 +240,10 @@ class Runner {
                               const sim::BudgetHook* budget_hook =
                                   nullptr) const;
 
-  /// Per-process slice of a co-run, read back for equivalence checks:
-  /// every process's hashes must match its solo run exactly.
-  struct CoRunProcess {
-    std::string name;
-    u64 instructions = 0;
-    u64 retired_pc_hash = 0;
-    u64 dataflow_hash = 0;
-    u64 cycles = 0;
+  /// Per-process slice of a group run plus the process's output bytes,
+  /// read back for equivalence checks: every process's hashes must
+  /// match its solo run exactly.
+  struct CoRunProcess : sim::ProcessRunStats {
     std::vector<u8> output;
   };
   /// Co-run observability beyond the combined RunResult.
@@ -256,15 +253,8 @@ class Runner {
     u64 slices = 0;
   };
 
-  /// Steps 4-5 for a co-run: time-slices every workload of @p group
-  /// (first member = the cell's primary) over one shared fetch path
-  /// under @p spec's corun_quantum/corun_tlb, then prices the combined
-  /// activity. Per-process WP areas are clamped to each member's image
-  /// like run() clamps the solo area. The returned RunResult's output
-  /// is the concatenation of the per-process outputs in group order
-  /// (so digests cover every guest); @p extra, when non-null, receives
-  /// the per-process results and switch counts. Runtime fault injection
-  /// is a solo-run facility — spec.fault must be inert.
+  /// Steps 4-5 for a co-run: runGroup for a spec that must have
+  /// corun_quantum > 0.
   [[nodiscard]] RunResult runCoRun(
       const std::vector<const PreparedWorkload*>& group,
       const cache::CacheGeometry& icache, const SchemeSpec& spec,
@@ -272,8 +262,28 @@ class Runner {
       const sim::BudgetHook* budget_hook = nullptr,
       CoRunExtra* extra = nullptr) const;
 
-  /// Builds the machine configuration used by run() (exposed so benches
-  /// can print Table 1 and tests can inspect it).
+  /// Steps 4-5 for any cell: every cell is a process group on one
+  /// GuestScheduler (first member = the cell's primary), priced as one
+  /// combined run. A solo spec takes exactly one workload and runs it
+  /// as a single slice as long as the instruction budget; a co-run spec
+  /// time-slices every member over one shared fetch path under its
+  /// corun_quantum/corun_tlb. Each member's WP area is clamped to its
+  /// own image. The RunResult's output is the members' outputs
+  /// concatenated in group order (so digests cover every guest); its
+  /// layout fields and WP coverage are the primary's. @p extra, when
+  /// non-null, receives the per-process results and switch counts.
+  /// Runtime fault injection attaches to the scheduler's fetch path and
+  /// is rejected for co-run specs.
+  [[nodiscard]] RunResult runGroup(
+      const std::vector<const PreparedWorkload*>& group,
+      const cache::CacheGeometry& icache, const SchemeSpec& spec,
+      workloads::InputSize input = workloads::InputSize::kLarge,
+      const sim::BudgetHook* budget_hook = nullptr,
+      CoRunExtra* extra = nullptr) const;
+
+  /// The machine configuration of a cell before runGroup installs the
+  /// clamped WP area and the budget hook (exposed so benches can print
+  /// Table 1 and tests can inspect it).
   [[nodiscard]] sim::MachineConfig machineFor(
       const cache::CacheGeometry& icache, const SchemeSpec& spec) const;
 
@@ -284,9 +294,9 @@ class Runner {
   /// Aggregated host-side observability: phase timers ("phase.build",
   /// "phase.profile", "phase.layout", "phase.simulate", "phase.price")
   /// and the "guest.instructions" counter, accumulated across every
-  /// prepare()/run() on this Runner from any thread. Mutable through a
-  /// const Runner by design — recording a timing span must not force
-  /// the experiment API non-const.
+  /// prepare()/runGroup() on this Runner from any thread. Mutable
+  /// through a const Runner by design — recording a timing span must
+  /// not force the experiment API non-const.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
 
  private:

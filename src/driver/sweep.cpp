@@ -2,6 +2,7 @@
 
 #include "driver/worker.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -213,51 +214,41 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
     return;
   }
 
-  // Co-run cells resolve their partner group up front (the primary
-  // first, then every corun_partners name against the prepared suite)
-  // and fold every participant's image digest, so a store record is
-  // tied to *all* the code the cell simulates, not just the primary's.
-  // An unresolvable partner is a deterministic cell failure: it rides
-  // the normal retry/quarantine ladder with the key attached instead of
-  // aborting the sweep.
-  std::vector<const PreparedWorkload*> group;
+  // Every cell is a process group: the primary, then (for a co-run)
+  // every corun_partners name resolved against the prepared suite. An
+  // empty partner list is a one-process co-run; an empty name or an
+  // unresolvable partner is a deterministic cell failure that rides the
+  // normal retry/quarantine ladder with the key attached instead of
+  // aborting the sweep. A solo cell's store record is named by its
+  // image's bare digest (solo records predate co-runs); a co-run's folds
+  // every member's, so it is tied to *all* the code the cell simulates.
+  std::vector<const PreparedWorkload*> group{&p};
   std::string group_error;
-  u64 image_digest = 0;
+  u64 image_digest = imageDigest(p.imageFor(spec.layout));
   if (spec.corunEnabled()) {
-    group.push_back(&p);
-    std::string names = spec.corun_partners;
-    while (!names.empty() && group_error.empty()) {
-      const std::size_t comma = names.find(',');
-      const std::string name = names.substr(0, comma);
-      names = comma == std::string::npos ? "" : names.substr(comma + 1);
+    const std::string& names = spec.corun_partners;
+    for (std::size_t start = 0; !names.empty() && group_error.empty();) {
+      const std::size_t comma = names.find(',', start);
+      const std::string name = names.substr(start, comma - start);
+      const auto partner = std::find_if(
+          prepared_.begin(), prepared_.end(),
+          [&](const PreparedWorkload& c) { return c.name == name; });
       if (name.empty()) {
-        group_error = "empty co-run partner name in '" +
-                      spec.corun_partners + "'";
-        break;
-      }
-      const PreparedWorkload* partner = nullptr;
-      for (const PreparedWorkload& cand : prepared_) {
-        if (cand.name == name) {
-          partner = &cand;
-          break;
-        }
-      }
-      if (partner == nullptr) {
+        group_error = "empty co-run partner name in '" + names + "'";
+      } else if (partner == prepared_.end()) {
         group_error = "co-run partner '" + name +
                       "' is not a prepared workload of this sweep";
-        break;
+      } else {
+        group.push_back(&*partner);
       }
-      group.push_back(partner);
+      if (comma == std::string::npos) break;
+      start = comma + 1;
     }
-    if (group_error.empty()) {
-      image_digest = kFnvOffset;
-      for (const PreparedWorkload* pw : group) {
-        image_digest =
-            fnv1aWord(image_digest, imageDigest(pw->imageFor(spec.layout)));
-      }
+    image_digest = kFnvOffset;
+    for (const PreparedWorkload* pw : group) {
+      image_digest =
+          fnv1aWord(image_digest, imageDigest(pw->imageFor(spec.layout)));
     }
-  } else {
-    image_digest = imageDigest(p.imageFor(spec.layout));
   }
 
   // Result store first: it coordinates across *processes*, so even the
@@ -303,13 +294,9 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
         }
         if (!is_baseline) supervisor_.injectConfigCellFault(attempt - 1);
         const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
-        if (spec.corunEnabled()) {
-          return runner_.runCoRun(group, icache, spec,
-                                  workloads::InputSize::kLarge,
-                                  watchdog.check ? &watchdog : nullptr);
-        }
-        return runner_.run(p, icache, spec, workloads::InputSize::kLarge,
-                           watchdog.check ? &watchdog : nullptr);
+        return runner_.runGroup(group, icache, spec,
+                                workloads::InputSize::kLarge,
+                                watchdog.check ? &watchdog : nullptr);
       };
       if (trace_) {
         trace_->write(TraceEvent("cell_start")

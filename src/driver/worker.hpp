@@ -10,7 +10,7 @@
 //   ─────────────────────                ─────────────────────
 //   pipe(); fork()               ──►     runs the attempt body (fault
 //   reads the pipe, enforcing            injection + watchdog +
-//   WP_CELL_TIMEOUT_MS from              Runner::run), then writes ONE
+//   WP_CELL_TIMEOUT_MS from              Runner::runGroup), then writes ONE
 //   outside the crash domain             line down the pipe:
 //   waitpid(); classify                    · a checkpoint-format record
 //                                            (driver/checkpoint.hpp,

@@ -118,8 +118,8 @@ class GuestScheduler {
   u32 addProcessOn(const std::string& name, const mem::Image& image,
                    mem::Memory& memory, u32 wp_area_bytes = 0);
 
-  /// The process's private memory — the driver writes workload inputs
-  /// here after addProcess and reads outputs back after run().
+  /// The process's private memory — callers of addProcess write
+  /// workload inputs here and read outputs back after run().
   [[nodiscard]] mem::Memory& memoryOf(u32 asid);
 
   /// Runs every registered process to HALT under round-robin

@@ -25,9 +25,9 @@ class NoOpHook : public cache::FetchFaultHook {
   void onFetch(cache::FetchPath&) override {}
 };
 
-/// Runs @p spec on @p p through a Processor built the way Runner::run
-/// builds it (Runner::run has no hook seam), with @p hook attached when
-/// non-null.
+/// Runs @p spec on @p p on a sim::Processor over the Runner's machine
+/// (the unclamped WP area; Runner has no hook seam), with @p hook
+/// attached when non-null.
 driver::RunResult runOnProcessor(const driver::Runner& runner,
                                  const driver::PreparedWorkload& p,
                                  const driver::SchemeSpec& spec,

@@ -323,6 +323,10 @@ TEST(CoRunGuards, RunCoRunRejectsMisuse) {
   faulty.fault.period = 64;
   faulty.fault.flip_way_hint = true;
   EXPECT_THROW((void)runner.runCoRun({&p}, kXScale, faulty), SimError);
+  // A solo spec is a group of exactly one.
+  EXPECT_THROW((void)runner.runGroup({&p, &p}, kXScale,
+                                     driver::SchemeSpec::baseline()),
+               SimError);
 }
 
 // ---------------------------------------------------------------------
@@ -406,6 +410,31 @@ TEST(CoRunSweep, UnknownPartnerQuarantinesWithTheKeyAttached) {
   EXPECT_NE(view.error->find("no-such-workload"), std::string::npos);
   EXPECT_NE(view.error->find("/m1000:"), std::string::npos)
       << "the failure names the full cell key";
+}
+
+// A leading, doubled or trailing comma names an empty partner. Each is
+// a failure, not a spelling: accepting "sha," would run the machine of
+// "sha" under a second cell key.
+TEST(CoRunSweep, EmptyPartnerNamesQuarantineWithTheKeyAttached) {
+  driver::SupervisorConfig pinned;
+  pinned.retries = 0;
+  driver::SweepExecutor suite({"crc", "sha"}, energy::EnergyParams{}, 0, 1,
+                              &pinned);
+  for (const char* partners : {",sha", "sha,,sha", "sha,"}) {
+    SCOPED_TRACE(partners);
+    const driver::SchemeSpec spec =
+        corunSpec(driver::SchemeSpec::baseline(), 1000, partners);
+    const driver::SweepExecutor::CellView view =
+        suite.tryRun(suite.prepared()[0], kXScale, spec);
+    ASSERT_TRUE(view.quarantined);
+    EXPECT_NE(view.error->find("empty co-run partner name"),
+              std::string::npos);
+    EXPECT_NE(view.error->find(
+                  driver::SweepExecutor::keyOf("crc", kXScale, spec)),
+              std::string::npos)
+        << "the failure names the full cell key";
+  }
+  EXPECT_EQ(suite.metrics().counter("cells.computed").value(), 0u);
 }
 
 TEST(CoRunSweep, CoRunCellsRoundTripThroughTheResultStore) {

@@ -400,6 +400,28 @@ TEST(ResultStore, DigestsKeepTheValuesExistingStoresWereNamedWith) {
             0x5c46269c552f210bULL);
   EXPECT_EQ(runner.run(crc, kXScale, spec).stats.retired_pc_hash,
             0x4b26193649e667bdULL);
+
+  // The sweep names a solo record by the bare image digest and a co-run
+  // record by the fold over its members' digests.
+  const std::string dir = freshDir("store_record_names");
+  ScopedEnv env("WP_STORE", dir.c_str());
+  driver::SweepExecutor suite({"crc", "sha"}, energy::EnergyParams{}, 0, 1);
+  ASSERT_NE(suite.store(), nullptr);
+  driver::SchemeSpec co = spec;
+  co.corun_quantum = 2000;
+  co.corun_partners = "sha";
+  EXPECT_FALSE(suite.tryRun(suite.prepared()[0], kXScale, spec).quarantined);
+  EXPECT_FALSE(suite.tryRun(suite.prepared()[0], kXScale, co).quarantined);
+  EXPECT_EQ(suite.metrics().counter("cells.computed").value(), 2u);
+  const auto stored = [&](const std::string& key, u64 image_digest) {
+    struct stat st {};
+    const std::string path = suite.store()->recordPathFor(key, image_digest);
+    return ::stat(path.c_str(), &st) == 0;
+  };
+  EXPECT_TRUE(stored("crc/32768/32/32/1/16384/1/0/0/way_placement",
+                     0x5c46269c552f210bULL));
+  EXPECT_TRUE(stored("crc/32768/32/32/1/16384/1/0/0/way_placement/m2000:0:sha",
+                     0xf2c842175a94198bULL));
 }
 
 // ---------------------------------------------------------------------
