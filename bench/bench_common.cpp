@@ -1,21 +1,22 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 
+#include "support/number.hpp"
 #include "support/shutdown.hpp"
 #include "workloads/workload.hpp"
 
 namespace wp::bench {
 
-std::vector<std::string> selectedWorkloads() {
-  const std::vector<std::string> all = workloads::suiteNames();
+std::vector<std::string> selectedWorkloads(
+    std::vector<std::string> fallback) {
   const char* env = std::getenv("WP_BENCH_WORKLOADS");
-  if (env == nullptr || *env == '\0') return all;
+  if (env == nullptr || *env == '\0') return fallback;
+  const std::vector<std::string> all = workloads::suiteNames();
   std::vector<std::string> names;
   std::stringstream ss(env);
   std::string item;
@@ -43,7 +44,7 @@ std::vector<std::string> selectedWorkloads() {
   if (names.empty()) {
     std::fprintf(stderr,
                  "error: WP_BENCH_WORKLOADS='%s' names no workload (leave "
-                 "it unset or empty for the full suite)\n",
+                 "it unset or empty for the bench's default)\n",
                  env);
     std::exit(1);
   }
@@ -51,22 +52,13 @@ std::vector<std::string> selectedWorkloads() {
 }
 
 u64 experimentSeed() {
-  const char* env = std::getenv("WP_SEED");
-  if (env == nullptr || *env == '\0') return 0;
-  errno = 0;
-  char* end = nullptr;
-  const u64 seed = std::strtoull(env, &end, 0);
-  if (end == env || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "error: WP_SEED='%s' is not a valid seed (expected an "
-                 "unsigned 64-bit integer, decimal or 0x-hex)\n",
-                 env);
-    std::exit(1);
-  }
-  return seed;
+  return envUnsigned("WP_SEED", 0, 0, ~u64{0}, "seed");
 }
 
 driver::SweepExecutor makeSuite() {
+  // Way-placement cells read WP_LAYOUT only after preparation; a
+  // malformed spec must fail at startup like every other knob.
+  (void)layout::strategyFromEnv();
   // Every bench is interrupt-aware: SIGTERM/SIGINT latches, cells that
   // have not started quarantine as `interrupted`, and finish() flushes
   // the partial WP_JSON report and exits 5 instead of losing the run.

@@ -3,15 +3,17 @@
 // once (profile on small input + way-placement layout) and prices
 // arbitrary (geometry, scheme) combinations across a thread pool.
 //
-// Environment knobs:
+// Environment knobs (numbers are decimal or 0x-hex, read by
+// support/number.hpp; anything else is a startup error):
 //   WP_BENCH_WORKLOADS  comma-separated subset (default: all 23);
 //                       unknown names are a startup error
 //   WP_SEED             experiment-wide RNG seed (default: 0, the
 //                       historical fixed inputs)
 //   WP_JOBS             worker threads (default: hardware threads)
-//   WP_LAYOUT           code-layout strategy for way-placement cells
-//                       (default: way_placement; unknown names are a
-//                       startup error listing the registry)
+//   WP_LAYOUT           code-layout strategy spec for way-placement
+//                       cells, `name` or `name{key=value,...}` (default:
+//                       way_placement; unknown names are a startup
+//                       error listing the registry)
 //   WP_JSON             path for the machine-readable cell report
 //   WP_TRACE            path for the JSONL sweep event log
 #pragma once
@@ -22,20 +24,24 @@
 #include "driver/sweep.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "workloads/workload.hpp"
 
 namespace wp::bench {
 
-/// Workload names selected by WP_BENCH_WORKLOADS (default: full suite,
-/// also for an empty value). Every name is validated against
-/// workloads::suiteNames(); a typo exits with the bad name and the
-/// valid list instead of failing deep inside workload construction. A
-/// list naming no workload (`,`) or one workload twice also exits 1,
-/// rather than printing an empty or double-weighted table.
-[[nodiscard]] std::vector<std::string> selectedWorkloads();
+/// Workload names selected by WP_BENCH_WORKLOADS; unset or empty gives
+/// @p fallback (the full suite, unless a bench has its own default
+/// pool). Every name is validated against workloads::suiteNames(); a
+/// typo exits with the bad name and the valid list instead of failing
+/// deep inside workload construction. A list naming no workload (`,`)
+/// or one workload twice also exits 1, rather than printing an empty or
+/// double-weighted table.
+[[nodiscard]] std::vector<std::string> selectedWorkloads(
+    std::vector<std::string> fallback = workloads::suiteNames());
 
 /// Experiment-wide RNG seed from WP_SEED (default 0); every bench
 /// prints it in its header so any figure replays from the logged value.
-/// Strictly parsed — `WP_SEED=abc` is a startup error, not seed 0.
+/// Strictly parsed (envUnsigned) — `WP_SEED=abc`, `-1` or `010` is a
+/// startup error, not some other seed.
 [[nodiscard]] u64 experimentSeed();
 
 /// The suite executor every bench runs on: selected workloads, default

@@ -11,19 +11,20 @@
 // Environment knobs (beyond bench_common's WP_BENCH_WORKLOADS/WP_SEED/
 // WP_JOBS/WP_JSON; all strictly parsed):
 //   WP_CORUN_QUANTA  comma-separated switch quanta in retired
-//                    instructions (default: 2000,20000,200000)
+//                    instructions, each a positive decimal or 0x-hex
+//                    number (default: 2000,20000,200000)
 //   WP_TLB_SWITCH    I-TLB switch policy: flush | asid | both
 //                    (default: both)
 // Each workload co-runs with the next one in the pool (cyclically), so
 // every workload appears once as primary and once as partner. The
 // default pool is a fast branchy subset; WP_BENCH_WORKLOADS widens it.
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "support/number.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -37,19 +38,16 @@ std::vector<u64> quantaFromEnv() {
   std::stringstream ss(env);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    errno = 0;
-    char* end = nullptr;
-    const u64 q = std::strtoull(item.c_str(), &end, 0);
-    if (item.empty() || end == item.c_str() || *end != '\0' ||
-        errno == ERANGE || q == 0) {
+    const std::optional<u64> q = parseUnsigned(item, /*hex=*/true);
+    if (!q || *q == 0) {
       std::fprintf(stderr,
                    "error: WP_CORUN_QUANTA='%s' is not a valid quantum "
-                   "list (expected comma-separated positive instruction "
-                   "counts)\n",
+                   "list (expected comma-separated positive decimal or "
+                   "0x-hex instruction counts)\n",
                    env);
       std::exit(1);
     }
-    quanta.push_back(q);
+    quanta.push_back(*q);
   }
   if (quanta.empty()) {
     std::fprintf(stderr, "error: WP_CORUN_QUANTA='%s' names no quantum\n",
@@ -122,11 +120,8 @@ int main() {
       "multiprogrammed guests");
 
   // A fast, branchy default pool; WP_BENCH_WORKLOADS overrides it.
-  const char* pool_env = std::getenv("WP_BENCH_WORKLOADS");
   const std::vector<std::string> names =
-      (pool_env != nullptr && *pool_env != '\0')
-          ? bench::selectedWorkloads()
-          : std::vector<std::string>{"crc", "sha", "bitcount"};
+      bench::selectedWorkloads({"crc", "sha", "bitcount"});
   const std::vector<u64> quanta = quantaFromEnv();
   const std::vector<cache::TlbSwitchPolicy> policies = policiesFromEnv();
 

@@ -68,10 +68,7 @@ int main() {
             "d-delay", "equivalent"});
 
   bool all_ok = true;
-  const char* env = std::getenv("WP_BENCH_WORKLOADS");
-  const auto names = (env != nullptr && *env != '\0')
-                         ? bench::selectedWorkloads()
-                         : kDefault;
+  const auto names = bench::selectedWorkloads(kDefault);
   for (const std::string& name : names) {
     const driver::PreparedWorkload p = runner.prepare(name);
     for (const auto& sch : kSchemes) {

@@ -29,6 +29,7 @@
 
 #include "driver/checkpoint.hpp"
 #include "driver/service.hpp"
+#include "support/number.hpp"
 #include "support/socket.hpp"
 
 namespace {
@@ -59,12 +60,9 @@ int main(int argc, char** argv) {
       socket_path = argv[i];
     } else if (arg == "--connect-retries") {
       if (++i >= argc) return usage(argv[0]);
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v > 100000) {
-        return usage(argv[0]);
-      }
-      connect_retries = static_cast<unsigned>(v);
+      const std::optional<u64> v = parseUnsigned(argv[i], /*hex=*/false);
+      if (!v || *v > 100000) return usage(argv[0]);
+      connect_retries = static_cast<unsigned>(*v);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {

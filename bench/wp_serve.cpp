@@ -23,13 +23,10 @@ int main() {
   // All strict env parsing first, so a bad knob fails in milliseconds
   // instead of after minutes of suite preparation.
   const driver::ServiceConfig config = driver::ServiceConfig::fromEnv();
-  driver::SupervisorConfig sup = driver::SupervisorConfig::fromEnv();
-  if (config.deadline_ms != 0) {
-    // The request deadline rides the per-cell watchdog: one budget, one
-    // enforcement path, whether the cell wedges in-process or in a
-    // forked worker.
-    sup.cell_timeout_ms = config.deadline_ms;
-  }
+  // WP_CELL_TIMEOUT_MS is the request deadline: one budget, one
+  // enforcement path, whether the cell wedges in-process or in a forked
+  // worker.
+  const driver::SupervisorConfig sup = driver::SupervisorConfig::fromEnv();
   const std::vector<std::string> workloads = bench::selectedWorkloads();
   const u64 seed = bench::experimentSeed();
 

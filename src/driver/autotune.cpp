@@ -12,7 +12,6 @@
 #include "driver/autotune.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,27 +20,15 @@
 
 #include "mem/memory.hpp"
 #include "support/ensure.hpp"
+#include "support/number.hpp"
 #include "support/rng.hpp"
 
 namespace wp::driver {
 
 AutotuneConfig AutotuneConfig::fromEnv() {
   AutotuneConfig c;
-  const char* evals = std::getenv("WP_TUNE_EVALS");
-  if (evals != nullptr && *evals != '\0') {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(evals, &end, 0);
-    if (end == evals || *end != '\0' || errno == ERANGE || v < 1 ||
-        v > 100000 || std::strchr(evals, '-') != nullptr) {
-      std::fprintf(stderr,
-                   "error: WP_TUNE_EVALS='%s' is not a valid evaluation "
-                   "budget (expected an integer in [1, 100000])\n",
-                   evals);
-      std::exit(1);
-    }
-    c.evals = static_cast<unsigned>(v);
-  }
+  c.evals = static_cast<unsigned>(envUnsigned(
+      "WP_TUNE_EVALS", c.evals, 1, 100000, "evaluation budget"));
   const char* obj = std::getenv("WP_TUNE_OBJECTIVE");
   if (obj != nullptr && *obj != '\0') {
     if (std::strcmp(obj, "icache_energy") == 0) {

@@ -16,9 +16,11 @@
 // Each axis scan prices its candidates as one parallel batch across
 // the executor's pool.
 //
-// Environment knobs (parsed strictly, like WP_JOBS/WP_RETRIES):
-//   WP_TUNE_EVALS      candidate-evaluation budget (default 24); one
-//                      eval = one suite-wide pricing of one new spec
+// Environment knobs (parsed strictly; WP_TUNE_EVALS through
+// envUnsigned, like every numeric knob):
+//   WP_TUNE_EVALS      candidate-evaluation budget in [1, 100000]
+//                      (default 24); one eval = one suite-wide pricing
+//                      of one new spec
 //   WP_TUNE_OBJECTIVE  "icache_energy" (default) or "ed_product"
 #pragma once
 

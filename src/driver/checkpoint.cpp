@@ -9,6 +9,7 @@
 
 #include "support/fnv.hpp"
 #include "support/metrics.hpp"
+#include "support/number.hpp"
 
 namespace wp::driver {
 
@@ -233,19 +234,6 @@ bool parseFlatJsonLine(const std::string& line,
 
 namespace {
 
-bool parseU64Text(const std::string& text, u64& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || errno == ERANGE ||
-      text[0] == '-') {
-    return false;
-  }
-  out = static_cast<u64>(v);
-  return true;
-}
-
 bool parseDoubleText(const std::string& text, double& out) {
   if (text.empty()) return false;
   errno = 0;
@@ -272,8 +260,13 @@ bool tokensToRecord(const std::map<std::string, JsonToken>& tokens,
   };
   auto getU64 = [&](const std::string& name, u64& out) {
     const auto it = tokens.find(name);
-    if (it == tokens.end() || it->second.is_string ||
-        !parseU64Text(it->second.text, out)) {
+    const std::optional<u64> v =
+        it == tokens.end() || it->second.is_string
+            ? std::nullopt
+            : parseUnsigned(it->second.text, /*hex=*/false);
+    if (v) {
+      out = *v;
+    } else {
       ok = false;
     }
   };

@@ -12,36 +12,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "support/ensure.hpp"
+#include "support/number.hpp"
 
 namespace wp::driver {
 
 namespace {
-
-/// Strict unsigned parse for the store's own numeric knob (same policy
-/// as SupervisorConfig::fromEnv — garbage exits 1, never a default).
-u64 u64FromEnv(const char* name, u64 default_value, u64 min_value,
-               u64 max_value, const char* meaning) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return default_value;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 0);
-  if (end == env || *end != '\0' || errno == ERANGE || v < min_value ||
-      v > max_value || std::strchr(env, '-') != nullptr) {
-    std::fprintf(stderr,
-                 "error: %s='%s' is not a valid %s (expected an integer "
-                 "in [%llu, %llu])\n",
-                 name, env, meaning,
-                 static_cast<unsigned long long>(min_value),
-                 static_cast<unsigned long long>(max_value));
-    std::exit(1);
-  }
-  return static_cast<u64>(v);
-}
 
 std::string hex16(u64 v) {
   char buf[17];
@@ -60,20 +40,13 @@ std::string renderStoreHeader(u64 seed, const std::string& key) {
   return os.str();
 }
 
-/// Strict parse of one numeric token out of a lease payload; 0 when
-/// the field is missing, quoted or malformed.
+/// One numeric token out of a lease payload; 0 when the field is
+/// missing, quoted or malformed.
 u64 leaseField(const std::map<std::string, JsonToken>& tokens,
                const char* field) {
   const auto it = tokens.find(field);
   if (it == tokens.end() || it->second.is_string) return 0;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v =
-      std::strtoull(it->second.text.c_str(), &end, 10);
-  if (end == it->second.text.c_str() || *end != '\0' || errno == ERANGE) {
-    return 0;
-  }
-  return static_cast<u64>(v);
+  return parseUnsigned(it->second.text, /*hex=*/false).value_or(0);
 }
 
 pid_t lockHolderPid(const std::string& lock_path) {
@@ -103,7 +76,11 @@ StoreLeaseHolder readStoreLease(const std::string& lock_path) {
   std::getline(in, line);
   std::map<std::string, JsonToken> tokens;
   if (!parseFlatJsonLine(line, tokens)) return holder;
-  holder.pid = static_cast<pid_t>(leaseField(tokens, "pid"));
+  // A pid no process can have is as unprobeable as a torn payload.
+  const u64 pid = leaseField(tokens, "pid");
+  holder.pid = pid <= static_cast<u64>(std::numeric_limits<pid_t>::max())
+                   ? static_cast<pid_t>(pid)
+                   : 0;
   holder.boot = leaseField(tokens, "boot");
   return holder;
 }
@@ -137,8 +114,8 @@ std::optional<ResultStore::Config> ResultStore::fromEnv() {
   Config c;
   c.dir = dir;
   c.lease_timeout_ms =
-      u64FromEnv("WP_LEASE_TIMEOUT_MS", c.lease_timeout_ms, 1,
-                 24ULL * 60 * 60 * 1000, "lease timeout in milliseconds");
+      envUnsigned("WP_LEASE_TIMEOUT_MS", c.lease_timeout_ms, 1,
+                  24ULL * 60 * 60 * 1000, "lease timeout in milliseconds");
   return c;
 }
 

@@ -60,11 +60,12 @@ namespace wp::driver {
 [[nodiscard]] u64 bootNonce();
 
 /// What a store lease (.lock) file claims about its holder. pid 0 means
-/// the file is missing or torn ("cannot probe the holder"); boot 0
-/// means the payload predates the boot nonce (old-format lease), and
-/// the nonce check falls back to pid probing alone. Shared between the
-/// store's reclamation logic and the wp_store_fsck tool so both judge
-/// staleness by exactly the same evidence.
+/// the file is missing or torn, or names a pid no process can have
+/// ("cannot probe the holder"); boot 0 means the payload predates the
+/// boot nonce (old-format lease), and the nonce check falls back to pid
+/// probing alone. Shared between the store's reclamation logic and the
+/// wp_store_fsck tool so both judge staleness by exactly the same
+/// evidence.
 struct StoreLeaseHolder {
   pid_t pid = 0;
   u64 boot = 0;

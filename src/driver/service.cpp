@@ -18,30 +18,12 @@
 #include "driver/checkpoint.hpp"
 #include "layout/strategy.hpp"
 #include "support/ensure.hpp"
+#include "support/number.hpp"
 #include "support/socket.hpp"
 
 namespace wp::driver {
 
 namespace {
-
-/// Strict unsigned parse for WP_SERVE_* knobs, matching the
-/// WP_JOBS/WP_RETRIES policy (leading '-', trailing junk, overflow and
-/// out-of-range values all exit 1 naming the knob).
-u64 envUnsigned(const char* knob, const char* value, u64 min, u64 max,
-                const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 0);
-  if (end == value || *end != '\0' || errno == ERANGE || v < min || v > max ||
-      std::strchr(value, '-') != nullptr) {
-    std::fprintf(stderr, "error: %s='%s' is not a valid %s (expected an "
-                 "integer in [%llu, %llu])\n",
-                 knob, value, what, static_cast<unsigned long long>(min),
-                 static_cast<unsigned long long>(max));
-    std::exit(1);
-  }
-  return static_cast<u64>(v);
-}
 
 // ---- reply rendering ------------------------------------------------
 // Replies are flat one-line JSON objects built by hand so their bytes
@@ -111,16 +93,8 @@ ServiceConfig ServiceConfig::fromEnv() {
   ServiceConfig c;
   const char* socket = std::getenv("WP_SERVE_SOCKET");
   if (socket != nullptr && *socket != '\0') c.socket_path = socket;
-  const char* queue = std::getenv("WP_SERVE_QUEUE");
-  if (queue != nullptr && *queue != '\0') {
-    c.queue_limit = static_cast<unsigned>(envUnsigned(
-        "WP_SERVE_QUEUE", queue, 1, 4096, "admission-queue capacity"));
-  }
-  const char* deadline = std::getenv("WP_SERVE_DEADLINE_MS");
-  if (deadline != nullptr && *deadline != '\0') {
-    c.deadline_ms = envUnsigned("WP_SERVE_DEADLINE_MS", deadline, 0,
-                                86400000, "request deadline");
-  }
+  c.queue_limit = static_cast<unsigned>(envUnsigned(
+      "WP_SERVE_QUEUE", c.queue_limit, 1, 4096, "admission-queue capacity"));
   return c;
 }
 
@@ -187,18 +161,16 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
     const auto it = tokens.find(key);
     if (it == tokens.end()) return true;
     const std::string& text = it->second.text;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (it->second.is_string || end == text.c_str() || *end != '\0' ||
-        errno == ERANGE || text.find('-') != std::string::npos || v < min ||
-        v > max) {
+    const std::optional<u64> v =
+        it->second.is_string ? std::nullopt
+                             : parseUnsigned(text, /*hex=*/false);
+    if (!v || *v < min || *v > max) {
       error = std::string("field '") + key + "' ('" + text +
               "') must be an integer in [" + std::to_string(min) + ", " +
               std::to_string(max) + "]";
       return false;
     }
-    out = static_cast<u64>(v);
+    out = *v;
     return true;
   };
 
@@ -351,8 +323,8 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
     }
     if (kind == fault::CellFault::kHang && sup.cell_timeout_ms == 0) {
       return fail("fault 'hang' requires a deadline (start the daemon "
-                  "with WP_SERVE_DEADLINE_MS or WP_CELL_TIMEOUT_MS) or "
-                  "the cell would wedge a worker forever");
+                  "with WP_CELL_TIMEOUT_MS) or the cell would wedge a "
+                  "worker forever");
     }
     req.spec.fault.cell_fault = kind;
     req.spec.fault.cell_fault_failures = failures;

@@ -32,11 +32,11 @@
 //                 sheds load with an `overloaded` reply carrying a
 //                 retry_after_ms hint — the daemon never buffers
 //                 unboundedly and never stalls its accept loop.
-//   deadlines     WP_SERVE_DEADLINE_MS rides the existing per-cell
-//                 supervisor watchdog (WP_CELL_TIMEOUT_MS); a cell
-//                 that blows its budget comes back as fate "deadline",
-//                 and under WP_ISOLATE=1 the wedged worker process is
-//                 killed and reaped.
+//   deadlines     The request deadline is the per-cell supervisor
+//                 watchdog (WP_CELL_TIMEOUT_MS); a cell that blows its
+//                 budget comes back as fate "deadline", and under
+//                 WP_ISOLATE=1 the wedged worker process is killed and
+//                 reaped.
 //   degradation   Malformed or invalid requests get a tagged `error`
 //                 reply, quarantined cells a `quarantined` reply —
 //                 nothing a client sends can kill the daemon. Request
@@ -49,12 +49,9 @@
 //                 serve() returns 0.
 //
 // Environment knobs (strict like every WP_* knob — garbage exits 1):
-//   WP_SERVE_SOCKET       socket path (default "wp_serve.sock")
-//   WP_SERVE_QUEUE        admission-queue capacity (default 64,
-//                         range [1, 4096])
-//   WP_SERVE_DEADLINE_MS  per-request deadline; overrides
-//                         WP_CELL_TIMEOUT_MS for the daemon's executor
-//                         (default 0 = no deadline)
+//   WP_SERVE_SOCKET  socket path (default "wp_serve.sock")
+//   WP_SERVE_QUEUE   admission-queue capacity (default 64, range
+//                    [1, 4096])
 #pragma once
 
 #include <condition_variable>
@@ -76,9 +73,6 @@ struct ServiceConfig {
   /// Admission-queue capacity (WP_SERVE_QUEUE): compute requests beyond
   /// this are shed with an `overloaded` reply instead of being queued.
   unsigned queue_limit = 64;
-  /// Per-request deadline in ms (WP_SERVE_DEADLINE_MS); 0 = none. The
-  /// daemon maps this onto the supervisor's per-cell watchdog.
-  u64 deadline_ms = 0;
   /// The retry hint an `overloaded` reply carries. Not an environment
   /// knob — a fixed hint keeps shed replies byte-identical.
   unsigned retry_after_ms = 250;

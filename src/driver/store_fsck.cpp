@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -15,6 +15,7 @@
 
 #include "driver/checkpoint.hpp"
 #include "driver/result_store.hpp"
+#include "support/number.hpp"
 
 namespace wp::driver {
 
@@ -199,13 +200,16 @@ FsckReport fsckStore(const FsckOptions& options, std::ostream& os) {
       // Staging litter from ResultStore::put: the suffix is the writer's
       // pid. A live writer is an in-flight publish; anything else can
       // never be renamed into place again.
-      char* end = nullptr;
-      const long pid = std::strtol(name.c_str() + tmp_at + 5, &end, 10);
-      const bool live = end != name.c_str() + tmp_at + 5 && *end == '\0' &&
-                        pid > 0 && !pidDead(static_cast<pid_t>(pid));
+      const std::optional<u64> pid =
+          parseUnsigned(std::string_view(name).substr(tmp_at + 5),
+                        /*hex=*/false);
+      const bool live =
+          pid && *pid > 0 &&
+          *pid <= static_cast<u64>(std::numeric_limits<pid_t>::max()) &&
+          !pidDead(static_cast<pid_t>(*pid));
       if (live) {
         ++report.live_tmp;
-        os << "LIVE-TMP    " << name << " (pid " << pid << ")\n";
+        os << "LIVE-TMP    " << name << " (pid " << *pid << ")\n";
       } else {
         ++report.stale_tmp;
         os << "STALE-TMP   " << name << " (writer gone)\n";

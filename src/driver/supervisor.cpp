@@ -1,37 +1,17 @@
 #include "driver/supervisor.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "support/ensure.hpp"
 #include "support/fnv.hpp"
+#include "support/number.hpp"
 
 namespace wp::driver {
 
 namespace {
-
-/// Strict unsigned parse shared by the numeric supervisor knobs.
-u64 u64FromEnv(const char* name, u64 default_value, u64 max_value,
-               const char* meaning) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return default_value;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 0);
-  if (end == env || *end != '\0' || errno == ERANGE || v > max_value ||
-      std::strchr(env, '-') != nullptr) {
-    std::fprintf(stderr,
-                 "error: %s='%s' is not a valid %s (expected an integer "
-                 "in [0, %llu])\n",
-                 name, env, meaning, static_cast<unsigned long long>(max_value));
-    std::exit(1);
-  }
-  return static_cast<u64>(v);
-}
 
 /// splitmix64 finalizer: decorrelates nearby inputs.
 u64 mix(u64 x) {
@@ -45,13 +25,13 @@ u64 mix(u64 x) {
 
 SupervisorConfig SupervisorConfig::fromEnv() {
   SupervisorConfig c;
-  c.retries = static_cast<unsigned>(u64FromEnv(
-      "WP_RETRIES", c.retries, 100, "retry count"));
-  c.cell_timeout_ms = u64FromEnv("WP_CELL_TIMEOUT_MS", 0,
-                                 24ULL * 60 * 60 * 1000,
-                                 "per-cell timeout in milliseconds");
+  c.retries = static_cast<unsigned>(
+      envUnsigned("WP_RETRIES", c.retries, 0, 100, "retry count"));
+  c.cell_timeout_ms = envUnsigned("WP_CELL_TIMEOUT_MS", 0, 0,
+                                  24ULL * 60 * 60 * 1000,
+                                  "per-cell timeout in milliseconds");
   c.isolate =
-      u64FromEnv("WP_ISOLATE", 0, 1, "isolation flag (0 or 1)") != 0;
+      envUnsigned("WP_ISOLATE", 0, 0, 1, "isolation flag (0 or 1)") != 0;
 
   const char* fault = std::getenv("WP_CELL_FAULT");
   if (fault != nullptr && *fault != '\0') {

@@ -13,7 +13,7 @@
 // instead of aborting.
 //
 // Environment knobs (parsed strictly — garbage exits 1, never a silent
-// default; see SupervisorConfig::fromEnv):
+// default; numbers go through envUnsigned, support/number.hpp):
 //   WP_RETRIES          extra attempts after a cell's first failure
 //                       (default 1; 0 = fail straight to quarantine)
 //   WP_CELL_TIMEOUT_MS  per-cell watchdog: a simulation running longer
@@ -74,7 +74,7 @@ struct SupervisorConfig {
   u32 cell_fault_failures = 1;
 
   /// Strict environment parse: any malformed value exits 1 with a
-  /// message naming the knob, matching the WP_JOBS/WP_SEED policy.
+  /// message naming the knob (envUnsigned for the numeric knobs).
   [[nodiscard]] static SupervisorConfig fromEnv();
 };
 

@@ -13,25 +13,15 @@
 
 #include "support/ensure.hpp"
 #include "support/fnv.hpp"
+#include "support/number.hpp"
 #include "support/stats.hpp"
 
 namespace wp::driver {
 
 unsigned jobsFromEnv() {
-  const char* env = std::getenv("WP_JOBS");
-  if (env == nullptr || *env == '\0') return ThreadPool::hardwareThreads();
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 0);
-  if (end == env || *end != '\0' || errno == ERANGE || v > 4096) {
-    std::fprintf(stderr,
-                 "error: WP_JOBS='%s' is not a valid worker count "
-                 "(expected an integer in [0, 4096]; 0 = one per "
-                 "hardware thread)\n",
-                 env);
-    std::exit(1);
-  }
-  return v == 0 ? ThreadPool::hardwareThreads() : static_cast<unsigned>(v);
+  const u64 jobs = envUnsigned("WP_JOBS", 0, 0, 4096, "worker count");
+  return jobs == 0 ? ThreadPool::hardwareThreads()
+                   : static_cast<unsigned>(jobs);
 }
 
 struct SweepExecutor::CellEntry {

@@ -18,9 +18,9 @@
 // (degraded-but-complete) instead of aborting the whole figure.
 //
 // Environment knobs (parsed strictly — garbage is a startup error, not
-// a silent default):
-//   WP_JOBS       worker-thread count; 0 or unset = one per hardware
-//                 thread
+// a silent default; numbers go through envUnsigned, support/number.hpp):
+//   WP_JOBS       worker-thread count in [0, 4096]; 0 or unset = one per
+//                 hardware thread
 //   WP_JSON       path to write a machine-readable report of every
 //                 priced cell (normalized energy/ED plus per-cell
 //                 wall-clock, phase breakdown and guest MIPS) when the
@@ -72,7 +72,8 @@
 namespace wp::driver {
 
 /// Worker count from WP_JOBS. Unset, empty or "0" mean one thread per
-/// hardware thread; anything non-numeric exits with a clear message.
+/// hardware thread; anything but a decimal or 0x-hex count in [0, 4096]
+/// exits 1 naming the knob.
 [[nodiscard]] unsigned jobsFromEnv();
 
 class SweepExecutor {

@@ -6,13 +6,22 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
-#include <cstdlib>
 #include <string>
 
 #include "support/ensure.hpp"
+#include "support/number.hpp"
 
 namespace wp::fault {
+
+namespace {
+
+/// Resizes per resize-storm event and links rotted per scramble event.
+/// Constants, not FaultSpec fields: cell keys carry no such value, so
+/// a configurable one would be served a record priced under another.
+constexpr u32 kStormResizes = 3;
+constexpr u32 kLinksPerEvent = 4;
+
+}  // namespace
 
 const char* profileFaultName(ProfileFault f) {
   switch (f) {
@@ -107,18 +116,15 @@ bool parseCellFault(std::string_view spec, std::string_view knob,
   const std::string_view name = spec.substr(0, colon);
   // Strict failure-count parse for the kinds that accept ":N".
   const auto parseFailures = [&](const char* shape, u32& out) {
-    const std::string n(spec.substr(colon + 1));
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(n.c_str(), &end, 10);
-    if (n.empty() || *end != '\0' || errno == ERANGE || v == 0 ||
-        v > 1000) {
+    const std::optional<u64> v =
+        parseUnsigned(spec.substr(colon + 1), /*hex=*/false);
+    if (!v || *v == 0 || *v > 1000) {
       error = std::string(knob) + "='" + std::string(spec) +
               "' has a bad failure count (expected " + shape +
               " with N in [1, 1000])";
       return false;
     }
-    out = static_cast<u32>(v);
+    out = static_cast<u32>(*v);
     return true;
   };
   if (name == "persistent" && colon == std::string_view::npos) {
@@ -222,7 +228,7 @@ void FaultInjector::injectOne(cache::FetchPath& path) {
       break;
     case kLinkScramble:
       stats_.links_scrambled +=
-          s.memo->faultScrambleLinks(rng_, spec_.links_per_event);
+          s.memo->faultScrambleLinks(rng_, kLinksPerEvent);
       break;
     case kMruScramble: {
       const u32 ways = path.config().icache.ways;
@@ -234,7 +240,7 @@ void FaultInjector::injectOne(cache::FetchPath& path) {
       // Spurious OS policy churn: a burst of bogus page-aligned areas,
       // then the configured area is restored. Every resize flushes the
       // I-TLB and I-cache, so the cost shows up as cold misses only.
-      for (u32 i = 0; i < spec_.storm_resizes; ++i) {
+      for (u32 i = 0; i < kStormResizes; ++i) {
         const u32 pages = 1 + static_cast<u32>(rng_.below(32));
         path.resizeWayPlacementArea(pages * mem::kPageBytes);
         ++stats_.resizes;

@@ -71,11 +71,6 @@ struct FaultSpec {
   bool scramble_mru = false;        ///< corrupt per-set MRU state
   bool resize_storm = false;        ///< spurious WP-area resize storms
 
-  u32 storm_resizes = 3;     ///< resizes per storm event
-  u32 links_per_event = 4;   ///< links rotted per scramble event
-
-  ProfileFault profile_fault = ProfileFault::kNone;
-
   /// Harness-level cell fault (see CellFault). Key material for the
   /// sweep memo but invisible to the simulated machine.
   CellFault cell_fault = CellFault::kNone;

@@ -5,9 +5,9 @@
 // every experiment compares against), then the paper's ordering, then
 // the ablation floor, then the two literature orderings, then the
 // autotuned pipeline. Everything that consumes strategies — SchemeSpec,
-// WP_LAYOUT/WP_LAYOUT_PARAMS, the ablation bench, the autotuner, the
-// tests — goes through this table, so adding an ordering is one pass
-// file plus one entry here.
+// WP_LAYOUT, the ablation bench, the autotuner, the tests — goes
+// through this table, so adding an ordering is one pass file plus one
+// entry here.
 //
 // Spec strings (`name` or `name{key=value,...}`) resolve to a
 // StrategySpec and canonicalize back to a unique string; that string is
@@ -24,6 +24,7 @@
 
 #include "layout/passes/passes.hpp"
 #include "support/ensure.hpp"
+#include "support/number.hpp"
 
 namespace wp::layout {
 
@@ -216,17 +217,15 @@ std::string fmtDouble(double v) {
   return std::string(buf, end);
 }
 
-u64 parseUnsigned(std::string_view key, std::string_view value, u64 max) {
-  u64 v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), v);
-  if (ec != std::errc{} || ptr != value.data() + value.size() || v > max) {
+u64 parseParam(std::string_view key, std::string_view value, u64 max) {
+  const std::optional<u64> v = parseUnsigned(value, /*hex=*/false);
+  if (!v || *v > max) {
     throw SimError("layout param '" + std::string(key) + "=" +
                    std::string(value) + "' is not a valid unsigned integer" +
                    " (expected an integer in [0, " + std::to_string(max) +
                    "])");
   }
-  return v;
+  return *v;
 }
 
 double parseWeight(std::string_view key, std::string_view value) {
@@ -268,16 +267,16 @@ void applyOneOverride(PassParams& params, std::string_view key,
   if (key == "passes") {
     params.passes = parsePassList(value);
   } else if (key == "chain_hot_threshold") {
-    params.chain_hot_threshold = parseUnsigned(key, value, ~u64{0});
+    params.chain_hot_threshold = parseParam(key, value, ~u64{0});
   } else if (key == "call_reach_bytes") {
-    params.call_reach_bytes = static_cast<u32>(parseUnsigned(key, value,
-                                                             kMaxU32));
+    params.call_reach_bytes =
+        static_cast<u32>(parseParam(key, value, kMaxU32));
   } else if (key == "tsp_forward_bytes") {
-    params.tsp_forward_bytes = static_cast<u32>(parseUnsigned(key, value,
-                                                              kMaxU32));
+    params.tsp_forward_bytes =
+        static_cast<u32>(parseParam(key, value, kMaxU32));
   } else if (key == "tsp_backward_bytes") {
-    params.tsp_backward_bytes = static_cast<u32>(parseUnsigned(key, value,
-                                                               kMaxU32));
+    params.tsp_backward_bytes =
+        static_cast<u32>(parseParam(key, value, kMaxU32));
   } else if (key == "tsp_forward_weight") {
     params.tsp_forward_weight = parseWeight(key, value);
   } else if (key == "tsp_backward_weight") {
@@ -345,11 +344,6 @@ StrategySpec specOf(const LayoutStrategy& strategy) {
   return spec;
 }
 
-void applyParamOverrides(StrategySpec& spec, std::string_view overrides) {
-  applyOverrideList(spec.params, overrides);
-  spec.needs_profile = passListNeedsProfile(spec.params.passes);
-}
-
 StrategySpec resolveStrategy(std::string_view spec_str) {
   const auto brace = spec_str.find('{');
   const std::string_view name = spec_str.substr(0, brace);
@@ -359,8 +353,9 @@ StrategySpec resolveStrategy(std::string_view spec_str) {
       throw SimError("malformed layout spec '" + std::string(spec_str) +
                      "' (expected name{key=value,...})");
     }
-    applyParamOverrides(
-        spec, spec_str.substr(brace + 1, spec_str.size() - brace - 2));
+    applyOverrideList(
+        spec.params, spec_str.substr(brace + 1, spec_str.size() - brace - 2));
+    spec.needs_profile = passListNeedsProfile(spec.params.passes);
   }
   return spec;
 }
@@ -407,25 +402,15 @@ const std::string& defaultStrategyName() {
 
 std::string strategyFromEnv() {
   const char* raw = std::getenv("WP_LAYOUT");
-  StrategySpec spec;
   try {
-    spec = resolveStrategy((raw == nullptr || raw[0] == '\0')
+    return resolveStrategy((raw == nullptr || raw[0] == '\0')
                                ? std::string_view(defaultStrategyName())
-                               : std::string_view(raw));
+                               : std::string_view(raw))
+        .canonical();
   } catch (const SimError& e) {
     std::fprintf(stderr, "WP_LAYOUT: %s\n", e.what());
     std::exit(1);
   }
-  const char* overrides = std::getenv("WP_LAYOUT_PARAMS");
-  if (overrides != nullptr && overrides[0] != '\0') {
-    try {
-      applyParamOverrides(spec, overrides);
-    } catch (const SimError& e) {
-      std::fprintf(stderr, "WP_LAYOUT_PARAMS: %s\n", e.what());
-      std::exit(1);
-    }
-  }
-  return spec.canonical();
 }
 
 namespace {

@@ -79,11 +79,11 @@ struct LayoutResult {
 };
 
 /// Every tunable of the ChainOrdering stage. The registered strategies
-/// are just named defaults over this struct; the autotuner and
-/// WP_LAYOUT_PARAMS search/override the same fields. Field defaults are
-/// the historical compile-time constants, so a default-constructed
-/// PassParams (plus a pass list) reproduces the pre-parameterization
-/// images bit-for-bit.
+/// are just named defaults over this struct; the autotuner searches and
+/// a spec's `{key=value,...}` suffix overrides the same fields. Field
+/// defaults are the historical compile-time constants, so a
+/// default-constructed PassParams (plus a pass list) reproduces the
+/// pre-parameterization images bit-for-bit.
 struct PassParams {
   /// The ordering-pass sequence, applied left to right over the chain
   /// list (see passes::orderingPasses() for the valid names). Composing
@@ -170,24 +170,17 @@ struct StrategySpec {
 /// listing the valid alternatives.
 [[nodiscard]] StrategySpec resolveStrategy(std::string_view spec);
 
-/// Applies a `key=value,...` override list (the WP_LAYOUT_PARAMS and
-/// `{...}` syntax) on top of @p spec, recomputing needs_profile.
-/// Throws SimError on unknown keys or malformed values.
-void applyParamOverrides(StrategySpec& spec, std::string_view overrides);
-
 /// The spec of a registered strategy at its default params.
 [[nodiscard]] StrategySpec specOf(const LayoutStrategy& strategy);
 
 /// The strategy way-placement runs use when WP_LAYOUT is unset.
 [[nodiscard]] const std::string& defaultStrategyName();
 
-/// Layout spec from WP_LAYOUT + WP_LAYOUT_PARAMS, strictly parsed in
-/// the WP_SEED/WP_JOBS style: unset or empty WP_LAYOUT means
-/// defaultStrategyName(); WP_LAYOUT_PARAMS, when set, is a
-/// `key=value,...` override list applied on top. Garbage in either
-/// prints the valid alternatives and exits with status 1 instead of
-/// silently running the wrong experiment. Returns the canonical spec
-/// string.
+/// Layout spec from WP_LAYOUT — a name or `name{key=value,...}`, as in
+/// resolveStrategy() — strictly parsed in the WP_SEED/WP_JOBS style:
+/// unset or empty means defaultStrategyName(), and garbage prints the
+/// valid alternatives and exits with status 1 instead of silently
+/// running the wrong experiment. Returns the canonical spec string.
 [[nodiscard]] std::string strategyFromEnv();
 
 /// The ChainOrdering stage alone: the block placement order the

@@ -99,7 +99,11 @@ struct CoRunStats {
   u64 slices = 0;            ///< quantum slices dispatched
 };
 
-class GuestScheduler {
+/// Cache-line aligned so the hot FetchPath inside keeps one layout
+/// wherever the scheduler lives. Runner::runGroup keeps it on the stack,
+/// and a frame 8 bytes smaller (a shrunken local elsewhere) once raised
+/// the co-run benchmark's p95 cell latency by about a third.
+class alignas(64) GuestScheduler {
  public:
   /// @p machine configures the shared fetch path and the per-process
   /// D-caches/timing models; @p sched the quantum and TLB policy.

@@ -1,6 +1,6 @@
 // Bench knob parsing: WP_BENCH_WORKLOADS either selects a list of
-// distinct suite workloads or exits 1 naming the knob — a misparse must
-// never look like a clean run.
+// distinct suite workloads and WP_SEED reads one number, or each exits 1
+// naming the knob — a misparse must never look like a clean run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -64,6 +64,29 @@ TEST(BenchWorkloadsDeathTest, UnknownNameListsTheValidOnes) {
   EXPECT_EXIT((void)bench::selectedWorkloads(), testing::ExitedWithCode(1),
               "WP_BENCH_WORKLOADS names unknown workload 'crc32'; valid "
               "names are:.* sha");
+}
+
+TEST(BenchSeed, DecimalAndHexSeedsRead) {
+  {
+    ScopedEnv env("WP_SEED", "");
+    EXPECT_EQ(bench::experimentSeed(), 0u);
+  }
+  {
+    ScopedEnv env("WP_SEED", "7");
+    EXPECT_EQ(bench::experimentSeed(), 7u);
+  }
+  ScopedEnv env("WP_SEED", "0x10");
+  EXPECT_EQ(bench::experimentSeed(), 16u);
+}
+
+TEST(BenchSeedDeathTest, SignedPaddedOrZeroLedSeedExitsNamingTheKnob) {
+  // A C strtoull reads these as 2^64 - 1, 7 and octal 8; none is a seed.
+  for (const char* bad : {"-1", " 7", "010"}) {
+    ScopedEnv env("WP_SEED", bad);
+    EXPECT_EXIT((void)bench::experimentSeed(), testing::ExitedWithCode(1),
+                std::string("WP_SEED='") + bad + "' is not a valid seed")
+        << bad;
+  }
 }
 
 }  // namespace

@@ -623,28 +623,24 @@ TEST(StrategySpec, HotThresholdSplitsColdChainsBehindTheHotOnes) {
 TEST(StrategyDeathTest, GarbageWpLayoutParamsExitsWithStatusOne) {
   EXPECT_EXIT(
       {
-        setenv("WP_LAYOUT", "way_placement", 1);
-        setenv("WP_LAYOUT_PARAMS", "call_reach_bytes=soon", 1);
+        setenv("WP_LAYOUT", "way_placement{call_reach_bytes=soon}", 1);
         (void)layout::strategyFromEnv();
       },
-      ::testing::ExitedWithCode(1), "WP_LAYOUT_PARAMS");
+      ::testing::ExitedWithCode(1), "WP_LAYOUT: .*call_reach_bytes=soon");
   EXPECT_EXIT(
       {
-        setenv("WP_LAYOUT", "way_placement", 1);
-        setenv("WP_LAYOUT_PARAMS", "frobnicate=1", 1);
+        setenv("WP_LAYOUT", "way_placement{frobnicate=1}", 1);
         (void)layout::strategyFromEnv();
       },
-      ::testing::ExitedWithCode(1), "WP_LAYOUT_PARAMS");
+      ::testing::ExitedWithCode(1), "WP_LAYOUT: .*frobnicate");
 }
 
 TEST(Strategy, EnvParamsOverrideTheSelectedStrategy) {
-  setenv("WP_LAYOUT", "exttsp", 1);
-  setenv("WP_LAYOUT_PARAMS", "tsp_forward_bytes=512", 1);
+  setenv("WP_LAYOUT", "exttsp{tsp_forward_bytes=512}", 1);
   EXPECT_EQ(layout::strategyFromEnv(), "exttsp{tsp_forward_bytes=512}");
   // Overriding back to the registered default canonicalizes away.
-  setenv("WP_LAYOUT_PARAMS", "tsp_forward_bytes=1024", 1);
+  setenv("WP_LAYOUT", "exttsp{tsp_forward_bytes=1024}", 1);
   EXPECT_EQ(layout::strategyFromEnv(), "exttsp");
-  unsetenv("WP_LAYOUT_PARAMS");
   unsetenv("WP_LAYOUT");
 }
 

@@ -143,31 +143,22 @@ TEST(ServiceConfigDeathTest, MalformedKnobsExitOneNamingTheKnob) {
     EXPECT_EXIT((void)driver::ServiceConfig::fromEnv(),
                 testing::ExitedWithCode(1), "WP_SERVE_QUEUE='5000'");
   }
-  {
-    ScopedEnv deadline("WP_SERVE_DEADLINE_MS", "5ms");
-    EXPECT_EXIT((void)driver::ServiceConfig::fromEnv(),
-                testing::ExitedWithCode(1), "WP_SERVE_DEADLINE_MS='5ms'");
-  }
 }
 
 TEST(ServiceConfig, DefaultsAndExplicitValues) {
   {
     ScopedEnv socket("WP_SERVE_SOCKET", "");
     ScopedEnv queue("WP_SERVE_QUEUE", "");
-    ScopedEnv deadline("WP_SERVE_DEADLINE_MS", "");
     const driver::ServiceConfig c = driver::ServiceConfig::fromEnv();
     EXPECT_EQ(c.socket_path, "wp_serve.sock");
     EXPECT_EQ(c.queue_limit, 64u);
-    EXPECT_EQ(c.deadline_ms, 0u);
   }
   {
     ScopedEnv socket("WP_SERVE_SOCKET", "/tmp/x.sock");
     ScopedEnv queue("WP_SERVE_QUEUE", "3");
-    ScopedEnv deadline("WP_SERVE_DEADLINE_MS", "1500");
     const driver::ServiceConfig c = driver::ServiceConfig::fromEnv();
     EXPECT_EQ(c.socket_path, "/tmp/x.sock");
     EXPECT_EQ(c.queue_limit, 3u);
-    EXPECT_EQ(c.deadline_ms, 1500u);
   }
 }
 
@@ -228,6 +219,9 @@ TEST(ServiceHandleLine, MalformedRequestFuzzCorpusNeverKillsTheService) {
       "{\"op\": \"health\", \"workload\": \"crc\"}",  // field/op mismatch
       "{\"op\": \"eval\", \"workload\": \"crc\", \"icache_kb\": \"lots\"}",
       "{\"op\": \"eval\", \"workload\": \"crc\", \"icache_kb\": -4}",
+      // Neither is a JSON number: no leading zero, no plus sign.
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"wp_kb\": 08}",
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"icache_kb\": +32}",
       "{\"op\": \"eval\", \"workload\": \"crc\", \"ways\": 0}",
       // 1 KB / 256 B lines / 64 ways: fewer bytes than one full set.
       "{\"op\": \"eval\", \"workload\": \"crc\", \"icache_kb\": 1, "

@@ -199,11 +199,17 @@ TEST(FsckStore, LeaseStalenessUsesTheStoresOwnEvidence) {
   writeFile(dir + "/d.rec.lock",
             "{\"pid\": " + pid + ", \"boot\": " +
                 std::to_string(driver::bootNonce() + 1) + ", \"seed\": 7}");
+  // Pids no process can have (negative, beyond pid_t) are torn payloads:
+  // neither may be probed as pid -1 or as 4294967297 truncated to pid 1.
+  writeFile(dir + "/e.rec.lock",
+            "{\"pid\": -1, \"boot\": " + boot + ", \"seed\": 7}");
+  writeFile(dir + "/f.rec.lock",
+            "{\"pid\": 4294967297, \"boot\": " + boot + ", \"seed\": 7}");
 
   const bool nonce_works = driver::bootNonce() != 0;
   std::string output;
   driver::FsckReport report = runFsck(dir, false, &output);
-  EXPECT_EQ(report.stale_leases, nonce_works ? 3u : 2u) << output;
+  EXPECT_EQ(report.stale_leases, nonce_works ? 5u : 4u) << output;
   EXPECT_EQ(report.live_leases, nonce_works ? 1u : 2u) << output;
   EXPECT_NE(output.find("torn payload"), std::string::npos);
   EXPECT_NE(output.find("holder process is dead"), std::string::npos);
@@ -213,9 +219,11 @@ TEST(FsckStore, LeaseStalenessUsesTheStoresOwnEvidence) {
 
   // --remove clears the stale leases and never the live one.
   report = runFsck(dir, true, &output);
-  EXPECT_EQ(report.removed, nonce_works ? 3u : 2u) << output;
+  EXPECT_EQ(report.removed, nonce_works ? 5u : 4u) << output;
   EXPECT_EQ(::access((dir + "/c.rec.lock").c_str(), F_OK), 0);
   EXPECT_NE(::access((dir + "/b.rec.lock").c_str(), F_OK), 0);
+  EXPECT_NE(::access((dir + "/e.rec.lock").c_str(), F_OK), 0);
+  EXPECT_NE(::access((dir + "/f.rec.lock").c_str(), F_OK), 0);
 }
 
 TEST(FsckStore, StagingLitterIsJudgedByItsWriter) {

@@ -1,5 +1,5 @@
 // Unit tests for the support library: bit utilities, PRNG, statistics,
-// the table printer and the thread pool.
+// the table printer, the thread pool and the strict number reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "support/bitops.hpp"
+#include "support/number.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -197,6 +198,35 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.threadCount(), ThreadPool::hardwareThreads());
   EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
+}
+
+TEST(ParseUnsigned, AcceptsOnlyPlainDecimalOrOptInHex) {
+  const struct {
+    const char* text;
+    std::optional<u64> decimal;  ///< expected without hex
+    std::optional<u64> hex;      ///< expected with hex
+  } kCases[] = {
+      {"0", 0, 0},
+      {"7", 7, 7},
+      {"18446744073709551615", ~u64{0}, ~u64{0}},
+      {"0x10", std::nullopt, 16},
+      {"0xffffffffffffffff", std::nullopt, ~u64{0}},
+      {"", std::nullopt, std::nullopt},
+      {"-1", std::nullopt, std::nullopt},
+      {"+1", std::nullopt, std::nullopt},
+      {" 1", std::nullopt, std::nullopt},
+      {"1 ", std::nullopt, std::nullopt},
+      {"010", std::nullopt, std::nullopt},
+      {"0x", std::nullopt, std::nullopt},
+      {"0x-1", std::nullopt, std::nullopt},
+      {"18446744073709551616", std::nullopt, std::nullopt},
+      {"0x10000000000000000", std::nullopt, std::nullopt},
+      {"1e3", std::nullopt, std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(parseUnsigned(c.text, /*hex=*/false), c.decimal) << c.text;
+    EXPECT_EQ(parseUnsigned(c.text, /*hex=*/true), c.hex) << c.text;
+  }
 }
 
 }  // namespace

@@ -440,6 +440,15 @@ TEST(SupervisorEnvDeathTest, ZeroTransientFailureCountExits) {
               testing::ExitedWithCode(1), "WP_CELL_FAULT.*failure count");
 }
 
+TEST(JobsEnvDeathTest, SignedJobCountExitsNamingTheKnob) {
+  for (const char* bad : {"-0", "+2"}) {
+    ScopedEnv env("WP_JOBS", bad);
+    EXPECT_EXIT((void)driver::jobsFromEnv(), testing::ExitedWithCode(1),
+                "WP_JOBS='[-+][02]' is not a valid worker count")
+        << bad;
+  }
+}
+
 TEST(SupervisorEnvDeathTest, ExecutorParsesKnobsBeforePreparing) {
   // The parse happens in the constructor, before any expensive work.
   ScopedEnv env("WP_RETRIES", "not-a-number");
