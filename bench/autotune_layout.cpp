@@ -18,36 +18,13 @@
 // Knobs on top of the common bench set: WP_TUNE_EVALS (candidate
 // budget, default 24) and WP_TUNE_OBJECTIVE (icache_energy |
 // ed_product).
-#include <cstdio>
 #include <iostream>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "driver/autotune.hpp"
-
-namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string jstr(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
+#include "support/json.hpp"
 
 int main() {
   using namespace wp;
@@ -114,43 +91,44 @@ int main() {
   }
 
   // The machine-readable mirror of the three read-outs above.
-  std::ostringstream js;
-  js << "{\n    \"objective\": " << jstr(config.objectiveName())
-     << ",\n    \"budget\": " << config.evals
-     << ",\n    \"evals_used\": " << r.evals_used
-     << ",\n    \"budget_exhausted\": "
-     << (r.budget_exhausted ? "true" : "false")
-     << ",\n    \"wp_area_bytes\": " << kArea
-     << ",\n    \"start\": {\"spec\": " << jstr(r.start_spec)
-     << ", \"objective\": " << num(r.start.mean)
-     << "},\n    \"best\": {\"spec\": " << jstr(r.best_spec)
-     << ", \"objective\": " << num(r.best.mean)
-     << "},\n    \"margin\": " << num(r.start.mean - r.best.mean)
-     << ",\n    \"trajectory\": [";
-  for (std::size_t i = 0; i < r.trajectory.size(); ++i) {
-    const driver::AutotuneStep& step = r.trajectory[i];
-    js << (i == 0 ? "" : ",") << "\n      {\"eval\": " << step.eval
-       << ", \"spec\": " << jstr(step.spec)
-       << ", \"objective\": " << num(step.objective.mean)
-       << ", \"excluded\": " << step.objective.excluded
-       << ", \"improved\": " << (step.improved ? "true" : "false") << "}";
+  std::vector<std::string> trajectory;
+  for (const driver::AutotuneStep& step : r.trajectory) {
+    trajectory.push_back(JsonLine()
+                             .num("eval", step.eval)
+                             .str("spec", step.spec)
+                             .num("objective", step.objective.mean)
+                             .num("excluded", step.objective.excluded)
+                             .boolean("improved", step.improved)
+                             .render());
   }
-  js << "\n    ],\n    \"workloads\": [";
-  for (std::size_t i = 0; i < r.per_workload.size(); ++i) {
-    const driver::AutotuneWorkloadBest& wb = r.per_workload[i];
-    js << (i == 0 ? "" : ",") << "\n      {\"name\": " << jstr(wb.workload);
+  std::vector<std::string> workloads;
+  for (const driver::AutotuneWorkloadBest& wb : r.per_workload) {
+    JsonLine w = JsonLine().str("name", wb.workload);
     if (wb.quarantined) {
-      js << ", \"quarantined\": true}";
+      w.boolean("quarantined", true);
     } else {
-      js << ", \"spec\": " << jstr(wb.spec)
-         << ", \"objective\": " << num(wb.objective)
-         << ", \"recommended_wp_bytes\": " << wb.recommended_wp_bytes
-         << ", \"recommended_coverage\": " << num(wb.recommended_coverage)
-         << "}";
+      w.str("spec", wb.spec)
+          .num("objective", wb.objective)
+          .num("recommended_wp_bytes", wb.recommended_wp_bytes)
+          .num("recommended_coverage", wb.recommended_coverage);
     }
+    workloads.push_back(w.render());
   }
-  js << "\n    ]\n  }";
-  suite.addJsonSection("autotune", js.str());
+  const auto point = [](const std::string& spec, double objective) {
+    return JsonLine().str("spec", spec).num("objective", objective).render();
+  };
+  JsonLine js(4);
+  js.str("objective", config.objectiveName())
+      .num("budget", config.evals)
+      .num("evals_used", r.evals_used)
+      .boolean("budget_exhausted", r.budget_exhausted)
+      .num("wp_area_bytes", kArea)
+      .raw("start", point(r.start_spec, r.start.mean))
+      .raw("best", point(r.best_spec, r.best.mean))
+      .num("margin", r.start.mean - r.best.mean)
+      .raw("trajectory", jsonList(trajectory, 6))
+      .raw("workloads", jsonList(workloads, 6));
+  suite.addJsonSection("autotune", js.render());
 
   return bench::finish(suite);
 }

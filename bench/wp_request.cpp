@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -106,12 +105,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << reply << "\n";
-    std::map<std::string, driver::JsonToken> tokens;
-    const auto fate = [&]() -> std::string {
-      if (!driver::parseFlatJsonLine(reply, tokens)) return "";
-      const auto it = tokens.find("fate");
-      return it == tokens.end() ? "" : it->second.text;
-    }();
+    driver::JsonReader fields;
+    std::string fate;
+    if (fields.parse(reply)) fields.get("fate", fate);
     if (fate != "served" && fate != "ok") degraded = true;
   }
   ::close(fd);

@@ -2,13 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <type_traits>
 
 #include "support/fnv.hpp"
-#include "support/metrics.hpp"
+#include "support/json.hpp"
 #include "support/number.hpp"
 
 namespace wp::driver {
@@ -43,15 +42,6 @@ bool hexDecode(const std::string& hex, std::vector<u8>& out) {
     out.push_back(static_cast<u8>((hi << 4) | lo));
   }
   return true;
-}
-
-/// "%.17g" round-trips every IEEE double exactly through strtod, which
-/// is what makes a table served from records byte-identical to the one
-/// its original computes printed.
-std::string fmtDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 template <class C, class V>
@@ -143,6 +133,39 @@ void visitGuestFields(R& r, V&& v) {
   v("wp_area_coverage", r.wp_area_coverage);
 }
 
+/// Extracts a CheckpointRecord from a parsed "cell" line. Structural
+/// validation only — parseRecordLine reports a stats-digest mismatch
+/// separately (store: rejected; worker pipe: torn result).
+bool readRecord(const JsonReader& fields, CheckpointRecord& rec) {
+  bool ok = true;
+  const auto get = [&](const std::string& name, auto& out) {
+    if (fields.get(name, out) != JsonField::kOk) ok = false;
+  };
+  std::string ev;
+  get("ev", ev);
+  get("key", rec.key);
+  get("image_digest", rec.image_digest);
+  get("stats_digest", rec.stats_digest);
+  get("wall_seconds", rec.wall_seconds);
+  get("simulate_seconds", rec.result.simulate_seconds);
+  get("price_seconds", rec.result.price_seconds);
+  get("layout_strategy", rec.result.layout_strategy);
+  std::string output_hex;
+  get("output", output_hex);
+  if (ok && !hexDecode(output_hex, rec.result.output)) ok = false;
+  visitGuestFields(rec.result, [&](const std::string& name, auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      get(name, field);
+    } else {
+      u64 wide = 0;
+      get(name, wide);
+      field = static_cast<T>(wide);
+    }
+  });
+  return ok && ev == "cell" && !rec.key.empty();
+}
+
 bool unescapeInto(const std::string& s, std::size_t& i, std::string& out) {
   // i points at the opening quote; leaves i past the closing quote.
   ++i;
@@ -223,7 +246,7 @@ bool parseFlatJsonLine(const std::string& line,
       if (end == start) return false;
       tok.text = line.substr(start, end - start);
     }
-    out[key] = std::move(tok);
+    if (!out.emplace(std::move(key), std::move(tok)).second) return false;
     skipWs(line, i);
     if (i >= line.size()) return false;
     if (line[i] == '}') return true;
@@ -232,76 +255,43 @@ bool parseFlatJsonLine(const std::string& line,
   }
 }
 
-namespace {
+bool JsonReader::parse(const std::string& line) {
+  tokens_.clear();
+  return parseFlatJsonLine(line, tokens_);
+}
 
-bool parseDoubleText(const std::string& text, double& out) {
-  if (text.empty()) return false;
+JsonField JsonReader::get(const std::string& key, std::string& out) const {
+  const auto it = tokens_.find(key);
+  if (it == tokens_.end()) return JsonField::kAbsent;
+  if (!it->second.is_string) return JsonField::kWrongType;
+  out = it->second.text;
+  return JsonField::kOk;
+}
+
+JsonField JsonReader::get(const std::string& key, u64& out) const {
+  const auto it = tokens_.find(key);
+  if (it == tokens_.end()) return JsonField::kAbsent;
+  if (it->second.is_string) return JsonField::kWrongType;
+  const std::optional<u64> v = parseUnsigned(it->second.text, /*hex=*/false);
+  if (!v) return JsonField::kMalformed;
+  out = *v;
+  return JsonField::kOk;
+}
+
+JsonField JsonReader::get(const std::string& key, double& out) const {
+  const auto it = tokens_.find(key);
+  if (it == tokens_.end()) return JsonField::kAbsent;
+  if (it->second.is_string) return JsonField::kWrongType;
+  const std::string& text = it->second.text;  // never empty: see the parser
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE) return false;
+  if (end != text.c_str() + text.size() || errno == ERANGE) {
+    return JsonField::kMalformed;
+  }
   out = v;
-  return true;
+  return JsonField::kOk;
 }
-
-/// Extracts a CheckpointRecord from a parsed cell line's tokens.
-/// Structural validation only — parseRecordLine reports a stats-digest
-/// mismatch separately (store: rejected; worker pipe: torn result).
-bool tokensToRecord(const std::map<std::string, JsonToken>& tokens,
-                    CheckpointRecord& rec) {
-  bool ok = true;
-  auto getString = [&](const char* name, std::string& out) {
-    const auto it = tokens.find(name);
-    if (it == tokens.end() || !it->second.is_string) {
-      ok = false;
-      return;
-    }
-    out = it->second.text;
-  };
-  auto getU64 = [&](const std::string& name, u64& out) {
-    const auto it = tokens.find(name);
-    const std::optional<u64> v =
-        it == tokens.end() || it->second.is_string
-            ? std::nullopt
-            : parseUnsigned(it->second.text, /*hex=*/false);
-    if (v) {
-      out = *v;
-    } else {
-      ok = false;
-    }
-  };
-  auto getDouble = [&](const std::string& name, double& out) {
-    const auto it = tokens.find(name);
-    if (it == tokens.end() || it->second.is_string ||
-        !parseDoubleText(it->second.text, out)) {
-      ok = false;
-    }
-  };
-
-  getString("key", rec.key);
-  getU64("image_digest", rec.image_digest);
-  getU64("stats_digest", rec.stats_digest);
-  getDouble("wall_seconds", rec.wall_seconds);
-  getDouble("simulate_seconds", rec.result.simulate_seconds);
-  getDouble("price_seconds", rec.result.price_seconds);
-  getString("layout_strategy", rec.result.layout_strategy);
-  std::string output_hex;
-  getString("output", output_hex);
-  if (ok && !hexDecode(output_hex, rec.result.output)) ok = false;
-  visitGuestFields(rec.result, [&](const std::string& name, auto& field) {
-    using T = std::decay_t<decltype(field)>;
-    if constexpr (std::is_floating_point_v<T>) {
-      getDouble(name, field);
-    } else {
-      u64 wide = 0;
-      getU64(name, wide);
-      field = static_cast<T>(wide);
-    }
-  });
-  return ok && !rec.key.empty();
-}
-
-}  // namespace
 
 u64 imageDigest(const mem::Image& image) {
   u64 h = kFnvOffset;
@@ -314,14 +304,10 @@ u64 imageDigest(const mem::Image& image) {
 u64 stringDigest(std::string_view s) { return fnv1a(s); }
 
 RecordParse parseRecordLine(const std::string& line, CheckpointRecord& out) {
-  std::map<std::string, JsonToken> tokens;
-  if (!parseFlatJsonLine(line, tokens)) return RecordParse::kMalformed;
-  const auto ev = tokens.find("ev");
-  if (ev == tokens.end() || !ev->second.is_string ||
-      ev->second.text != "cell") {
+  JsonReader fields;
+  if (!fields.parse(line) || !readRecord(fields, out)) {
     return RecordParse::kMalformed;
   }
-  if (!tokensToRecord(tokens, out)) return RecordParse::kMalformed;
   if (statsDigest(out.result) != out.stats_digest) {
     return RecordParse::kDigestMismatch;
   }
@@ -350,25 +336,25 @@ u64 statsDigest(const RunResult& r) {
 
 std::string renderRecord(const std::string& key, u64 image_digest,
                          const RunResult& r, double wall_seconds) {
-  std::string out = "{\"ev\": \"cell\", \"key\": \"" + jsonEscape(key) + "\"";
-  out += ", \"image_digest\": " + std::to_string(image_digest);
-  out += ", \"stats_digest\": " + std::to_string(statsDigest(r));
-  out += ", \"wall_seconds\": " + fmtDouble(wall_seconds);
-  out += ", \"simulate_seconds\": " + fmtDouble(r.simulate_seconds);
-  out += ", \"price_seconds\": " + fmtDouble(r.price_seconds);
-  out += ", \"layout_strategy\": \"" + jsonEscape(r.layout_strategy) + "\"";
-  out += ", \"output\": \"" + hexEncode(r.output) + "\"";
-  visitGuestFields(r, [&out](const std::string& name, const auto& field) {
+  JsonLine line;
+  line.str("ev", "cell")
+      .str("key", key)
+      .num("image_digest", image_digest)
+      .num("stats_digest", statsDigest(r))
+      .num("wall_seconds", wall_seconds)
+      .num("simulate_seconds", r.simulate_seconds)
+      .num("price_seconds", r.price_seconds)
+      .str("layout_strategy", r.layout_strategy)
+      .str("output", hexEncode(r.output));
+  visitGuestFields(r, [&line](const std::string& name, const auto& field) {
     using T = std::decay_t<decltype(field)>;
-    out += ", \"" + name + "\": ";
     if constexpr (std::is_floating_point_v<T>) {
-      out += fmtDouble(field);
+      line.num(name, field);
     } else {
-      out += std::to_string(static_cast<u64>(field));
+      line.num(name, static_cast<u64>(field));
     }
   });
-  out += "}";
-  return out;
+  return line.render();
 }
 
 }  // namespace wp::driver

@@ -1,6 +1,8 @@
 // The cell record: the one serialized form of a finished cell, shared
 // by the result store (WP_STORE, driver/result_store.hpp), the isolated-
-// worker pipe (driver/worker.hpp) and the sweep service's replies.
+// worker pipe (driver/worker.hpp) and the sweep service's replies — and
+// the one flat-JSON reader (parseFlatJsonLine + JsonReader) for lines
+// JsonLine (support/json.hpp) writes.
 //
 // A record is one flat JSON line carrying the cell key, the full
 // guest-side RunResult — every stat the tables, the per-workload benches
@@ -65,10 +67,39 @@ struct JsonToken {
 };
 
 /// Parses one flat JSON object line into tokens. Returns false on any
-/// structural damage — the torn-line case — so callers can skip or
-/// reject the line instead of crashing.
+/// structural damage — the torn-line case — or a key named twice, so
+/// callers can reject the line instead of crashing or picking a copy.
+/// Whatever follows the closing brace is ignored.
 [[nodiscard]] bool parseFlatJsonLine(const std::string& line,
                                      std::map<std::string, JsonToken>& out);
+
+/// Outcome of one typed JsonReader lookup: found; no such key; a string
+/// where a number belongs, or the reverse; or the right JSON type but
+/// not a value of the type asked.
+enum class JsonField { kOk, kAbsent, kWrongType, kMalformed };
+
+/// Typed lookups over one parsed flat JSON line. Each lookup writes
+/// @p out only when it returns kOk.
+class JsonReader {
+ public:
+  /// Parses @p line with parseFlatJsonLine; false when it fails.
+  [[nodiscard]] bool parse(const std::string& line);
+
+  /// A JSON string.
+  JsonField get(const std::string& key, std::string& out) const;
+  /// A decimal integer under parseUnsigned's rule (no hex).
+  JsonField get(const std::string& key, u64& out) const;
+  /// A number strtod reads whole and in range.
+  JsonField get(const std::string& key, double& out) const;
+
+  /// Every parsed field, by key.
+  [[nodiscard]] const std::map<std::string, JsonToken>& tokens() const {
+    return tokens_;
+  }
+
+ private:
+  std::map<std::string, JsonToken> tokens_;
+};
 
 /// Fate of one "cell" record line under parseRecordLine.
 enum class RecordParse {

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <thread>
 
 #include "support/ensure.hpp"
@@ -22,36 +21,6 @@
 namespace wp::driver {
 
 namespace {
-
-std::string hex16(u64 v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-/// The store header line pinning what the record below belongs to; a
-/// renamed or cross-seed record fails this check before the payload is
-/// even looked at.
-std::string renderStoreHeader(u64 seed, const std::string& key) {
-  std::ostringstream os;
-  os << "{\"ev\": \"store\", \"version\": 1, \"seed\": " << seed
-     << ", \"key\": \"" << jsonEscape(key) << "\"}";
-  return os.str();
-}
-
-/// One numeric token out of a lease payload; 0 when the field is
-/// missing, quoted or malformed.
-u64 leaseField(const std::map<std::string, JsonToken>& tokens,
-               const char* field) {
-  const auto it = tokens.find(field);
-  if (it == tokens.end() || it->second.is_string) return 0;
-  return parseUnsigned(it->second.text, /*hex=*/false).value_or(0);
-}
-
-pid_t lockHolderPid(const std::string& lock_path) {
-  return readStoreLease(lock_path).pid;
-}
 
 /// Age of @p path in milliseconds by mtime; u64(-1) when unstattable
 /// (e.g. the lock vanished between our probe and now).
@@ -71,18 +40,95 @@ u64 fileAgeMs(const std::string& path) {
 StoreLeaseHolder readStoreLease(const std::string& lock_path) {
   StoreLeaseHolder holder;
   std::ifstream in(lock_path);
-  if (!in.is_open()) return holder;
   std::string line;
-  std::getline(in, line);
-  std::map<std::string, JsonToken> tokens;
-  if (!parseFlatJsonLine(line, tokens)) return holder;
+  JsonReader fields;
+  if (!std::getline(in, line) || !fields.parse(line)) return holder;
   // A pid no process can have is as unprobeable as a torn payload.
-  const u64 pid = leaseField(tokens, "pid");
-  holder.pid = pid <= static_cast<u64>(std::numeric_limits<pid_t>::max())
-                   ? static_cast<pid_t>(pid)
-                   : 0;
-  holder.boot = leaseField(tokens, "boot");
+  u64 pid = 0;
+  fields.get("pid", pid);
+  if (pid <= static_cast<u64>(std::numeric_limits<pid_t>::max())) {
+    holder.pid = static_cast<pid_t>(pid);
+  }
+  fields.get("boot", holder.boot);
+  holder.dead = pidDead(holder.pid);
+  // Both nonces must exist for the boot check: a 0 on either side
+  // means "no boot identity" (old-format lease or a host without one),
+  // and the pid probe plus expiry stay the only evidence.
+  holder.previous_boot =
+      holder.boot != 0 && bootNonce() != 0 && holder.boot != bootNonce();
   return holder;
+}
+
+bool pidDead(pid_t pid) {
+  return pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH;
+}
+
+std::string recordFileName(const RecordAddress& address) {
+  // The key digest keeps arbitrary cell keys out of the name while
+  // staying collision-safe in practice; the header inside the file
+  // re-states the real key so a collision is caught at read time.
+  char name[64];
+  std::snprintf(name, sizeof name, "cell-%016llx-%016llx-%016llx.rec",
+                static_cast<unsigned long long>(address.seed),
+                static_cast<unsigned long long>(address.key_digest),
+                static_cast<unsigned long long>(address.image_digest));
+  return name;
+}
+
+std::optional<RecordAddress> parseRecordFileName(std::string_view name) {
+  unsigned long long v[3];
+  if (std::sscanf(std::string(name).c_str(), "cell-%16llx-%16llx-%16llx.rec",
+                  &v[0], &v[1], &v[2]) != 3) {
+    return std::nullopt;
+  }
+  const RecordAddress address{v[0], v[1], v[2]};
+  // Re-rendering rejects what sscanf lets through: signs, short or
+  // uppercase hex, a "0x" prefix, anything after ".rec".
+  if (recordFileName(address) != name) return std::nullopt;
+  return address;
+}
+
+std::optional<CheckpointRecord> readRecordFile(const std::string& path,
+                                               const RecordAddress& address,
+                                               std::string& why) {
+  std::ifstream in(path);
+  if (!in.is_open()) return std::nullopt;  // plain miss
+  const auto fail = [&why](const char* check) {
+    why = check;
+    return std::nullopt;
+  };
+  std::string header_line;
+  std::string record_line;
+  if (!std::getline(in, header_line) || !std::getline(in, record_line)) {
+    // rename(2) publishes whole files, so this is damage from outside.
+    return fail("torn (fewer than two lines)");
+  }
+  JsonReader header;
+  if (!header.parse(header_line)) return fail("torn (malformed header)");
+  std::string ev;
+  u64 version = 0;
+  if (header.get("ev", ev) != JsonField::kOk || ev != "store" ||
+      header.get("version", version) != JsonField::kOk || version != 1) {
+    return fail("header is not a version-1 store header");
+  }
+  u64 seed = 0;
+  if (header.get("seed", seed) != JsonField::kOk || seed != address.seed) {
+    return fail("header seed disagrees with the filename");
+  }
+  std::string key;
+  if (header.get("key", key) != JsonField::kOk ||
+      stringDigest(key) != address.key_digest) {
+    return fail("header key disagrees with the filename's key digest");
+  }
+  CheckpointRecord rec;
+  if (parseRecordLine(record_line, rec) != RecordParse::kOk) {
+    return fail("record line torn or stats digest mismatch");
+  }
+  if (rec.key != key) return fail("record key disagrees with the header");
+  if (rec.image_digest != address.image_digest) {
+    return fail("record image digest disagrees with the filename");
+  }
+  return rec;
 }
 
 u64 bootNonce() {
@@ -147,7 +193,7 @@ void ResultStore::Lease::release() {
   // Unlink only if the lock is still *ours*: a reclaimer that decided we
   // were stale may have replaced it with its own, and blindly unlinking
   // would steal that holder's lease.
-  if (lockHolderPid(lock_path_) == ::getpid()) {
+  if (readStoreLease(lock_path_).pid == ::getpid()) {
     ::unlink(lock_path_.c_str());
   }
   lock_path_.clear();
@@ -155,49 +201,20 @@ void ResultStore::Lease::release() {
 
 std::string ResultStore::recordPathFor(const std::string& key,
                                        u64 image_digest) const {
-  // (seed, key, image) addressing: the key digest keeps arbitrary cell
-  // keys out of the filename while staying collision-safe in practice,
-  // and the header inside the file re-states the real key so a hash
-  // collision is caught at read time, not served.
-  return config_.dir + "/cell-" + hex16(seed_) + "-" +
-         hex16(stringDigest(key)) + "-" + hex16(image_digest) + ".rec";
+  return config_.dir + "/" +
+         recordFileName({seed_, stringDigest(key), image_digest});
 }
 
 std::optional<CheckpointRecord> ResultStore::load(const std::string& key,
                                                   u64 image_digest,
                                                   bool& rejected) {
-  const std::string path = recordPathFor(key, image_digest);
-  std::ifstream in(path);
-  if (!in.is_open()) return std::nullopt;  // plain miss
-
-  std::string header_line;
-  std::string record_line;
-  if (!std::getline(in, header_line) || !std::getline(in, record_line)) {
-    rejected = true;  // torn: rename is atomic, so this is tampering
-    return std::nullopt;
-  }
-
-  std::map<std::string, JsonToken> header;
-  if (!parseFlatJsonLine(header_line, header)) {
-    rejected = true;
-    return std::nullopt;
-  }
-  const auto ev = header.find("ev");
-  const auto version = header.find("version");
-  const auto seed = header.find("seed");
-  const auto hkey = header.find("key");
-  if (ev == header.end() || ev->second.text != "store" ||
-      version == header.end() || version->second.text != "1" ||
-      seed == header.end() ||
-      seed->second.text != std::to_string(seed_) || hkey == header.end() ||
-      hkey->second.text != key) {
-    rejected = true;  // foreign version/seed/key under our filename
-    return std::nullopt;
-  }
-
-  CheckpointRecord rec;
-  if (parseRecordLine(record_line, rec) != RecordParse::kOk ||
-      rec.key != key || rec.image_digest != image_digest) {
+  std::string why;
+  std::optional<CheckpointRecord> rec =
+      readRecordFile(recordPathFor(key, image_digest),
+                     {seed_, stringDigest(key), image_digest}, why);
+  // A record for another key with our key's digest is a collision,
+  // never this cell.
+  if (!why.empty() || (rec && rec->key != key)) {
     rejected = true;
     return std::nullopt;
   }
@@ -248,10 +265,12 @@ ResultStore::Outcome ResultStore::open(const std::string& key,
       const int fd = ::open(lock_path.c_str(),
                             O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
       if (fd >= 0) {
-        const std::string payload =
-            "{\"pid\": " + std::to_string(::getpid()) +
-            ", \"boot\": " + std::to_string(bootNonce()) +
-            ", \"seed\": " + std::to_string(seed_) + "}\n";
+        const std::string payload = JsonLine()
+                                        .num("pid", ::getpid())
+                                        .num("boot", bootNonce())
+                                        .num("seed", seed_)
+                                        .render() +
+                                    "\n";
         const ssize_t n =
             ::write(fd, payload.data(), payload.size());
         ::close(fd);
@@ -278,25 +297,16 @@ ResultStore::Outcome ResultStore::open(const std::string& key,
       // nothing), or has overstayed WP_LEASE_TIMEOUT_MS; otherwise wait
       // for its record to appear.
       const StoreLeaseHolder holder = readStoreLease(lock_path);
-      const bool holder_dead = holder.pid > 0 &&
-                               holder.pid != ::getpid() &&
-                               ::kill(holder.pid, 0) != 0 &&
-                               errno == ESRCH;
-      // Both nonces must exist for the boot check: a 0 on either side
-      // means "no boot identity" (old-format lease or a host without
-      // one), and the pid probe plus expiry stay the only evidence.
-      const bool stale_boot =
-          holder.boot != 0 && bootNonce() != 0 && holder.boot != bootNonce();
       const u64 age_ms = fileAgeMs(lock_path);
       const bool lease_expired =
           age_ms != static_cast<u64>(-1) &&
           age_ms > config_.lease_timeout_ms;
-      if (holder_dead || stale_boot || lease_expired) {
+      if (holder.dead || holder.previous_boot || lease_expired) {
         ::unlink(lock_path.c_str());
         metrics_.counter("store.leases_reclaimed").add();
-        const char* why = holder_dead    ? "holder dead"
-                          : stale_boot   ? "holder from a previous boot"
-                                         : "lease expired";
+        const char* why = holder.dead            ? "holder dead"
+                          : holder.previous_boot ? "holder from a previous boot"
+                                                 : "lease expired";
         if (trace_ != nullptr) {
           trace_->write(TraceEvent("store_lease_reclaimed")
                             .str("cell", key)
@@ -308,9 +318,10 @@ ResultStore::Outcome ResultStore::open(const std::string& key,
                      "[wayplace] WP_STORE: reclaimed stale lease for cell "
                      "'%s' (%s)\n",
                      key.c_str(),
-                     holder_dead  ? "holder process is dead"
-                     : stale_boot ? "holder is from a previous boot"
-                                  : "holder exceeded WP_LEASE_TIMEOUT_MS");
+                     holder.dead            ? "holder process is dead"
+                     : holder.previous_boot ? "holder is from a previous boot"
+                                            : "holder exceeded "
+                                              "WP_LEASE_TIMEOUT_MS");
         continue;  // race for the lock again
       }
       if (!waited) {
@@ -346,7 +357,15 @@ void ResultStore::put(Lease& lease, const std::string& key,
   const std::string path = recordPathFor(key, image_digest);
   const std::string tmp =
       path + ".tmp." + std::to_string(::getpid());
-  const std::string body = renderStoreHeader(seed_, key) + "\n" +
+  // The header pins what the record below belongs to; a renamed or
+  // cross-seed record fails readRecordFile before its payload is read.
+  const std::string body = JsonLine()
+                               .str("ev", "store")
+                               .num("version", 1u)
+                               .num("seed", seed_)
+                               .str("key", key)
+                               .render() +
+                           "\n" +
                            renderRecord(key, image_digest, result,
                                         wall_seconds) +
                            "\n";

@@ -31,7 +31,8 @@
 // Trust rules match the worker pipe's: every read re-verifies the
 // record's own stats digest plus its header (version, seed, key) and
 // the image digest; tampered, torn or version-mismatched records are
-// rejected, counted, and recomputed — never served. An unwritable or
+// rejected, counted, and recomputed — never served; wp_store_fsck
+// audits a store through the same functions below. An unwritable or
 // corrupt store *degrades loudly* to compute-everything (stderr warning +
 // store.degraded metric) instead of aborting: losing the cache must
 // never lose the sweep. Environment parsing, by contrast, stays strict
@@ -43,6 +44,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "driver/checkpoint.hpp"
 #include "support/metrics.hpp"
@@ -59,19 +61,44 @@ namespace wp::driver {
 /// would wrongly keep the stale lease parked until WP_LEASE_TIMEOUT_MS.
 [[nodiscard]] u64 bootNonce();
 
-/// What a store lease (.lock) file claims about its holder. pid 0 means
-/// the file is missing or torn, or names a pid no process can have
-/// ("cannot probe the holder"); boot 0 means the payload predates the
-/// boot nonce (old-format lease), and the nonce check falls back to pid
-/// probing alone. Shared between the store's reclamation logic and the
-/// wp_store_fsck tool so both judge staleness by exactly the same
-/// evidence.
+/// What a store lease (.lock) file says about its holder — the one
+/// verdict the store's reclamation and wp_store_fsck both act on. pid 0
+/// means the file is missing or torn, or names a pid no process can
+/// have (the store waits it out, fsck calls it stale); boot 0 means an
+/// old-format payload, and the pid probe is the only evidence left.
 struct StoreLeaseHolder {
   pid_t pid = 0;
   u64 boot = 0;
+  bool dead = false;  ///< pidDead(pid)
+  /// Written in a previous boot: the pid may since belong to an
+  /// unrelated live process, so probing it proves nothing.
+  bool previous_boot = false;
 };
 
 [[nodiscard]] StoreLeaseHolder readStoreLease(const std::string& lock_path);
+
+/// kill(pid, 0) => ESRCH: @p pid provably names no live process.
+[[nodiscard]] bool pidDead(pid_t pid);
+
+/// A record file's name, `cell-<seed>-<key digest>-<image digest>.rec`
+/// (16 lowercase hex digits each), and its inverse.
+struct RecordAddress {
+  u64 seed = 0;
+  u64 key_digest = 0;  ///< stringDigest of the cell key
+  u64 image_digest = 0;
+};
+[[nodiscard]] std::string recordFileName(const RecordAddress& address);
+[[nodiscard]] std::optional<RecordAddress> parseRecordFileName(
+    std::string_view name);
+
+/// Reads the record file at @p path and checks it against @p address:
+/// the store header's version, seed and key digest, then the record's
+/// own stats digest, its key and its image digest. nullopt with @p why
+/// empty when the file cannot be opened (a plain miss), else with
+/// @p why naming the first failed check.
+[[nodiscard]] std::optional<CheckpointRecord> readRecordFile(
+    const std::string& path, const RecordAddress& address,
+    std::string& why);
 
 class ResultStore {
  public:
@@ -148,9 +175,10 @@ class ResultStore {
                                           u64 image_digest) const;
 
  private:
-  /// Reads and fully verifies a record file. Distinguishes "absent"
-  /// (miss, returns nullopt with @p rejected untouched) from "present
-  /// but untrustworthy" (returns nullopt, sets @p rejected).
+  /// readRecordFile on the cell's file plus the exact-key comparison.
+  /// Distinguishes "absent" (miss, returns nullopt with @p rejected
+  /// untouched) from "present but untrustworthy" (returns nullopt, sets
+  /// @p rejected).
   [[nodiscard]] std::optional<CheckpointRecord> load(
       const std::string& key, u64 image_digest, bool& rejected);
 

@@ -26,53 +26,29 @@ namespace wp::driver {
 namespace {
 
 // ---- reply rendering ------------------------------------------------
-// Replies are flat one-line JSON objects built by hand so their bytes
-// are a pure function of the request and the (deterministic) result:
-// doubles render with %.17g (round-trip exact), and no volatile field
-// (attempts, wall-clock, worker ids) ever appears — the restart smoke
-// diffs replies across a SIGKILL byte for byte.
+// Replies are flat one-line JSON objects built by JsonLine, so their
+// bytes are a pure function of the request and the (deterministic)
+// result: doubles render with %.17g (round-trip exact), and no volatile
+// field (attempts, wall-clock, worker ids) ever appears — the restart
+// smoke diffs replies across a SIGKILL byte for byte.
 
-void addKey(std::string& out, const char* key) {
-  if (out.size() > 1) out += ", ";
-  out += '"';
-  out += key;
-  out += "\": ";
-}
-
-void addStr(std::string& out, const char* key, const std::string& value) {
-  addKey(out, key);
-  out += '"';
-  out += jsonEscape(value);
-  out += '"';
-}
-
-void addNum(std::string& out, const char* key, u64 value) {
-  addKey(out, key);
-  out += std::to_string(value);
-}
-
-void addDbl(std::string& out, const char* key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  addKey(out, key);
-  out += buf;
-}
-
-void addBool(std::string& out, const char* key, bool value) {
-  addKey(out, key);
-  out += value ? "true" : "false";
-}
-
-std::string sealed(std::string out) {
-  out += '}';
+/// Every reply opens with the request's id and op, when known.
+JsonLine replyHead(const std::string& id, const std::string& op) {
+  JsonLine out;
+  if (!id.empty()) out.str("id", id);
+  if (!op.empty()) out.str("op", op);
   return out;
 }
 
-/// Was this quarantine a deadline kill? Both watchdog paths — the
-/// in-process instruction-budget hook and the isolated worker's
-/// parent-side timer — tag their SimError with the budget knob's name.
-bool isDeadlineError(const std::string& error) {
-  return error.find("WP_CELL_TIMEOUT_MS") != std::string::npos;
+/// Ends @p reply for a quarantined cell: fate "deadline" when a watchdog
+/// killed it — both watchdog paths, the in-process instruction-budget
+/// hook and the isolated worker's parent-side timer, tag their SimError
+/// with the budget knob's name — else "quarantined".
+std::string quarantineReply(JsonLine& reply, const std::string& error) {
+  const bool deadline = error.find("WP_CELL_TIMEOUT_MS") != std::string::npos;
+  return reply.str("fate", deadline ? "deadline" : "quarantined")
+      .str("error", error)
+      .render();
 }
 
 bool parseSchemeName(const std::string& name, cache::Scheme& out) {
@@ -131,53 +107,39 @@ SweepService::SweepService(ServiceConfig config, SweepExecutor& suite,
 bool SweepService::parseRequest(const std::string& line, Request& req,
                                 std::string& reply) {
   const auto fail = [&](const std::string& message) {
-    std::string out = "{";
-    if (!req.id.empty()) addStr(out, "id", req.id);
-    if (!req.op.empty()) addStr(out, "op", req.op);
-    addStr(out, "fate", "error");
-    addStr(out, "error", message);
-    reply = sealed(std::move(out));
+    reply = replyHead(req.id, req.op)
+                .str("fate", "error")
+                .str("error", message)
+                .render();
     return false;
   };
 
-  std::map<std::string, JsonToken> tokens;
-  if (!parseFlatJsonLine(line, tokens)) {
+  JsonReader fields;
+  if (!fields.parse(line)) {
     return fail("malformed request: not a flat one-line JSON object");
   }
 
-  const auto strField = [&](const char* key, std::string& out,
-                            std::string& error) {
-    const auto it = tokens.find(key);
-    if (it == tokens.end()) return true;
-    if (!it->second.is_string) {
-      error = std::string("field '") + key + "' must be a JSON string";
-      return false;
-    }
-    out = it->second.text;
-    return true;
+  // Optional fields: an absent one keeps `out`; a bad one fails the request.
+  const auto optionalStr = [&](const char* key, std::string& out) {
+    return fields.get(key, out) != JsonField::kWrongType ||
+           fail(std::string("field '") + key + "' must be a JSON string");
   };
-  const auto numField = [&](const char* key, u64 min, u64 max, u64& out,
-                            std::string& error) {
-    const auto it = tokens.find(key);
-    if (it == tokens.end()) return true;
-    const std::string& text = it->second.text;
-    const std::optional<u64> v =
-        it->second.is_string ? std::nullopt
-                             : parseUnsigned(text, /*hex=*/false);
-    if (!v || *v < min || *v > max) {
-      error = std::string("field '") + key + "' ('" + text +
-              "') must be an integer in [" + std::to_string(min) + ", " +
-              std::to_string(max) + "]";
-      return false;
+  const auto optionalNum = [&](const char* key, u64 min, u64 max, u64& out) {
+    u64 v = 0;
+    const JsonField got = fields.get(key, v);
+    if (got == JsonField::kAbsent) return true;
+    if (got == JsonField::kOk && v >= min && v <= max) {
+      out = v;
+      return true;
     }
-    out = *v;
-    return true;
+    return fail(std::string("field '") + key + "' ('" +
+                fields.tokens().at(key).text + "') must be an integer in [" +
+                std::to_string(min) + ", " + std::to_string(max) + "]");
   };
 
-  std::string error;
   // id and op first so even rejections echo the request's identity.
-  if (!strField("id", req.id, error)) return fail(error);
-  if (!strField("op", req.op, error)) return fail(error);
+  if (!optionalStr("id", req.id)) return false;
+  if (!optionalStr("op", req.op)) return false;
   if (req.op.empty()) {
     return fail("missing required field 'op' (one of eval, suite, "
                 "recommend, health, stats, drain)");
@@ -200,7 +162,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
     return fail("unknown op '" + req.op + "' (expected eval, suite, "
                 "recommend, health, stats or drain)");
   }
-  for (const auto& [key, value] : tokens) {
+  for (const auto& [key, value] : fields.tokens()) {
     if (allowed->second.count(key) == 0) {
       return fail("unknown field '" + key + "' for op '" + req.op + "'");
     }
@@ -209,7 +171,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
   // An explicit seed must match the daemon's: silently serving another
   // seed's cells would poison the caller's experiment identity.
   u64 seed = suite_.runner().seed();
-  if (!numField("seed", 0, ~0ull, seed, error)) return fail(error);
+  if (!optionalNum("seed", 0, ~0ull, seed)) return false;
   if (seed != suite_.runner().seed()) {
     return fail("seed mismatch: this daemon runs seed " +
                 std::to_string(suite_.runner().seed()) +
@@ -220,7 +182,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
       req.op == "eval" || req.op == "suite" || req.op == "recommend";
   if (!req.compute) return true;
 
-  if (!strField("workload", req.workload, error)) return fail(error);
+  if (!optionalStr("workload", req.workload)) return false;
   if (req.op != "suite") {
     if (req.workload.empty()) {
       return fail("op '" + req.op + "' requires field 'workload'");
@@ -242,7 +204,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
 
   if (req.op == "recommend") {
     req.spec.layout = layout::defaultStrategyName();
-    if (!strField("layout", req.spec.layout, error)) return fail(error);
+    if (!optionalStr("layout", req.spec.layout)) return false;
     try {
       (void)layout::resolveStrategy(req.spec.layout);
     } catch (const SimError& e) {
@@ -253,13 +215,9 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
 
   // eval/suite: geometry, scheme and scheme knobs.
   u64 icache_kb = 32, ways = 32, line_bytes = 32;
-  if (!numField("icache_kb", 1, 1 << 16, icache_kb, error)) {
-    return fail(error);
-  }
-  if (!numField("ways", 1, 1 << 12, ways, error)) return fail(error);
-  if (!numField("line_bytes", 4, 1 << 16, line_bytes, error)) {
-    return fail(error);
-  }
+  if (!optionalNum("icache_kb", 1, 1 << 16, icache_kb)) return false;
+  if (!optionalNum("ways", 1, 1 << 12, ways)) return false;
+  if (!optionalNum("line_bytes", 4, 1 << 16, line_bytes)) return false;
   req.icache.size_bytes = static_cast<u32>(icache_kb * 1024);
   req.icache.line_bytes = static_cast<u32>(line_bytes);
   req.icache.ways = static_cast<u32>(ways);
@@ -270,7 +228,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
   }
 
   std::string scheme = cache::schemeName(cache::Scheme::kWayPlacement);
-  if (!strField("scheme", scheme, error)) return fail(error);
+  if (!optionalStr("scheme", scheme)) return false;
   if (!parseSchemeName(scheme, req.spec.scheme)) {
     return fail("unknown scheme '" + scheme + "' (expected baseline, "
                 "way-placement, way-memoization or way-prediction)");
@@ -278,10 +236,10 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
 
   const bool is_wp = req.spec.scheme == cache::Scheme::kWayPlacement;
   u64 wp_kb = 8;
-  if (!numField("wp_kb", 0, 1 << 20, wp_kb, error)) return fail(error);
+  if (!optionalNum("wp_kb", 1, 1 << 20, wp_kb)) return false;
   std::string layout;
-  if (!strField("layout", layout, error)) return fail(error);
-  if (!is_wp && (tokens.count("wp_kb") != 0 || !layout.empty())) {
+  if (!optionalStr("layout", layout)) return false;
+  if (!is_wp && (fields.tokens().count("wp_kb") != 0 || !layout.empty())) {
     return fail("fields 'wp_kb' and 'layout' are only valid for scheme "
                 "'way-placement'");
   }
@@ -297,7 +255,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
   }
 
   std::string fault;
-  if (!strField("fault", fault, error)) return fail(error);
+  if (!optionalStr("fault", fault)) return false;
   if (!fault.empty()) {
     if (req.spec.scheme == cache::Scheme::kBaseline) {
       return fail("field 'fault' is not valid for scheme 'baseline' (a "
@@ -305,6 +263,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
     }
     fault::CellFault kind = fault::CellFault::kNone;
     u32 failures = 1;
+    std::string error;
     if (!fault::parseCellFault(fault, "fault", kind, failures, error)) {
       return fail(error);
     }
@@ -343,9 +302,6 @@ std::string SweepService::handleLine(const std::string& line) {
 }
 
 std::string SweepService::execute(const Request& req) {
-  std::string out = "{";
-  if (!req.id.empty()) addStr(out, "id", req.id);
-  addStr(out, "op", req.op);
   if (req.op == "eval") return runEval(req);
   if (req.op == "suite") return runSuiteRow(req);
   if (req.op == "recommend") return runRecommend(req);
@@ -353,9 +309,10 @@ std::string SweepService::execute(const Request& req) {
   if (req.op == "stats") return statsReply(req);
   WP_ENSURE(req.op == "drain", "unvalidated op reached execute()");
   latch_.trigger(SIGTERM);
-  addStr(out, "fate", "ok");
-  addBool(out, "draining", true);
-  return sealed(std::move(out));
+  return replyHead(req.id, req.op)
+      .str("fate", "ok")
+      .boolean("draining", true)
+      .render();
 }
 
 std::string SweepService::runEval(const Request& req) {
@@ -374,26 +331,19 @@ std::string SweepService::runEval(const Request& req) {
   const SweepExecutor::CellView cell =
       suite_.tryRun(*prepared, req.icache, req.spec);
 
-  std::string out = "{";
-  if (!req.id.empty()) addStr(out, "id", req.id);
-  addStr(out, "op", req.op);
-  addStr(out, "key", key);
+  JsonLine out = replyHead(req.id, req.op).str("key", key);
   if (base.quarantined || cell.quarantined) {
-    const std::string& error =
-        base.quarantined ? *base.error : *cell.error;
-    addStr(out, "fate", isDeadlineError(error) ? "deadline" : "quarantined");
-    addStr(out, "error", error);
-    return sealed(std::move(out));
+    return quarantineReply(out, base.quarantined ? *base.error : *cell.error);
   }
   const Normalized n = normalize(*cell.result, *base.result, req.workload);
-  addStr(out, "fate", "served");
-  addDbl(out, "icache_energy", n.icache_energy);
-  addDbl(out, "total_energy", n.total_energy);
-  addDbl(out, "delay", n.delay);
-  addDbl(out, "ed_product", n.ed_product);
-  addNum(out, "cycles", cell.result->stats.cycles);
-  addNum(out, "instructions", cell.result->stats.instructions);
-  return sealed(std::move(out));
+  return out.str("fate", "served")
+      .num("icache_energy", n.icache_energy)
+      .num("total_energy", n.total_energy)
+      .num("delay", n.delay)
+      .num("ed_product", n.ed_product)
+      .num("cycles", cell.result->stats.cycles)
+      .num("instructions", cell.result->stats.instructions)
+      .render();
 }
 
 std::string SweepService::runSuiteRow(const Request& req) {
@@ -410,9 +360,7 @@ std::string SweepService::runSuiteRow(const Request& req) {
   const SweepExecutor::SuiteAverage delay = avg(&Normalized::delay);
   const SweepExecutor::SuiteAverage ed = avg(&Normalized::ed_product);
 
-  std::string out = "{";
-  if (!req.id.empty()) addStr(out, "id", req.id);
-  addStr(out, "op", req.op);
+  JsonLine out = replyHead(req.id, req.op);
   if (icache.included == 0) {
     // The whole row quarantined: no mean exists to serve. Surface the
     // first quarantine (deterministic: keys sort identically everywhere)
@@ -422,18 +370,16 @@ std::string SweepService::runSuiteRow(const Request& req) {
       error = q.error;
       break;
     }
-    addStr(out, "fate", isDeadlineError(error) ? "deadline" : "quarantined");
-    addStr(out, "error", error);
-    return sealed(std::move(out));
+    return quarantineReply(out, error);
   }
-  addStr(out, "fate", "served");
-  addDbl(out, "icache_energy", icache.mean);
-  addDbl(out, "total_energy", total.mean);
-  addDbl(out, "delay", delay.mean);
-  addDbl(out, "ed_product", ed.mean);
-  addNum(out, "included", icache.included);
-  addNum(out, "excluded", icache.excluded);
-  return sealed(std::move(out));
+  return out.str("fate", "served")
+      .num("icache_energy", icache.mean)
+      .num("total_energy", total.mean)
+      .num("delay", delay.mean)
+      .num("ed_product", ed.mean)
+      .num("included", icache.included)
+      .num("excluded", icache.excluded)
+      .render();
 }
 
 std::string SweepService::runRecommend(const Request& req) {
@@ -443,21 +389,18 @@ std::string SweepService::runRecommend(const Request& req) {
   }
   WP_ENSURE(prepared != nullptr,
             "unvalidated workload reached runRecommend()");
-  std::string out = "{";
-  if (!req.id.empty()) addStr(out, "id", req.id);
-  addStr(out, "op", req.op);
+  JsonLine out = replyHead(req.id, req.op);
   try {
     const WpAreaRecommendation rec =
         recommendWpArea(*prepared, req.spec.layout);
-    addStr(out, "fate", "served");
-    addStr(out, "layout", req.spec.layout);
-    addNum(out, "wp_bytes", rec.bytes);
-    addDbl(out, "coverage", rec.coverage);
+    out.str("fate", "served")
+        .str("layout", req.spec.layout)
+        .num("wp_bytes", rec.bytes)
+        .num("coverage", rec.coverage);
   } catch (const SimError& e) {
-    addStr(out, "fate", "error");
-    addStr(out, "error", e.what());
+    out.str("fate", "error").str("error", e.what());
   }
-  return sealed(std::move(out));
+  return out.render();
 }
 
 std::string SweepService::healthReply(const Request& req) {
@@ -468,39 +411,35 @@ std::string SweepService::healthReply(const Request& req) {
     depth = queue_.size();
     in_flight = in_flight_;
   }
-  std::string out = "{";
-  if (!req.id.empty()) addStr(out, "id", req.id);
-  addStr(out, "op", req.op);
-  addStr(out, "fate", "ok");
-  addNum(out, "seed", suite_.runner().seed());
-  addNum(out, "workloads", suite_.prepared().size());
-  addNum(out, "jobs", suite_.jobs());
-  addNum(out, "queue_depth", depth);
-  addNum(out, "queue_limit", config_.queue_limit);
-  addNum(out, "in_flight", in_flight);
-  addNum(out, "deadline_ms", suite_.supervisor().config().cell_timeout_ms);
-  addBool(out, "isolate", suite_.supervisor().config().isolate);
-  addBool(out, "draining", latch_.requested());
-  return sealed(std::move(out));
+  return replyHead(req.id, req.op)
+      .str("fate", "ok")
+      .num("seed", suite_.runner().seed())
+      .num("workloads", suite_.prepared().size())
+      .num("jobs", suite_.jobs())
+      .num("queue_depth", depth)
+      .num("queue_limit", config_.queue_limit)
+      .num("in_flight", in_flight)
+      .num("deadline_ms", suite_.supervisor().config().cell_timeout_ms)
+      .boolean("isolate", suite_.supervisor().config().isolate)
+      .boolean("draining", latch_.requested())
+      .render();
 }
 
 std::string SweepService::statsReply(const Request& req) {
   MetricsRegistry& m = suite_.metrics();
-  std::string out = "{";
-  if (!req.id.empty()) addStr(out, "id", req.id);
-  addStr(out, "op", req.op);
-  addStr(out, "fate", "ok");
-  addNum(out, "cells_computed", m.counter("cells.computed").value());
-  addNum(out, "cells_from_store", m.counter("cells.from_store").value());
-  addNum(out, "cells_quarantined", m.counter("cells.quarantined").value());
-  addNum(out, "memo_hits", m.counter("memo.hits").value());
-  addNum(out, "store_hits", m.counter("store.hits").value());
-  addNum(out, "store_misses", m.counter("store.misses").value());
-  addNum(out, "requests_admitted", m.counter("serve.admitted").value());
-  addNum(out, "requests_shed", m.counter("serve.shed").value());
-  addNum(out, "requests_invalid", m.counter("serve.invalid").value());
-  addNum(out, "requests_served", m.counter("serve.served").value());
-  return sealed(std::move(out));
+  return replyHead(req.id, req.op)
+      .str("fate", "ok")
+      .num("cells_computed", m.counter("cells.computed").value())
+      .num("cells_from_store", m.counter("cells.from_store").value())
+      .num("cells_quarantined", m.counter("cells.quarantined").value())
+      .num("memo_hits", m.counter("memo.hits").value())
+      .num("store_hits", m.counter("store.hits").value())
+      .num("store_misses", m.counter("store.misses").value())
+      .num("requests_admitted", m.counter("serve.admitted").value())
+      .num("requests_shed", m.counter("serve.shed").value())
+      .num("requests_invalid", m.counter("serve.invalid").value())
+      .num("requests_served", m.counter("serve.served").value())
+      .render();
 }
 
 // ---- socket serving -------------------------------------------------
@@ -532,22 +471,22 @@ void SweepService::dispatchLine(const std::shared_ptr<Connection>& conn,
     sendReply(conn, execute(*req));
     return;
   }
-  std::string out = "{";
-  if (!req->id.empty()) addStr(out, "id", req->id);
-  addStr(out, "op", req->op);
   if (latch_.requested()) {
-    addStr(out, "fate", "draining");
-    addStr(out, "error", "service is draining; no new work admitted");
-    sendReply(conn, sealed(std::move(out)));
+    sendReply(conn, replyHead(req->id, req->op)
+                        .str("fate", "draining")
+                        .str("error", "service is draining; no new work "
+                                      "admitted")
+                        .render());
     return;
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (queue_.size() >= config_.queue_limit) {
       suite_.metrics().counter("serve.shed").add();
-      addStr(out, "fate", "overloaded");
-      addNum(out, "retry_after_ms", config_.retry_after_ms);
-      sendReply(conn, sealed(std::move(out)));
+      sendReply(conn, replyHead(req->id, req->op)
+                          .str("fate", "overloaded")
+                          .num("retry_after_ms", config_.retry_after_ms)
+                          .render());
       return;
     }
     queue_.push_back({conn, std::move(req)});
@@ -681,9 +620,12 @@ int SweepService::serve() {
         // Admission control at the byte level: an unbounded "line" is
         // disconnected, not buffered until the daemon OOMs.
         suite_.metrics().counter("serve.invalid").add();
-        sendReply(conn,
-                  "{\"fate\": \"error\", \"error\": \"request line exceeds " +
-                      std::to_string(kMaxLineBytes) + " bytes\"}");
+        sendReply(conn, JsonLine()
+                            .str("fate", "error")
+                            .str("error", "request line exceeds " +
+                                              std::to_string(kMaxLineBytes) +
+                                              " bytes")
+                            .render());
         dead.push_back(pfd.fd);
       }
     }

@@ -8,8 +8,8 @@
 // so a warm cell costs a socket round-trip instead of a process.
 //
 // Protocol: one flat one-line JSON object per message in each direction
-// (the same shape the result store records and the worker pipe already
-// speak — parseFlatJsonLine is the only parser). Requests name an op:
+// (the result store's and worker pipe's shape: JsonLine writes it,
+// JsonReader reads it, a key named twice is malformed). Requests name an op:
 //
 //   eval       price one (workload, geometry, scheme) cell, normalized
 //              against its implied baseline

@@ -5,13 +5,14 @@
 // behind, and a disk fault can tear a record despite the write/fsync/
 // rename discipline. The running store already defends itself (torn
 // records are rejected and recomputed, stale leases reclaimed on the
-// next contention) — fsck is the *audit* form of the same rules: walk
-// the directory once, re-verify every record against the exact checks
-// ResultStore::load applies (filename addressing, header identity, the
-// record's own stats digest), classify every lease and staging file by
-// the reclamation evidence (dead pid, previous-boot nonce), and either
-// report (default) or remove (--remove) what the store would never
-// serve anyway.
+// next contention) — fsck is the *audit* form of the same rules, and it
+// owns no copy of them: it walks the directory once, maps every record
+// name back to its address with the store's parseRecordFileName, checks
+// every record with the store's own readRecordFile (header identity,
+// the record's own stats digest, the image digest), classifies every
+// lease by the store's readStoreLease verdict (dead pid, previous-boot
+// nonce) and every staging file by its writer's pid, and either reports
+// (default) or removes (--remove) what the store would never serve.
 //
 // fsck is seed-agnostic: record filenames carry their seed, and the
 // header inside must agree — stores legitimately host records from many

@@ -516,13 +516,6 @@ std::vector<SweepExecutor::QuarantinedCell> SweepExecutor::quarantined()
   return out;  // map order: deterministic at any job count
 }
 
-namespace {
-
-// jsonEscape comes from support/metrics.hpp.
-const char* jsonBool(bool b) { return b ? "true" : "false"; }
-
-}  // namespace
-
 void SweepExecutor::writeJsonReport(std::ostream& os) const {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
@@ -531,6 +524,19 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   const double simulate_total = rm.timer("phase.simulate").seconds();
   const u64 guest_insts = rm.counter("guest.instructions").value();
   std::lock_guard<std::mutex> lock(memo_mutex_);
+  std::vector<std::string> prepare;
+  for (const PreparedWorkload& p : prepared_) {
+    prepare.push_back(JsonLine()
+                          .str("workload", p.name)
+                          .num("build_seconds", p.phases.build_seconds)
+                          .num("profile_seconds", p.phases.profile_seconds)
+                          .num("layout_seconds", p.phases.layout_seconds)
+                          .num("profile_instructions", p.profile_instructions)
+                          .boolean("profile_ok", p.profile_ok)
+                          .render());
+  }
+  std::vector<std::string> quarantined;
+  std::vector<std::string> cells;
   // The throughput aggregate sums only cells whose simulate span was
   // measurable: a fast cell rounding to 0 s carries no rate information,
   // and folding its instructions over zero seconds would poison the
@@ -540,6 +546,14 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   u64 mips_measurable = 0;
   u64 mips_unmeasurable = 0;
   for (const auto& [key, entry] : memo_) {
+    if (entry->quarantined.load(std::memory_order_acquire)) {
+      quarantined.push_back(JsonLine()
+                                .str("key", key)
+                                .num("attempts", entry->attempts)
+                                .boolean("interrupted", entry->interrupted)
+                                .str("error", entry->failure)
+                                .render());
+    }
     if (!entry->ready.load(std::memory_order_acquire)) continue;
     if (entry->result.simulate_seconds > 0.0) {
       measurable_insts += entry->result.stats.instructions;
@@ -548,75 +562,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
     } else {
       ++mips_unmeasurable;
     }
-  }
-  os.precision(17);
-  os << "{\n"
-     << "  \"seed\": " << runner_.seed() << ",\n"
-     << "  \"jobs\": " << pool_.threadCount() << ",\n"
-     << "  \"wall_seconds\": " << wall << ",\n"
-     << "  \"workloads\": " << prepared_.size() << ",\n"
-     << "  \"host\": {\"guest_instructions\": " << guest_insts
-     << ", \"simulate_seconds\": " << simulate_total << ", \"guest_mips\": ";
-  if (measurable_seconds > 0.0) {
-    os << static_cast<double>(measurable_insts) / measurable_seconds / 1e6;
-  } else {
-    os << "null";
-  }
-  os << ", \"mips_measurable_cells\": " << mips_measurable
-     << ", \"mips_unmeasurable_cells\": " << mips_unmeasurable
-     << ", \"cells_computed\": " << metrics_.counter("cells.computed").value()
-     << ", \"cells_from_store\": "
-     << metrics_.counter("cells.from_store").value()
-     << ", \"cells_isolated\": " << metrics_.counter("cells.isolated").value()
-     << ", \"cells_healed\": " << metrics_.counter("cells.healed").value()
-     << ", \"cells_quarantined\": "
-     << metrics_.counter("cells.quarantined").value()
-     << ", \"failed_attempts\": "
-     << metrics_.counter("cells.failed_attempts").value()
-     << ", \"memo_hits\": " << metrics_.counter("memo.hits").value()
-     << ", \"store\": {\"enabled\": " << jsonBool(store_ != nullptr)
-     << ", \"degraded\": "
-     << jsonBool(store_ != nullptr && store_->degraded())
-     << ", \"hits\": " << metrics_.counter("store.hits").value()
-     << ", \"misses\": " << metrics_.counter("store.misses").value()
-     << ", \"rejected\": " << metrics_.counter("store.rejected").value()
-     << ", \"records_written\": "
-     << metrics_.counter("store.records_written").value()
-     << ", \"lease_waits\": " << metrics_.counter("store.lease_waits").value()
-     << ", \"leases_reclaimed\": "
-     << metrics_.counter("store.leases_reclaimed").value() << "}"
-     << ", \"phase_seconds\": {\"build\": " << rm.timer("phase.build").seconds()
-     << ", \"profile\": " << rm.timer("phase.profile").seconds()
-     << ", \"layout\": " << rm.timer("phase.layout").seconds()
-     << ", \"simulate\": " << simulate_total
-     << ", \"price\": " << rm.timer("phase.price").seconds() << "}},\n"
-     << "  \"prepare\": [";
-  for (std::size_t i = 0; i < prepared_.size(); ++i) {
-    const PreparedWorkload& p = prepared_[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"workload\": \""
-       << jsonEscape(p.name) << "\""
-       << ", \"build_seconds\": " << p.phases.build_seconds
-       << ", \"profile_seconds\": " << p.phases.profile_seconds
-       << ", \"layout_seconds\": " << p.phases.layout_seconds
-       << ", \"profile_instructions\": " << p.profile_instructions
-       << ", \"profile_ok\": " << jsonBool(p.profile_ok) << "}";
-  }
-  os << "\n  ],\n"
-     << "  \"quarantined\": [";
-  bool first = true;
-  for (const auto& [key, entry] : memo_) {
-    if (!entry->quarantined.load(std::memory_order_acquire)) continue;
-    os << (first ? "\n" : ",\n") << "    {\"key\": \"" << jsonEscape(key)
-       << "\", \"attempts\": " << entry->attempts << ", \"interrupted\": "
-       << jsonBool(entry->interrupted) << ", \"error\": \""
-       << jsonEscape(entry->failure) << "\"}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "],\n"
-     << "  \"cells\": [";
-  first = true;
-  for (const auto& [key, entry] : memo_) {
-    if (!entry->ready.load(std::memory_order_acquire)) continue;
     const std::string base_key =
         keyOf(entry->workload, entry->icache,
               SchemeSpec::baselineFor(entry->spec));
@@ -628,61 +573,106 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
     }
     const Normalized n =
         normalize(entry->result, base->second->result, entry->workload);
-    os << (first ? "\n" : ",\n") << "    {\"workload\": \""
-       << jsonEscape(entry->workload) << "\""
-       << ", \"icache_size_bytes\": " << entry->icache.size_bytes
-       << ", \"ways\": " << entry->icache.ways
-       << ", \"line_bytes\": " << entry->icache.line_bytes
-       << ", \"scheme\": \"" << cache::schemeName(entry->spec.scheme) << "\""
-       << ", \"wp_area_bytes\": " << entry->spec.wp_area_bytes
-       << ", \"intraline_skip\": " << jsonBool(entry->spec.intraline_skip)
-       << ", \"wm_precise_invalidation\": "
-       << jsonBool(entry->spec.wm_precise_invalidation)
-       << ", \"drowsy_window\": " << entry->spec.drowsy_window
-       // The layout that actually ran (profile fallback makes this
-       // "original" even when the spec asked for a profile-driven one).
-       << ", \"layout\": \"" << jsonEscape(entry->result.layout_strategy)
-       << "\""
-       << ", \"layout_chains\": " << entry->result.layout_chains
-       << ", \"layout_repairs\": " << entry->result.layout_repairs
-       << ", \"wp_area_coverage\": " << entry->result.wp_area_coverage
-       << ", \"fault\": " << jsonBool(entry->spec.fault.runtimeEnabled());
+    JsonLine cell;
+    cell.str("workload", entry->workload)
+        .num("icache_size_bytes", entry->icache.size_bytes)
+        .num("ways", entry->icache.ways)
+        .num("line_bytes", entry->icache.line_bytes)
+        .str("scheme", cache::schemeName(entry->spec.scheme))
+        .num("wp_area_bytes", entry->spec.wp_area_bytes)
+        .boolean("intraline_skip", entry->spec.intraline_skip)
+        .boolean("wm_precise_invalidation",
+                 entry->spec.wm_precise_invalidation)
+        .num("drowsy_window", entry->spec.drowsy_window)
+        // The layout that actually ran (profile fallback makes this
+        // "original" even when the spec asked for a profile-driven one).
+        .str("layout", entry->result.layout_strategy)
+        .num("layout_chains", entry->result.layout_chains)
+        .num("layout_repairs", entry->result.layout_repairs)
+        .num("wp_area_coverage", entry->result.wp_area_coverage)
+        .boolean("fault", entry->spec.fault.runtimeEnabled());
     // Only co-run cells carry the multiprog fields, so solo reports
     // keep their exact schema.
     if (entry->spec.corunEnabled()) {
-      os << ", \"corun_quantum\": " << entry->spec.corun_quantum
-         << ", \"corun_tlb\": \""
-         << cache::tlbSwitchPolicyName(entry->spec.corun_tlb) << "\""
-         << ", \"corun_partners\": \""
-         << jsonEscape(entry->spec.corun_partners) << "\"";
+      cell.num("corun_quantum", entry->spec.corun_quantum)
+          .str("corun_tlb", cache::tlbSwitchPolicyName(entry->spec.corun_tlb))
+          .str("corun_partners", entry->spec.corun_partners);
     }
-    os << ", \"icache_energy\": " << n.icache_energy
-       << ", \"total_energy\": " << n.total_energy
-       << ", \"delay\": " << n.delay
-       << ", \"ed_product\": " << n.ed_product
-       << ", \"cycles\": " << entry->result.stats.cycles
-       << ", \"instructions\": " << entry->result.stats.instructions
-       << ", \"attempts\": " << entry->attempts
-       << ", \"from_store\": " << jsonBool(entry->from_store)
-       << ", \"wall_seconds\": " << entry->wall_seconds
-       << ", \"simulate_seconds\": " << entry->result.simulate_seconds
-       << ", \"price_seconds\": " << entry->result.price_seconds
-       << ", \"guest_mips\": ";
+    cell.num("icache_energy", n.icache_energy)
+        .num("total_energy", n.total_energy)
+        .num("delay", n.delay)
+        .num("ed_product", n.ed_product)
+        .num("cycles", entry->result.stats.cycles)
+        .num("instructions", entry->result.stats.instructions)
+        .num("attempts", entry->attempts)
+        .boolean("from_store", entry->from_store)
+        .num("wall_seconds", entry->wall_seconds)
+        .num("simulate_seconds", entry->result.simulate_seconds)
+        .num("price_seconds", entry->result.price_seconds);
     if (const auto mips = entry->result.guestMips()) {
-      os << *mips;
+      cell.num("guest_mips", *mips);
     } else {
-      os << "null";  // span rounded to 0 s: not measurable, not 0 MIPS
+      cell.raw("guest_mips", "null");  // span rounded to 0 s: not measurable
     }
-    os << ", \"worker\": " << entry->worker << "}";
-    first = false;
+    cells.push_back(cell.num("worker", entry->worker).render());
   }
-  os << "\n  ]";
+
+  const auto count = [this](const char* name) {
+    return metrics_.counter(name).value();
+  };
+  JsonLine host;
+  host.num("guest_instructions", guest_insts)
+      .num("simulate_seconds", simulate_total);
+  if (measurable_seconds > 0.0) {
+    host.num("guest_mips",
+             static_cast<double>(measurable_insts) / measurable_seconds / 1e6);
+  } else {
+    host.raw("guest_mips", "null");
+  }
+  host.num("mips_measurable_cells", mips_measurable)
+      .num("mips_unmeasurable_cells", mips_unmeasurable)
+      .num("cells_computed", count("cells.computed"))
+      .num("cells_from_store", count("cells.from_store"))
+      .num("cells_isolated", count("cells.isolated"))
+      .num("cells_healed", count("cells.healed"))
+      .num("cells_quarantined", count("cells.quarantined"))
+      .num("failed_attempts", count("cells.failed_attempts"))
+      .num("memo_hits", count("memo.hits"))
+      .raw("store",
+           JsonLine()
+               .boolean("enabled", store_ != nullptr)
+               .boolean("degraded", store_ != nullptr && store_->degraded())
+               .num("hits", count("store.hits"))
+               .num("misses", count("store.misses"))
+               .num("rejected", count("store.rejected"))
+               .num("records_written", count("store.records_written"))
+               .num("lease_waits", count("store.lease_waits"))
+               .num("leases_reclaimed", count("store.leases_reclaimed"))
+               .render())
+      .raw("phase_seconds",
+           JsonLine()
+               .num("build", rm.timer("phase.build").seconds())
+               .num("profile", rm.timer("phase.profile").seconds())
+               .num("layout", rm.timer("phase.layout").seconds())
+               .num("simulate", simulate_total)
+               .num("price", rm.timer("phase.price").seconds())
+               .render());
+
+  // One top-level key per line and one cell per line: the golden checks
+  // read the report line by line.
+  JsonLine report(2);
+  report.num("seed", runner_.seed())
+      .num("jobs", pool_.threadCount())
+      .num("wall_seconds", wall)
+      .num("workloads", prepared_.size())
+      .raw("host", host.render())
+      .raw("prepare", jsonList(prepare, 4))
+      .raw("quarantined", quarantined.empty() ? "[]" : jsonList(quarantined, 4))
+      .raw("cells", jsonList(cells, 4));
   // Bench-registered extra sections (deterministic: map order), e.g.
   // the autotune report. Values are pre-rendered JSON.
-  for (const auto& [key, value] : extra_json_) {
-    os << ",\n  \"" << jsonEscape(key) << "\": " << value;
-  }
-  os << "\n}\n";
+  for (const auto& [key, value] : extra_json_) report.raw(key, value);
+  os << report.render() << "\n";
 }
 
 void SweepExecutor::addJsonSection(const std::string& key,

@@ -8,10 +8,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <map>
 
 #include "driver/checkpoint.hpp"
-#include "support/metrics.hpp"
+#include "support/json.hpp"
 
 namespace wp::driver {
 
@@ -52,8 +51,7 @@ void writeAll(int fd, const std::string& line) {
     // SimError (cell faults, watchdog, WP_ENSURE) and anything else the
     // attempt can throw travel back verbatim so the parent's retry
     // ladder sees the same message an in-process run would have.
-    line = "{\"ev\": \"fail\", \"what\": \"" +
-           jsonEscape(e.what()) + "\"}";
+    line = JsonLine().str("ev", "fail").str("what", e.what()).render();
     code = 2;
   }
   line += '\n';
@@ -172,15 +170,11 @@ WorkerResult runCellInWorker(const std::string& key, u64 image_digest,
       nl == std::string::npos ? payload : payload.substr(0, nl);
 
   if (code == 2) {
-    std::map<std::string, JsonToken> tokens;
-    if (parseFlatJsonLine(line, tokens)) {
-      const auto ev = tokens.find("ev");
-      const auto what = tokens.find("what");
-      if (ev != tokens.end() && ev->second.text == "fail" &&
-          what != tokens.end() && what->second.is_string) {
-        out.error = what->second.text;  // child's SimError, verbatim
-        return out;
-      }
+    JsonReader fields;
+    std::string ev;
+    if (fields.parse(line) && fields.get("ev", ev) == JsonField::kOk &&
+        ev == "fail" && fields.get("what", out.error) == JsonField::kOk) {
+      return out;  // out.error is the child's SimError, verbatim
     }
     out.error = tag(key, "reported a failure but its message was torn");
     return out;

@@ -13,11 +13,12 @@
 //   WP_CELL_TIMEOUT_MS from              Runner::runGroup), then writes ONE
 //   outside the crash domain             line down the pipe:
 //   waitpid(); classify                    · a checkpoint-format record
-//                                            (driver/checkpoint.hpp,
-//                                            %.17g field visitor) on
+//                                            (driver/checkpoint.hpp) on
 //                                            success, or
 //                                          · {"ev": "fail", ...} for a
-//                                            caught SimError,
+//                                            caught SimError — both
+//                                            written by JsonLine and
+//                                            read back by JsonReader,
 //                                        then _exits without running
 //                                        atexit/flush (it shares the
 //                                        parent's fds and buffers).

@@ -8,31 +8,8 @@
 #include <ctime>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 namespace wp {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 double threadCpuSeconds() {
   timespec ts{};
@@ -87,84 +64,6 @@ Timer& MetricsRegistry::timer(const std::string& name) {
   return *slot;
 }
 
-std::map<std::string, u64> MetricsRegistry::counterValues() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, u64> out;
-  for (const auto& [name, c] : counters_) out[name] = c->value();
-  return out;
-}
-
-std::map<std::string, MetricsRegistry::TimerSnapshot>
-MetricsRegistry::timerValues() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, TimerSnapshot> out;
-  for (const auto& [name, t] : timers_) {
-    out[name] = TimerSnapshot{t->totalNanoseconds(), t->count()};
-  }
-  return out;
-}
-
-void MetricsRegistry::writeJsonFields(std::ostream& os,
-                                      const std::string& indent) const {
-  const auto counters = counterValues();
-  const auto timers = timerValues();
-  os << indent << "\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    os << (first ? "" : ", ") << "\"" << jsonEscape(name) << "\": " << value;
-    first = false;
-  }
-  os << "},\n" << indent << "\"timers\": {";
-  first = true;
-  for (const auto& [name, t] : timers) {
-    os << (first ? "" : ", ") << "\"" << jsonEscape(name)
-       << "\": {\"seconds\": " << static_cast<double>(t.total_ns) * 1e-9
-       << ", \"count\": " << t.count << "}";
-    first = false;
-  }
-  os << "}";
-}
-
-TraceEvent& TraceEvent::str(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + jsonEscape(value) + "\"");
-  return *this;
-}
-
-TraceEvent& TraceEvent::num(const std::string& key, u64 value) {
-  fields_.emplace_back(key, std::to_string(value));
-  return *this;
-}
-
-TraceEvent& TraceEvent::num(const std::string& key, int value) {
-  fields_.emplace_back(key, std::to_string(value));
-  return *this;
-}
-
-TraceEvent& TraceEvent::num(const std::string& key, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  fields_.emplace_back(key, os.str());
-  return *this;
-}
-
-TraceEvent& TraceEvent::boolean(const std::string& key, bool value) {
-  fields_.emplace_back(key, value ? "true" : "false");
-  return *this;
-}
-
-std::string TraceEvent::render(double ts_seconds) const {
-  std::ostringstream os;
-  os.precision(9);
-  os << "{\"ev\": \"" << jsonEscape(name_) << "\", \"ts\": " << std::fixed
-     << ts_seconds;
-  for (const auto& [key, value] : fields_) {
-    os << ", \"" << jsonEscape(key) << "\": " << value;
-  }
-  os << "}";
-  return os.str();
-}
-
 TraceWriter::TraceWriter(std::string path, std::string knob)
     : path_(std::move(path)),
       knob_(std::move(knob)),
@@ -178,9 +77,16 @@ void TraceWriter::write(const TraceEvent& event) {
   const double ts =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
+  char ts_text[32];
+  std::snprintf(ts_text, sizeof ts_text, "%.9f", ts);
+  const std::string line = JsonLine()
+                               .str("ev", event.name_)
+                               .raw("ts", ts_text)
+                               .append(event.fields_)
+                               .render();
   std::lock_guard<std::mutex> lock(mutex_);
   errno = 0;
-  out_ << event.render(ts) << '\n';
+  out_ << line << '\n';
   // Flush per event: the trace must survive a crashed sweep, and events
   // are coarse (whole simulations), so the cost is noise.
   out_.flush();

@@ -6,11 +6,12 @@
 // simulated machine, so instrumentation can never perturb a result —
 // tables stay byte-identical whether or not a trace is being recorded.
 //
-// The trace writer emits one JSON object per line (JSONL), append-only
-// and flushed per event so a crashed sweep still leaves a readable
-// prefix. File errors follow the harness's strict-environment policy:
-// a requested trace that cannot be opened or written is a startup/run
-// error (exit 1 with a message naming the path), never a silent no-op.
+// The trace writer emits one JsonLine (support/json.hpp) per event,
+// append-only and flushed per event so a crashed sweep still leaves a
+// readable prefix. File errors follow the harness's strict-environment
+// policy: a requested trace that cannot be opened or written is a
+// startup/run error (exit 1 with a message naming the path), never a
+// silent no-op.
 #pragma once
 
 #include <chrono>
@@ -18,17 +19,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "support/bitops.hpp"
+#include "support/json.hpp"
 
 namespace wp {
-
-/// Escapes @p s for inclusion inside a double-quoted JSON string.
-[[nodiscard]] std::string jsonEscape(const std::string& s);
 
 /// Reports an unusable metrics/report output file and exits with status
 /// 1 (the strict-environment policy: a requested artifact that cannot
@@ -105,18 +103,6 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   Timer& timer(const std::string& name);
 
-  struct TimerSnapshot {
-    u64 total_ns = 0;
-    u64 count = 0;
-  };
-  /// A consistent copy for reporting (names sorted by map order).
-  [[nodiscard]] std::map<std::string, u64> counterValues() const;
-  [[nodiscard]] std::map<std::string, TimerSnapshot> timerValues() const;
-
-  /// Writes `"counters": {...}, "timers": {...}` (no surrounding
-  /// braces) so callers can embed the registry in a larger report.
-  void writeJsonFields(std::ostream& os, const std::string& indent) const;
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
@@ -152,28 +138,30 @@ class ScopedTimer {
   double last_seconds_ = 0.0;
 };
 
-/// One trace event: an ordered field list rendered as a JSON object.
-/// The event name becomes the leading `"ev"` field; the writer injects
-/// `"ts"` (seconds since trace start) right after it.
+/// One trace event, written as `{"ev": "<name>", "ts": <seconds since
+/// the trace began>, <fields in call order>}`.
 class TraceEvent {
  public:
   explicit TraceEvent(std::string name) : name_(std::move(name)) {}
 
-  TraceEvent& str(const std::string& key, const std::string& value);
-  TraceEvent& num(const std::string& key, u64 value);
-  TraceEvent& num(const std::string& key, unsigned value) {
-    return num(key, static_cast<u64>(value));
+  TraceEvent& str(std::string_view key, std::string_view value) {
+    fields_.str(key, value);
+    return *this;
   }
-  TraceEvent& num(const std::string& key, int value);
-  TraceEvent& num(const std::string& key, double value);
-  TraceEvent& boolean(const std::string& key, bool value);
-
-  /// `{"ev": "<name>", "ts": <ts>, <fields...>}` — no trailing newline.
-  [[nodiscard]] std::string render(double ts_seconds) const;
+  template <class T>
+  TraceEvent& num(std::string_view key, T value) {
+    fields_.num(key, value);
+    return *this;
+  }
+  TraceEvent& boolean(std::string_view key, bool value) {
+    fields_.boolean(key, value);
+    return *this;
+  }
 
  private:
+  friend class TraceWriter;
   std::string name_;
-  std::vector<std::pair<std::string, std::string>> fields_;
+  JsonLine fields_;
 };
 
 /// Append-only JSONL event log. Thread-safe; every line is flushed so a

@@ -239,6 +239,12 @@ TEST(ServiceHandleLine, MalformedRequestFuzzCorpusNeverKillsTheService) {
       "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"hang\"}",
       "{\"op\": \"recommend\", \"workload\": \"crc\", \"layout\": "
       "\"zigzag\"}",
+      // A repeated key is rejected, never served as its last copy.
+      "{\"op\": \"health\", \"id\": \"h\", \"op\": \"drain\"}",
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"wp_kb\": 8, "
+      "\"wp_kb\": 16}",
+      // An empty way-placement area is a bad request, not a cell fault.
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"wp_kb\": 0}",
   };
   for (const std::string& line : corpus) {
     const std::string reply = ts.service.handleLine(line);
