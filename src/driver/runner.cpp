@@ -207,26 +207,12 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
   ScopedTimer simulate_span(metrics_.timer("phase.simulate"));
   const double simulate_cpu_start = threadCpuSeconds();
 
-  // Allocation order, both halves measured under wpbench: the primary's
-  // memory is allocated, loaded and given its inputs before the
-  // scheduler exists (after it, fig6_grid held one more 8 MB guest
-  // memory at peak RSS), and each partner's just before it registers
-  // (allocating every memory up front slowed corun_switch's p95 cell by
-  // a quarter). Each member's WP limit is clamped to *its* code pages.
+  // Each member's WP limit is clamped to *its* code pages.
   std::vector<u32> wp_limits(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     wp_limits[i] =
         clampWpAreaToImage(spec.wp_area_bytes, group[i]->imageFor(spec.layout));
   }
-  std::vector<mem::Memory> memories;
-  memories.reserve(group.size());  // registered members keep references
-  const auto load = [&](std::size_t i) -> mem::Memory& {
-    mem::Memory& memory = memories.emplace_back();
-    group[i]->imageFor(spec.layout).loadInto(memory);
-    group[i]->workload->prepare(memory, input);
-    return memory;
-  };
-  load(0);
 
   sim::MachineConfig machine = machineFor(icache, spec);
   if (budget_hook != nullptr) machine.budget_hook = *budget_hook;
@@ -243,19 +229,20 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
     sched_config.quantum = spec.corun_quantum;
     sched_config.tlb_policy = spec.corun_tlb;
   }
-  sim::GuestScheduler sched(machine, sched_config);
+  auto sched = std::make_unique<sim::GuestScheduler>(machine, sched_config);
   for (std::size_t i = 0; i < group.size(); ++i) {
-    sched.addProcessOn(group[i]->name, group[i]->imageFor(spec.layout),
-                       i == 0 ? memories.front() : load(i), wp_limits[i]);
+    const u32 asid = sched->addProcess(
+        group[i]->name, group[i]->imageFor(spec.layout), wp_limits[i]);
+    group[i]->workload->prepare(sched->memoryOf(asid), input);
   }
 
   std::optional<fault::FaultInjector> injector;
   if (spec.fault.runtimeEnabled()) {
     injector.emplace(spec.fault, seed_);
-    injector->attach(sched.fetchPath());
+    injector->attach(sched->fetchPath());
   }
 
-  sim::CoRunStats co = sched.run();
+  sim::CoRunStats co = sched->run();
 
   const layout::LayoutResult& laid = group.front()->layoutFor(spec.layout);
   RunResult result;
@@ -277,8 +264,8 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
   // The cell's output is every member's output, concatenated in group
   // order: the stats digest (and so the store's verification) covers
   // each process's result bytes, not just the primary's.
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    std::vector<u8> out = group[i]->workload->output(memories[i]);
+  for (u32 i = 0; i < group.size(); ++i) {
+    std::vector<u8> out = group[i]->workload->output(sched->memoryOf(i));
     result.output.insert(result.output.end(), out.begin(), out.end());
     if (extra != nullptr) {
       extra->processes.push_back({std::move(co.processes[i]), std::move(out)});

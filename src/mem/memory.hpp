@@ -10,6 +10,9 @@
 // The page size is 1 KB: the paper requires way-placement areas as small
 // as 1 KB and "a multiple of the memory page size", so the page must be
 // <= 1 KB (ARM-family MMUs support 1 KB subpages).
+//
+// Each Memory is one private anonymous mapping: the kernel zero-fills a
+// page on first touch, so resident memory is only the pages a guest uses.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +35,11 @@ inline constexpr u32 kDefaultMemoryBytes = 0x0080'0000;
 class Memory {
  public:
   explicit Memory(std::size_t size_bytes = kDefaultMemoryBytes);
+  ~Memory();
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   [[nodiscard]] u8 load8(u32 addr) const;
   [[nodiscard]] u32 load32(u32 addr) const;
@@ -46,12 +52,10 @@ class Memory {
   /// Bulk copy out of memory (used by output verification).
   [[nodiscard]] std::vector<u8> readBlock(u32 addr, std::size_t len) const;
 
-  /// Zeroes the whole address space.
-  void clear();
-
  private:
   void checkRange(u32 addr, u32 len) const;
-  std::vector<u8> bytes_;
+  std::size_t size_;
+  u8* bytes_ = nullptr;
 };
 
 /// Virtual page number of an address.

@@ -99,20 +99,16 @@ struct CoRunStats {
   u64 slices = 0;            ///< quantum slices dispatched
 };
 
-/// Cache-line aligned so the hot FetchPath inside keeps one layout
-/// wherever the scheduler lives. Runner::runGroup keeps it on the stack,
-/// and a frame 8 bytes smaller (a shrunken local elsewhere) once raised
-/// the co-run benchmark's p95 cell latency by about a third.
-class alignas(64) GuestScheduler {
+class GuestScheduler {
  public:
   /// @p machine configures the shared fetch path and the per-process
   /// D-caches/timing models; @p sched the quantum and TLB policy.
   GuestScheduler(const MachineConfig& machine, const SchedulerConfig& sched);
 
-  /// Registers a guest: loads @p image into a fresh private Memory and
-  /// returns the process's ASID (its index, starting at 0).
-  /// @p wp_area_bytes is the per-process WP limit (page-aligned,
-  /// already clamped to the image; must be 0 unless way-placement).
+  /// Registers a guest (every driver cell's members): loads @p image
+  /// into a private Memory the scheduler owns and returns the process's
+  /// ASID (its index, from 0). @p wp_area_bytes is the per-process WP
+  /// limit (page-aligned, clamped to the image; 0 unless way-placement).
   u32 addProcess(const std::string& name, const mem::Image& image,
                  u32 wp_area_bytes = 0);
 

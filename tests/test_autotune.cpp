@@ -9,11 +9,10 @@
 
 #include "driver/autotune.hpp"
 #include "mem/memory.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 driver::AutotuneConfig configWith(unsigned evals) {
   driver::AutotuneConfig c;

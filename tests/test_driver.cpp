@@ -5,11 +5,10 @@
 #include <cstdlib>
 
 #include "driver/runner.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 class DriverShape : public ::testing::TestWithParam<std::string> {};
 

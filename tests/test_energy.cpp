@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "energy/energy_model.hpp"
+#include "test_util.hpp"
 
 namespace wp::energy {
 namespace {
-
-const CacheGeometry kXScale{32 * 1024, 32, 32};
 
 TEST(EnergyModel, SingleWayLookupIsMuchCheaperThanFull) {
   const EnergyModel m;

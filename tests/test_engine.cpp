@@ -13,11 +13,10 @@
 #include "driver/checkpoint.hpp"
 #include "driver/runner.hpp"
 #include "workloads/workload.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 /// Observes nothing; attaching it only forces one-instruction batches.
 class NoOpHook : public cache::FetchFaultHook {

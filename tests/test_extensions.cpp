@@ -4,11 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "driver/runner.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 // --- way prediction --------------------------------------------------------
 

@@ -12,11 +12,10 @@
 
 #include "driver/runner.hpp"
 #include "fault/fault.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 /// Runs @p workload under @p scheme clean and with @p faults injected;
 /// asserts the faulted run is architecturally identical and correct.

@@ -1,11 +1,13 @@
-// Golden slice: a seed-0 Figure 6 sweep over crc, bitcount and sha
-// (way-memoization and way-placement at 16..1 KB) at 32 KB/32-way and
-// at the claim-11 corner, 16 KB/8-way, compared with the committed
-// recording BENCH_fig6.json field by field, numbers as source text.
+// Golden slices: seed-0 sweeps over crc, bitcount and sha, compared
+// with the committed recordings field by field, numbers as source text.
+// The Figure 6 slice (way-memoization and way-placement at 16..1 KB, at
+// 32 KB/32-way and at the claim-11 corner, 16 KB/8-way) reads
+// BENCH_fig6.json; the layout-ablation slice (every registered strategy
+// at the 1 KB area, 32 KB/32-way) reads BENCH_ablation_layout.json.
 // Host fields (timings, attempts, worker) are skipped, so any drift in
 // a guest number — energy, delay, cycles, coverage, layout — fails
 // tier-1. A change that moves guest numbers on purpose re-records the
-// BENCH files; this test reads the file, so it follows.
+// BENCH files; these tests read the files, so they follow.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -16,6 +18,7 @@
 
 #include "driver/checkpoint.hpp"
 #include "driver/sweep.hpp"
+#include "layout/strategy.hpp"
 
 namespace wp {
 namespace {
@@ -62,6 +65,31 @@ std::map<std::string, Fields> cellsOf(std::istream& report) {
   return cells;
 }
 
+/// Runs @p grid on @p suite, expects @p cells report cells, and
+/// compares each with the same cell of the recording at @p path.
+void expectGridMatchesRecording(
+    driver::SweepExecutor& suite,
+    const std::vector<driver::SweepExecutor::Cell>& grid, const char* path,
+    std::size_t cells) {
+  suite.runAll(grid);
+  ASSERT_TRUE(suite.quarantined().empty());
+
+  std::stringstream report;
+  suite.writeJsonReport(report);
+  const std::map<std::string, Fields> fresh = cellsOf(report);
+  std::ifstream recording(path);
+  ASSERT_TRUE(recording.is_open()) << "cannot read " << path;
+  const std::map<std::string, Fields> golden = cellsOf(recording);
+
+  EXPECT_EQ(fresh.size(), cells);
+  for (const auto& [key, fields] : fresh) {
+    SCOPED_TRACE(key);
+    const auto recorded = golden.find(key);
+    ASSERT_NE(recorded, golden.end()) << "cell is not in the recording";
+    EXPECT_EQ(fields, recorded->second);
+  }
+}
+
 TEST(GoldenFig6, SliceMatchesTheRecording) {
   // Pinned supervision and an explicit layout, so WP_RETRIES,
   // WP_CELL_FAULT or WP_LAYOUT in the shell cannot change the run.
@@ -81,23 +109,21 @@ TEST(GoldenFig6, SliceMatchesTheRecording) {
       grid.push_back({g, wp});
     }
   }
-  suite.runAll(grid);
-  ASSERT_TRUE(suite.quarantined().empty());
+  expectGridMatchesRecording(suite, grid, WP_GOLDEN_FIG6, 36);
+}
 
-  std::stringstream report;
-  suite.writeJsonReport(report);
-  const std::map<std::string, Fields> fresh = cellsOf(report);
-  std::ifstream recording(WP_GOLDEN_FIG6);
-  ASSERT_TRUE(recording.is_open()) << "cannot read " << WP_GOLDEN_FIG6;
-  const std::map<std::string, Fields> golden = cellsOf(recording);
-
-  EXPECT_EQ(fresh.size(), 36u);
-  for (const auto& [key, fields] : fresh) {
-    SCOPED_TRACE(key);
-    const auto recorded = golden.find(key);
-    ASSERT_NE(recorded, golden.end()) << "cell is not in the recording";
-    EXPECT_EQ(fields, recorded->second);
+TEST(GoldenAblationLayout, SliceMatchesTheRecording) {
+  // Pinned supervision and each cell's layout, as in the fig6 slice.
+  const driver::SupervisorConfig pinned;
+  driver::SweepExecutor suite({"crc", "bitcount", "sha"},
+                              energy::EnergyParams{}, 0, 4, &pinned);
+  std::vector<driver::SweepExecutor::Cell> grid;
+  for (const layout::LayoutStrategy* s : layout::strategies()) {
+    driver::SchemeSpec wp = driver::SchemeSpec::wayPlacement(1024);
+    wp.layout = s->name;
+    grid.push_back({{32 * 1024, 32, 32}, wp});
   }
+  expectGridMatchesRecording(suite, grid, WP_GOLDEN_ABLATION_LAYOUT, 18);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Memory and image tests: byte/word accessors, endianness, alignment
-// and range checking, image loading.
+// and range checking, demand paging, image loading.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <fstream>
 
 #include "mem/image.hpp"
 #include "mem/memory.hpp"
@@ -48,11 +52,20 @@ TEST(Memory, BulkBlockIo) {
   EXPECT_THROW(m.writeBlock(4094, data), SimError);
 }
 
-TEST(Memory, ClearZeroes) {
-  Memory m(4096);
-  m.store32(0, 0xffffffffu);
-  m.clear();
-  EXPECT_EQ(m.load32(0), 0u);
+/// This process's resident set in bytes (/proc/self/statm, field 2).
+std::size_t residentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0, resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Memory, UntouchedPagesCostNoResidentMemory) {
+  const std::size_t before = residentBytes();
+  Memory memories[16];  // 128 MB of guest address space
+  for (Memory& m : memories) m.store32(kDataBase, 0xffffffffu);
+  EXPECT_LT(residentBytes(), before + (4u << 20));
+  EXPECT_EQ(memories[15].load32(kDataBase + 4), 0u);
 }
 
 TEST(Memory, PageOf) {

@@ -14,6 +14,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -27,33 +29,10 @@
 #include "driver/sweep.hpp"
 #include "support/shutdown.hpp"
 #include "support/socket.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-/// Sets an environment variable for the enclosing scope; restores the
-/// previous value (or unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 /// An empty path under the test tempdir (anything there from a previous
 /// run is removed; the store/socket code creates what it needs).
@@ -368,11 +347,30 @@ TEST(ServiceServe, ConcurrentClientsShareOneComputeAndDrainCleanly) {
   EXPECT_EQ(rc, 0);
 }
 
+/// Wall milliseconds of one isolated, unwatched crc eval at the 1 KB
+/// area (its baseline and the cell) on this build, which a sanitizer
+/// build slows several times over.
+u64 isolatedCrcEvalMs() {
+  driver::SupervisorConfig sup;
+  sup.isolate = true;
+  sup.retries = 0;
+  TestService probe(7, 1, sup);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string reply = probe.service.handleLine(
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"wp_kb\": 1}");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(fate(reply), "served") << reply;
+  return static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count());
+}
+
 TEST(ServiceServe, OverloadShedsDeadlinesFireAndDrainStillFlushes) {
   driver::SupervisorConfig sup;
   sup.isolate = true;
   sup.retries = 0;
-  sup.cell_timeout_ms = 400;
+  // Only the hanging cell may hit the deadline, on any build: the
+  // queued crc cell gets several times what one costs here.
+  sup.cell_timeout_ms = std::max<u64>(400, 4 * isolatedCrcEvalMs());
   sup.timeout_check_interval = 1u << 12;
   driver::ServiceConfig config;
   config.socket_path = freshPath("svc2.sock");

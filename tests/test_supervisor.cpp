@@ -11,11 +11,10 @@
 #include "driver/checkpoint.hpp"
 #include "driver/sweep.hpp"
 #include "support/ensure.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 driver::SchemeSpec wpSpec() {
   return driver::SchemeSpec::wayPlacement(16 * 1024);
@@ -31,30 +30,6 @@ driver::SchemeSpec cellFaulted(fault::CellFault kind, u32 failures = 1) {
 }
 
 double icacheEnergy(const driver::Normalized& n) { return n.icache_energy; }
-
-/// Sets an environment variable for the enclosing scope; restores the
-/// previous value (or unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 // ---------------------------------------------------------------------
 // Backoff: seed-derived, never wall-clock (DESIGN.md §9).

@@ -14,37 +14,12 @@
 #include <vector>
 
 #include "driver/sweep.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
 
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
-
 std::vector<std::string> fastSubset() { return {"crc", "bitcount"}; }
-
-/// Sets an environment variable for the enclosing scope; restores the
-/// previous value (or unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 // ---------------------------------------------------------------------
 // keyOf: every field that can change a result must change the key.

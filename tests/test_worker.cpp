@@ -17,11 +17,10 @@
 #include "driver/sweep.hpp"
 #include "driver/worker.hpp"
 #include "support/ensure.hpp"
+#include "test_util.hpp"
 
 namespace wp {
 namespace {
-
-const cache::CacheGeometry kXScale{32 * 1024, 32, 32};
 
 driver::SchemeSpec wpSpec() {
   return driver::SchemeSpec::wayPlacement(16 * 1024);
