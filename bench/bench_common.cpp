@@ -117,21 +117,6 @@ std::string cellNum(const driver::SweepExecutor::SuiteAverage& a,
   return fmt(a.mean, decimals) + (a.degraded() ? "*" : "");
 }
 
-void printRunnerSummary(const driver::Runner& runner) {
-  MetricsRegistry& m = runner.metrics();
-  const double simulate = m.timer("phase.simulate").seconds();
-  const u64 insts = m.counter("guest.instructions").value();
-  std::fprintf(stderr,
-               "[wayplace] runner: %llu simulations, %.1fM guest insts, "
-               "simulate %.2fs host (%.1f MIPS)\n",
-               static_cast<unsigned long long>(
-                   m.timer("phase.simulate").count()),
-               static_cast<double>(insts) / 1e6, simulate,
-               simulate > 0.0
-                   ? static_cast<double>(insts) / simulate / 1e6
-                   : 0.0);
-}
-
 void printHeader(const std::string& title, const std::string& paper_ref) {
   std::cout << "==============================================================\n"
             << title << "\n"

@@ -85,9 +85,4 @@ void printHeader(const std::string& title, const std::string& paper_ref);
 [[nodiscard]] std::string cellNum(
     const driver::SweepExecutor::SuiteAverage& a, int decimals = 3);
 
-/// Throughput summary for benches that drive a bare Runner (no sweep
-/// executor, so no memo/JSON): guest instructions, host simulate time
-/// and MIPS from the runner's phase metrics. Printed to stderr.
-void printRunnerSummary(const driver::Runner& runner);
-
 }  // namespace wp::bench

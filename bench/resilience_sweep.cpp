@@ -103,7 +103,6 @@ int main() {
             << (all_ok ? "bit-identical to fault-free runs\n"
                        : "DIVERGED — way-placement state leaked into "
                          "correctness\n");
-  bench::printRunnerSummary(runner);
 
   // --- Cell supervision: whole-cell faults (a simulation that throws
   // SimError mid-run) are the other resilience axis. A transient fault

@@ -4,6 +4,7 @@
 
 #include "mem/memory.hpp"
 #include "support/ensure.hpp"
+#include "support/metrics.hpp"
 #include "workloads/common.hpp"
 
 namespace wp::driver {
@@ -84,15 +85,13 @@ PreparedWorkload Runner::prepare(const std::string& name,
   // The seed is threaded into the workload instance itself (inputs, key
   // material, references) — there is no process-wide seed, so Runners
   // with different seeds can interleave or run on different threads.
-  {
-    ScopedTimer span(metrics_.timer("phase.build"));
-    p.workload = workloads::makeWorkload(name, seed_);
-    p.module = p.workload->build();
-    p.phases.build_seconds = span.stop();
-  }
+  const Stopwatch build;
+  p.workload = workloads::makeWorkload(name, seed_);
+  p.module = p.workload->build();
+  p.phases.build_seconds = build.seconds();
 
   // Profile the original-order binary on the training input.
-  ScopedTimer profile_span(metrics_.timer("phase.profile"));
+  const Stopwatch profiling;
   mem::Image original = layout::runPipeline(p.module, "original").image;
   mem::Memory memory;
   original.loadInto(memory);
@@ -121,12 +120,12 @@ PreparedWorkload Runner::prepare(const std::string& name,
   } else {
     profile::annotate(p.module, prof);
   }
-  p.phases.profile_seconds = profile_span.stop();
+  p.phases.profile_seconds = profiling.seconds();
 
   // Run the pass pipeline once per registered strategy. The original
   // layout is recomputed after annotation so its report's spans carry
   // the profile (its image bytes do not depend on the weights).
-  ScopedTimer layout_span(metrics_.timer("phase.layout"));
+  const Stopwatch laying_out;
   for (const layout::LayoutStrategy* s : layout::strategies()) {
     if (s->needs_profile && !p.profile_ok) continue;
     p.layouts.emplace(s->name, layout::runPipeline(p.module, *s, seed_));
@@ -137,7 +136,7 @@ PreparedWorkload Runner::prepare(const std::string& name,
       if (s->needs_profile) p.layouts.emplace(s->name, fallback);
     }
   }
-  p.phases.layout_seconds = layout_span.stop();
+  p.phases.layout_seconds = laying_out.seconds();
   return p;
 }
 
@@ -197,14 +196,12 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
                   std::to_string(mem::kPageBytes) + "-byte page size");
   }
 
-  // The metrics registry's phase timer keeps wall-clock (observability:
-  // "where did the run's time go"), but the cell's own simulate_seconds
-  // — the guest-MIPS denominator — is *thread CPU time*: on an
-  // oversubscribed host (WP_JOBS above the core count) a wall-clock
-  // span charges the cell for time the scheduler spent running its
-  // neighbours, deflating reported MIPS by up to the oversubscription
-  // factor and making recordings incomparable across WP_JOBS settings.
-  ScopedTimer simulate_span(metrics_.timer("phase.simulate"));
+  // simulate_seconds — the guest-MIPS denominator — is *thread CPU
+  // time*: on an oversubscribed host (WP_JOBS above the core count) a
+  // wall-clock span charges the cell for time the scheduler spent
+  // running its neighbours, deflating reported MIPS by up to the
+  // oversubscription factor and making recordings incomparable across
+  // WP_JOBS settings.
   const double simulate_cpu_start = threadCpuSeconds();
 
   // Each member's WP limit is clamped to *its* code pages.
@@ -256,10 +253,8 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
   }
   result.stats = co.combined;
   result.simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
-  simulate_span.stop();
-  metrics_.counter("guest.instructions").add(result.stats.instructions);
 
-  ScopedTimer price_span(metrics_.timer("phase.price"));
+  const Stopwatch pricing;
   result.energy = sim::Processor::price(model_, machine, result.stats);
   // The cell's output is every member's output, concatenated in group
   // order: the stats digest (and so the store's verification) covers
@@ -271,7 +266,7 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
       extra->processes.push_back({std::move(co.processes[i]), std::move(out)});
     }
   }
-  result.price_seconds = price_span.stop();
+  result.price_seconds = pricing.seconds();
   if (injector.has_value()) result.injected = injector->stats();
   if (extra != nullptr) {
     extra->context_switches = co.context_switches;

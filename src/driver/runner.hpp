@@ -25,7 +25,6 @@
 #include "layout/strategy.hpp"
 #include "profile/profiler.hpp"
 #include "sim/scheduler.hpp"
-#include "support/metrics.hpp"
 #include "workloads/workload.hpp"
 
 namespace wp::driver {
@@ -90,8 +89,10 @@ struct SchemeSpec {
   }
 };
 
-/// Host wall-clock spent in the preparation phases of one workload.
-/// Pure observability: none of these values feed back into a result.
+/// Host wall-clock spent in the preparation phases of one workload —
+/// the only record of preparation cost (the sweep executor sums these
+/// for its report). Pure observability: none of these values feed back
+/// into a result.
 struct PreparePhases {
   double build_seconds = 0.0;    ///< workload construction + IR build
   double profile_seconds = 0.0;  ///< original link + training run
@@ -106,13 +107,15 @@ struct RunResult {
   sim::RunStats stats;
   energy::RunEnergy energy;
   /// Host cost of the simulate (machine setup + run) and price phases
-  /// for this cell. Observability only — never fed back into the
-  /// simulated machine, so results are identical with or without anyone
-  /// reading them. simulate_seconds is *thread CPU time*, not wall
-  /// clock: it is the guest-MIPS denominator, and a wall span on an
-  /// oversubscribed host (WP_JOBS above the core count) would charge
-  /// the cell for time the scheduler gave its neighbours, making
-  /// recordings incomparable across WP_JOBS settings.
+  /// for this cell — the only record of it (the sweep executor sums
+  /// these over the cells it computed). Observability only — never fed
+  /// back into the simulated machine, so results are identical with or
+  /// without anyone reading them. simulate_seconds is *thread CPU
+  /// time*, not wall clock: it is the guest-MIPS denominator, and a
+  /// wall span on an oversubscribed host (WP_JOBS above the core count)
+  /// would charge the cell for time the scheduler gave its neighbours,
+  /// making recordings incomparable across WP_JOBS settings.
+  /// price_seconds is wall clock.
   double simulate_seconds = 0.0;
   double price_seconds = 0.0;
   /// Guest-instruction throughput of the simulation in millions of
@@ -203,6 +206,8 @@ struct Normalized {
                                    const RunResult& baseline,
                                    const std::string& workload = {});
 
+/// Holds no mutable state, so one Runner serves any number of threads;
+/// each call's host cost travels in its own PreparePhases or RunResult.
 class Runner {
  public:
   /// @p seed is the experiment-wide RNG seed: it reaches workload input
@@ -291,18 +296,9 @@ class Runner {
     return model_;
   }
 
-  /// Aggregated host-side observability: phase timers ("phase.build",
-  /// "phase.profile", "phase.layout", "phase.simulate", "phase.price")
-  /// and the "guest.instructions" counter, accumulated across every
-  /// prepare()/runGroup() on this Runner from any thread. Mutable
-  /// through a const Runner by design — recording a timing span must
-  /// not force the experiment API non-const.
-  [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
-
  private:
   energy::EnergyModel model_;
   u64 seed_ = 0;
-  mutable MetricsRegistry metrics_;
 };
 
 }  // namespace wp::driver

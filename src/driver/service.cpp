@@ -272,7 +272,7 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
     // and a hang without a watchdog wedges a worker forever even under
     // isolation. Both are the client's problem to fix, not ours to die
     // of.
-    const SupervisorConfig& sup = suite_.supervisor().config();
+    const SupervisorConfig& sup = suite_.supervisor();
     if ((kind == fault::CellFault::kCrash ||
          kind == fault::CellFault::kHang) &&
         !sup.isolate) {
@@ -363,14 +363,18 @@ std::string SweepService::runSuiteRow(const Request& req) {
   JsonLine out = replyHead(req.id, req.op);
   if (icache.included == 0) {
     // The whole row quarantined: no mean exists to serve. Surface the
-    // first quarantine (deterministic: keys sort identically everywhere)
-    // so the client sees *why* instead of a row of QUAR.
-    std::string error = "every cell of the row quarantined";
-    for (const auto& q : suite_.quarantined()) {
-      error = q.error;
-      break;
+    // row's own first failure — in suite order, baseline before scheme
+    // as runEval does — so the client sees *why* instead of a row of
+    // QUAR, never another request's cell.
+    for (const PreparedWorkload& p : suite_.prepared()) {
+      for (const SchemeSpec& spec :
+           {SchemeSpec::baselineFor(req.spec), req.spec}) {
+        const SweepExecutor::CellView cell =
+            suite_.tryRun(p, req.icache, spec);
+        if (cell.quarantined) return quarantineReply(out, *cell.error);
+      }
     }
-    return quarantineReply(out, error);
+    return quarantineReply(out, "every cell of the row quarantined");
   }
   return out.str("fate", "served")
       .num("icache_energy", icache.mean)
@@ -419,8 +423,8 @@ std::string SweepService::healthReply(const Request& req) {
       .num("queue_depth", depth)
       .num("queue_limit", config_.queue_limit)
       .num("in_flight", in_flight)
-      .num("deadline_ms", suite_.supervisor().config().cell_timeout_ms)
-      .boolean("isolate", suite_.supervisor().config().isolate)
+      .num("deadline_ms", suite_.supervisor().cell_timeout_ms)
+      .boolean("isolate", suite_.supervisor().isolate)
       .boolean("draining", latch_.requested())
       .render();
 }
@@ -530,8 +534,8 @@ int SweepService::serve() {
                static_cast<unsigned long long>(suite_.runner().seed()),
                suite_.prepared().size(), suite_.jobs(), config_.queue_limit,
                static_cast<unsigned long long>(
-                   suite_.supervisor().config().cell_timeout_ms),
-               suite_.supervisor().config().isolate ? ", isolated" : "");
+                   suite_.supervisor().cell_timeout_ms),
+               suite_.supervisor().isolate ? ", isolated" : "");
 
   const unsigned workers = std::max(1u, suite_.jobs());
   std::vector<std::thread> pool;

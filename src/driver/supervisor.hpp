@@ -1,6 +1,7 @@
-// Cell supervision policy for the sweep executor: retry with
-// deterministic backoff, per-cell watchdog timeouts, and the harness-
-// level cell-fault knob that exercises both paths on real benches.
+// Cell supervision policy for the sweep executor: how many attempts a
+// cell gets, the per-cell watchdog, and the harness-level cell-fault
+// knob that exercises both paths on real benches. The policy is plain
+// config; the executor's attempt loop (driver/sweep.cpp) applies it.
 //
 // The design mirrors the paper's own robustness argument: just as
 // way-placement state is advisory (corrupting it can cost energy, never
@@ -29,7 +30,7 @@
 //                       forked worker process (driver/worker.hpp). A
 //                       SIGSEGV, OOM kill or runaway loop then costs
 //                       one attempt of one cell — it feeds the same
-//                       retry/backoff/quarantine ladder as a SimError —
+//                       retry/quarantine ladder as a SimError —
 //                       instead of the whole bench.
 //   WP_CELL_FAULT       harness fault injection for every non-baseline
 //                       cell: "transient[:N]" (N failing attempts, then
@@ -41,15 +42,12 @@
 //                       it). crash/hang are survivable only under
 //                       WP_ISOLATE=1 — that is what they death-test.
 //
-// Backoff ordering is *seed-derived, not wall-clock*: the pause between
-// attempts is a deterministic function of (experiment seed, cell key,
-// attempt), so a replayed or resumed sweep schedules its retries
-// identically — wall-clock backoff would make the retry interleaving
-// (and so the trace) unreproducible. See DESIGN.md §9.
+// A retry follows its failed attempt at once: transient and crash
+// faults heal by attempt index, not by waiting, and the cell's store
+// lease is held across its attempts. See DESIGN.md §9.
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "fault/fault.hpp"
 #include "sim/processor.hpp"
@@ -76,44 +74,14 @@ struct SupervisorConfig {
   /// Strict environment parse: any malformed value exits 1 with a
   /// message naming the knob (envUnsigned for the numeric knobs).
   [[nodiscard]] static SupervisorConfig fromEnv();
-};
-
-/// Stateless supervision helper owned by the SweepExecutor; the
-/// executor drives the attempt loop (it owns the memo and metrics) and
-/// asks this class for policy: how many attempts, how long to back off,
-/// which watchdog to install.
-class CellSupervisor {
- public:
-  CellSupervisor(SupervisorConfig config, u64 experiment_seed)
-      : config_(config), seed_(experiment_seed) {}
-
-  [[nodiscard]] const SupervisorConfig& config() const { return config_; }
 
   /// Total attempts a cell gets before quarantine (1 + retries).
-  [[nodiscard]] unsigned maxAttempts() const { return 1 + config_.retries; }
-
-  /// Deterministic backoff weight for retry @p attempt of @p cell_key:
-  /// derived from (seed, key, attempt) alone — never from wall-clock —
-  /// so the retry ordering replays bit-identically. Exposed for tests.
-  [[nodiscard]] static u64 backoffSlots(u64 seed, std::string_view cell_key,
-                                        unsigned attempt);
-
-  /// Cooperatively yields backoffSlots(...) times. Returns the slot
-  /// count (for the trace).
-  u64 backoff(std::string_view cell_key, unsigned attempt) const;
+  [[nodiscard]] unsigned maxAttempts() const { return 1 + retries; }
 
   /// The per-cell watchdog for @p cell_key: an instruction-budget hook
   /// that throws SimError once the cell has run past cell_timeout_ms.
   /// Empty (check == nullptr) when the watchdog is disabled.
   [[nodiscard]] sim::BudgetHook watchdogFor(const std::string& cell_key) const;
-
-  /// Applies the config-level WP_CELL_FAULT to a (non-baseline) cell
-  /// attempt; throws SimError on an injected failure.
-  void injectConfigCellFault(unsigned attempt) const;
-
- private:
-  SupervisorConfig config_;
-  u64 seed_;
 };
 
 }  // namespace wp::driver

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -64,20 +65,17 @@ SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
       // Strict WP_* parsing runs before anything expensive: a bad knob
       // exits 1 here, long before the first workload is prepared.
       supervisor_(supervisor != nullptr ? *supervisor
-                                        : SupervisorConfig::fromEnv(),
-                  seed),
+                                        : SupervisorConfig::fromEnv()),
       interrupt_latch_(interrupt_latch),
-      pool_(jobs == 0 ? jobsFromEnv() : jobs),
-      start_(std::chrono::steady_clock::now()) {
+      pool_(jobs == 0 ? jobsFromEnv() : jobs) {
   if (const char* trace_path = std::getenv("WP_TRACE");
       trace_path != nullptr && *trace_path != '\0') {
     trace_ = std::make_unique<TraceWriter>(trace_path);
     trace_->write(TraceEvent("sweep_start")
                       .num("seed", runner_.seed())
                       .num("jobs", pool_.threadCount())
-                      .num("retries", supervisor_.config().retries)
-                      .num("cell_timeout_ms",
-                           supervisor_.config().cell_timeout_ms)
+                      .num("retries", supervisor_.retries)
+                      .num("cell_timeout_ms", supervisor_.cell_timeout_ms)
                       .num("workloads",
                            static_cast<u64>(workload_names.size())));
   }
@@ -124,17 +122,13 @@ SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
 
 SweepExecutor::~SweepExecutor() {
   if (trace_) {
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
     trace_->write(
         TraceEvent("sweep_end")
             .num("cells_computed", metrics_.counter("cells.computed").value())
             .num("cells_quarantined",
                  metrics_.counter("cells.quarantined").value())
             .num("memo_hits", metrics_.counter("memo.hits").value())
-            .num("wall_seconds", wall));
+            .num("wall_seconds", start_.seconds()));
   }
 }
 
@@ -197,7 +191,6 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                     "': not started — shutdown requested before compute";
     entry.interrupted = true;
     entry.quarantined.store(true, std::memory_order_release);
-    metrics_.counter("cells.interrupted").add();
     if (trace_) {
       trace_->write(TraceEvent("cell_interrupted").str("key", key));
     }
@@ -267,7 +260,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
 
   const unsigned max_attempts = supervisor_.maxAttempts();
   const bool is_baseline = spec.scheme == cache::Scheme::kBaseline;
-  const bool isolate = supervisor_.config().isolate;
+  const bool isolate = supervisor_.isolate;
   for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
     entry.attempts = attempt;
     try {
@@ -282,7 +275,11 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
         if (spec.fault.cellFaultEnabled()) {
           fault::injectCellFault(spec.fault, attempt - 1);  // 0-based
         }
-        if (!is_baseline) supervisor_.injectConfigCellFault(attempt - 1);
+        if (!is_baseline) {
+          fault::injectCellFault(supervisor_.cell_fault,
+                                 supervisor_.cell_fault_failures, attempt - 1,
+                                 "WP_CELL_FAULT");
+        }
         const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
         return runner_.runGroup(group, icache, spec,
                                 workloads::InputSize::kLarge,
@@ -295,34 +292,22 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                           .num("worker", worker)
                           .boolean("isolated", isolate));
       }
-      ScopedTimer span(metrics_.timer("cell.wall"));
+      const Stopwatch wall;
       if (isolate) {
         // Crash domain = this attempt of this cell. Every way the
         // worker can die comes back as a WorkerResult error, rethrown
         // here so crashes, hangs and SimErrors all ride the same
-        // retry/backoff/quarantine ladder below.
-        WorkerResult wr =
-            runCellInWorker(key, image_digest,
-                            supervisor_.config().cell_timeout_ms,
-                            attemptBody);
+        // retry/quarantine ladder below. The result carries its own
+        // host cost, so nothing else needs to come back.
+        WorkerResult wr = runCellInWorker(
+            key, image_digest, supervisor_.cell_timeout_ms, attemptBody);
         if (!wr.ok) throw SimError(wr.error);
         entry.result = std::move(wr.result);
         metrics_.counter("cells.isolated").add();
-        // The child's simulator counters died with the child; fold the
-        // guest-side activity it reported back into the runner registry
-        // so MIPS accounting survives isolation.
-        MetricsRegistry& rm = runner_.metrics();
-        rm.counter("guest.instructions").add(entry.result.stats.instructions);
-        rm.timer("phase.simulate")
-            .record(std::chrono::nanoseconds(static_cast<u64>(
-                entry.result.simulate_seconds * 1e9)));
-        rm.timer("phase.price")
-            .record(std::chrono::nanoseconds(
-                static_cast<u64>(entry.result.price_seconds * 1e9)));
       } else {
         entry.result = attemptBody();
       }
-      entry.wall_seconds = span.stop();
+      entry.wall_seconds = wall.seconds();
       entry.worker = worker;
       metrics_.counter("cells.computed").add();
       if (attempt > 1) metrics_.counter("cells.healed").add();
@@ -366,14 +351,9 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                           .num("worker", worker)
                           .str("error", e.what()));
       }
-      if (attempt < max_attempts) {
-        const u64 slots = supervisor_.backoff(key, attempt);
-        if (trace_) {
-          trace_->write(TraceEvent("cell_retry")
-                            .str("key", key)
-                            .num("attempt", attempt)
-                            .num("backoff_slots", slots));
-        }
+      if (attempt < max_attempts && trace_) {
+        trace_->write(
+            TraceEvent("cell_retry").str("key", key).num("attempt", attempt));
       }
     }
   }
@@ -516,14 +496,56 @@ std::vector<SweepExecutor::QuarantinedCell> SweepExecutor::quarantined()
   return out;  // map order: deterministic at any job count
 }
 
+struct SweepExecutor::HostTotals {
+  u64 instructions = 0;
+  double simulate_seconds = 0.0;  ///< thread CPU; unmeasurable cells add 0
+  double price_seconds = 0.0;
+  /// The throughput split: a fast cell whose simulate span rounds to
+  /// 0 s carries no rate information, and folding its instructions over
+  /// zero seconds would poison the quotient, so such cells are counted
+  /// rather than averaged.
+  u64 measurable_instructions = 0;
+  u64 measurable_cells = 0;
+  u64 unmeasurable_cells = 0;
+  PreparePhases prepare;
+
+  /// Guest MIPS over the measurable cells; nullopt when none was.
+  [[nodiscard]] std::optional<double> guestMips() const {
+    if (simulate_seconds <= 0.0) return std::nullopt;
+    return static_cast<double>(measurable_instructions) / simulate_seconds /
+           1e6;
+  }
+};
+
+SweepExecutor::HostTotals SweepExecutor::hostTotals() const {
+  HostTotals t;
+  for (const auto& [key, entry] : memo_) {
+    // A store-served cell cost this run a read, not a simulation.
+    if (!entry->ready.load(std::memory_order_acquire) || entry->from_store) {
+      continue;
+    }
+    const RunResult& r = entry->result;
+    t.instructions += r.stats.instructions;
+    t.simulate_seconds += r.simulate_seconds;
+    t.price_seconds += r.price_seconds;
+    if (r.simulate_seconds > 0.0) {
+      t.measurable_instructions += r.stats.instructions;
+      ++t.measurable_cells;
+    } else {
+      ++t.unmeasurable_cells;
+    }
+  }
+  for (const PreparedWorkload& p : prepared_) {
+    t.prepare.build_seconds += p.phases.build_seconds;
+    t.prepare.profile_seconds += p.phases.profile_seconds;
+    t.prepare.layout_seconds += p.phases.layout_seconds;
+  }
+  return t;
+}
+
 void SweepExecutor::writeJsonReport(std::ostream& os) const {
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  MetricsRegistry& rm = runner_.metrics();
-  const double simulate_total = rm.timer("phase.simulate").seconds();
-  const u64 guest_insts = rm.counter("guest.instructions").value();
   std::lock_guard<std::mutex> lock(memo_mutex_);
+  const HostTotals totals = hostTotals();
   std::vector<std::string> prepare;
   for (const PreparedWorkload& p : prepared_) {
     prepare.push_back(JsonLine()
@@ -537,14 +559,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   }
   std::vector<std::string> quarantined;
   std::vector<std::string> cells;
-  // The throughput aggregate sums only cells whose simulate span was
-  // measurable: a fast cell rounding to 0 s carries no rate information,
-  // and folding its instructions over zero seconds would poison the
-  // quotient. Unmeasurable cells are counted, not averaged.
-  u64 measurable_insts = 0;
-  double measurable_seconds = 0.0;
-  u64 mips_measurable = 0;
-  u64 mips_unmeasurable = 0;
   for (const auto& [key, entry] : memo_) {
     if (entry->quarantined.load(std::memory_order_acquire)) {
       quarantined.push_back(JsonLine()
@@ -555,13 +569,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
                                 .render());
     }
     if (!entry->ready.load(std::memory_order_acquire)) continue;
-    if (entry->result.simulate_seconds > 0.0) {
-      measurable_insts += entry->result.stats.instructions;
-      measurable_seconds += entry->result.simulate_seconds;
-      ++mips_measurable;
-    } else {
-      ++mips_unmeasurable;
-    }
     const std::string base_key =
         keyOf(entry->workload, entry->icache,
               SchemeSpec::baselineFor(entry->spec));
@@ -621,16 +628,15 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
     return metrics_.counter(name).value();
   };
   JsonLine host;
-  host.num("guest_instructions", guest_insts)
-      .num("simulate_seconds", simulate_total);
-  if (measurable_seconds > 0.0) {
-    host.num("guest_mips",
-             static_cast<double>(measurable_insts) / measurable_seconds / 1e6);
+  host.num("guest_instructions", totals.instructions)
+      .num("simulate_seconds", totals.simulate_seconds);
+  if (const auto mips = totals.guestMips()) {
+    host.num("guest_mips", *mips);
   } else {
     host.raw("guest_mips", "null");
   }
-  host.num("mips_measurable_cells", mips_measurable)
-      .num("mips_unmeasurable_cells", mips_unmeasurable)
+  host.num("mips_measurable_cells", totals.measurable_cells)
+      .num("mips_unmeasurable_cells", totals.unmeasurable_cells)
       .num("cells_computed", count("cells.computed"))
       .num("cells_from_store", count("cells.from_store"))
       .num("cells_isolated", count("cells.isolated"))
@@ -651,11 +657,11 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
                .render())
       .raw("phase_seconds",
            JsonLine()
-               .num("build", rm.timer("phase.build").seconds())
-               .num("profile", rm.timer("phase.profile").seconds())
-               .num("layout", rm.timer("phase.layout").seconds())
-               .num("simulate", simulate_total)
-               .num("price", rm.timer("phase.price").seconds())
+               .num("build", totals.prepare.build_seconds)
+               .num("profile", totals.prepare.profile_seconds)
+               .num("layout", totals.prepare.layout_seconds)
+               .num("simulate", totals.simulate_seconds)
+               .num("price", totals.price_seconds)
                .render());
 
   // One top-level key per line and one cell per line: the golden checks
@@ -663,7 +669,7 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   JsonLine report(2);
   report.num("seed", runner_.seed())
       .num("jobs", pool_.threadCount())
-      .num("wall_seconds", wall)
+      .num("wall_seconds", start_.seconds())
       .num("workloads", prepared_.size())
       .raw("host", host.render())
       .raw("prepare", jsonList(prepare, 4))
@@ -699,17 +705,12 @@ void SweepExecutor::emitJsonIfRequested() const {
 }
 
 void SweepExecutor::printSummary(std::ostream& os) const {
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  MetricsRegistry& rm = runner_.metrics();
-  const double simulate = rm.timer("phase.simulate").seconds();
-  const u64 insts = rm.counter("guest.instructions").value();
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  const HostTotals totals = hostTotals();
   // "n/a", not 0.0: an unmeasurably short simulate span has no rate.
   char mips[32] = "n/a MIPS";
-  if (simulate > 0.0) {
-    std::snprintf(mips, sizeof mips, "%.1f MIPS",
-                  static_cast<double>(insts) / simulate / 1e6);
+  if (const auto rate = totals.guestMips()) {
+    std::snprintf(mips, sizeof mips, "%.1f MIPS", *rate);
   }
   const u64 quar = metrics_.counter("cells.quarantined").value();
   char extras[256] = "";
@@ -742,7 +743,8 @@ void SweepExecutor::printSummary(std::ostream& os) const {
                     metrics_.counter("cells.computed").value()),
                 static_cast<unsigned long long>(
                     metrics_.counter("memo.hits").value()),
-                extras, static_cast<double>(insts) / 1e6, simulate, mips, wall,
+                extras, static_cast<double>(totals.instructions) / 1e6,
+                totals.simulate_seconds, mips, start_.seconds(),
                 pool_.threadCount(),
                 trace_ ? (", trace: " + trace_->path()).c_str() : "");
   os << line;

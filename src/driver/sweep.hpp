@@ -10,12 +10,12 @@
 // geometry) is priced exactly once no matter how many schemes share it.
 //
 // Every cell runs *supervised* (see driver/supervisor.hpp): a cell that
-// throws SimError is retried with deterministic seed-derived backoff,
-// and a cell that exhausts its attempts is quarantined — tagged with
-// its full cell key, excluded from aggregation (SuiteAverage reports
-// how many cells an average lost), rendered as QUAR by the benches, and
-// surfaced through quarantined() so a bench can exit 3
-// (degraded-but-complete) instead of aborting the whole figure.
+// throws SimError is retried at once, and a cell that exhausts its
+// attempts is quarantined — tagged with its full cell key, excluded
+// from aggregation (SuiteAverage reports how many cells an average
+// lost), rendered as QUAR by the benches, and surfaced through
+// quarantined() so a bench can exit 3 (degraded-but-complete) instead
+// of aborting the whole figure.
 //
 // Environment knobs (parsed strictly — garbage is a startup error, not
 // a silent default; numbers go through envUnsigned, support/number.hpp):
@@ -49,10 +49,13 @@
 //
 // Instrumentation is host-side only: with or without WP_TRACE/WP_JSON/
 // WP_STORE, at any WP_JOBS, with or without WP_ISOLATE, the printed
-// tables are byte-identical.
+// tables are byte-identical. Host cost has one set of books: every
+// host aggregate (the report's host block and the stderr summary) is
+// summed from the RunResults of the cells this executor computed and
+// the PreparePhases of the workloads it prepared, so an isolated
+// attempt is accounted by the same code as an in-process one.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -149,7 +152,7 @@ class SweepExecutor {
   }
   [[nodiscard]] const Runner& runner() const { return runner_; }
   [[nodiscard]] unsigned jobs() const { return pool_.threadCount(); }
-  [[nodiscard]] const CellSupervisor& supervisor() const {
+  [[nodiscard]] const SupervisorConfig& supervisor() const {
     return supervisor_;
   }
 
@@ -221,14 +224,15 @@ class SweepExecutor {
 
   /// One-line human summary of the sweep so far — cells priced, memo
   /// hits, quarantined and store counts, guest instructions, host
-  /// throughput (MIPS), wall-clock and job count. Benches print this to
-  /// stderr (stderr, so the stdout tables stay byte-identical across
-  /// job counts).
+  /// throughput (MIPS), wall-clock and job count. The instruction,
+  /// simulate and MIPS figures are the report's host block. Benches
+  /// print this to stderr (stderr, so the stdout tables stay
+  /// byte-identical across job counts).
   void printSummary(std::ostream& os) const;
 
-  /// Host-side counters/timers: this executor's "cells.computed" /
-  /// "memo.hits" / "cells.from_store" / "cells.quarantined" /
-  /// "cells.failed_attempts" plus the shared Runner phase timers.
+  /// Host-side event counters: "cells.computed" / "memo.hits" /
+  /// "cells.from_store" / "cells.quarantined" / "cells.failed_attempts",
+  /// the store's and (under wp_serve) the service's.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
   /// True when WP_TRACE requested a JSONL event log.
   [[nodiscard]] bool tracing() const { return trace_ != nullptr; }
@@ -253,9 +257,14 @@ class SweepExecutor {
                    const cache::CacheGeometry& icache,
                    const SchemeSpec& spec);
 
+  /// Every host aggregate, summed from the computed cells' RunResults
+  /// and the prepared workloads' PreparePhases. Call under memo_mutex_.
+  struct HostTotals;
+  [[nodiscard]] HostTotals hostTotals() const;
+
   Runner runner_;
   mutable MetricsRegistry metrics_;
-  CellSupervisor supervisor_;
+  SupervisorConfig supervisor_;
   /// Optional shutdown latch consulted before each cell compute (see
   /// the constructor). Not owned; null = never interrupt.
   const ShutdownLatch* interrupt_latch_ = nullptr;
@@ -274,7 +283,7 @@ class SweepExecutor {
   /// Extra writeJsonReport sections (addJsonSection), key → rendered
   /// JSON. Guarded by memo_mutex_ like the other report inputs.
   std::map<std::string, std::string> extra_json_;
-  std::chrono::steady_clock::time_point start_;
+  Stopwatch start_;
 };
 
 }  // namespace wp::driver

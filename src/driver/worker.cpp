@@ -11,6 +11,7 @@
 
 #include "driver/checkpoint.hpp"
 #include "support/json.hpp"
+#include "support/metrics.hpp"
 
 namespace wp::driver {
 
@@ -40,13 +41,9 @@ void writeAll(int fd, const std::string& line) {
   std::string line;
   int code = 0;
   try {
-    const auto start = std::chrono::steady_clock::now();
+    const Stopwatch wall;
     const RunResult result = attempt();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    line = renderRecord(key, image_digest, result, wall);
+    line = renderRecord(key, image_digest, result, wall.seconds());
   } catch (const std::exception& e) {
     // SimError (cell faults, watchdog, WP_ENSURE) and anything else the
     // attempt can throw travel back verbatim so the parent's retry

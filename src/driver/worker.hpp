@@ -26,11 +26,11 @@
 // Every way a worker can die — signal, nonzero exit, torn record,
 // wall-clock overrun — comes back as a WorkerResult failure whose
 // message names the cell key, so the sweep executor can feed it into
-// the exact same retry/backoff/quarantine ladder as an in-process
-// SimError. Results that do come back are verified against their own
-// stats digest before they are trusted (the same discipline the result
-// store applies): a worker that died mid-write can produce a torn line,
-// never a wrong table.
+// the exact same retry/quarantine ladder as an in-process SimError.
+// Results that do come back are verified against their own stats
+// digest before they are trusted (the same discipline the result store
+// applies): a worker that died mid-write can produce a torn line, never
+// a wrong table.
 //
 // The serialized record round-trips every double at 17 significant
 // digits, so a table produced through workers is byte-identical to an
@@ -61,7 +61,8 @@ struct WorkerResult {
 /// @p timeout_ms > 0 arms the parent-side wall-clock kill; 0 waits
 /// forever. @p attempt runs in the child only — side effects
 /// on parent memory (metrics, traces, memo state) do not come back,
-/// which is exactly the isolation being bought.
+/// which is exactly the isolation being bought. Nothing else needs to:
+/// the returned RunResult carries the attempt's own host cost.
 [[nodiscard]] WorkerResult runCellInWorker(
     const std::string& key, u64 image_digest, u64 timeout_ms,
     const std::function<RunResult()>& attempt);

@@ -1,7 +1,7 @@
 // 64-bit FNV-1a, the one hash behind every fingerprint in the tree: the
 // simulator's equivalence hashes (retired pcs, data accesses), the
 // record digests (image, stats, cell key) that name and verify store
-// files, the supervisor's backoff jitter and the workload input seeds.
+// files, and the workload input seeds.
 //
 // Two forms share the constants. The byte form is textbook FNV-1a. The
 // word form folds a whole 64-bit value in one step (xor, then multiply),

@@ -57,28 +57,16 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Timer& MetricsRegistry::timer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Timer>& slot = timers_[name];
-  if (!slot) slot = std::make_unique<Timer>();
-  return *slot;
-}
-
 TraceWriter::TraceWriter(std::string path, std::string knob)
-    : path_(std::move(path)),
-      knob_(std::move(knob)),
-      start_(std::chrono::steady_clock::now()) {
+    : path_(std::move(path)), knob_(std::move(knob)) {
   errno = 0;
   out_.open(path_, std::ios::out | std::ios::trunc);
   if (!out_.good()) dieOnIoError(knob_, path_, "cannot open trace file");
 }
 
 void TraceWriter::write(const TraceEvent& event) {
-  const double ts =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
   char ts_text[32];
-  std::snprintf(ts_text, sizeof ts_text, "%.9f", ts);
+  std::snprintf(ts_text, sizeof ts_text, "%.9f", clock_.seconds());
   const std::string line = JsonLine()
                                .str("ev", event.name_)
                                .raw("ts", ts_text)

@@ -1,10 +1,12 @@
 // Observability primitives for the experiment harness: a thread-safe
-// counter/timer registry, RAII timing spans, and a JSONL trace writer.
+// counter registry, a wall-clock stopwatch, and a JSONL trace writer.
 //
-// The registry aggregates *host-side* activity (phase wall-clock, memo
-// hits, guest instructions simulated); nothing here feeds back into the
-// simulated machine, so instrumentation can never perturb a result —
-// tables stay byte-identical whether or not a trace is being recorded.
+// Host cost has one record: each cell's RunResult and each workload's
+// PreparePhases (driver/runner.hpp), from which the sweep executor
+// derives every aggregate. The registry here only counts events (memo
+// hits, cells computed, store traffic). Nothing here feeds back into
+// the simulated machine, so instrumentation can never perturb a result
+// — tables stay byte-identical whether or not a trace is being recorded.
 //
 // The trace writer emits one JsonLine (support/json.hpp) per event,
 // append-only and flushed per event so a crashed sweep still leaves a
@@ -69,73 +71,30 @@ class Counter {
   u64 value_ = 0;
 };
 
-/// Accumulated duration + span count; record() is safe from any thread.
-class Timer {
- public:
-  void record(std::chrono::nanoseconds d) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    total_ns_ += static_cast<u64>(d.count());
-    ++count_;
-  }
-  [[nodiscard]] u64 totalNanoseconds() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return total_ns_;
-  }
-  [[nodiscard]] u64 count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-  }
-  [[nodiscard]] double seconds() const {
-    return static_cast<double>(totalNanoseconds()) * 1e-9;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  u64 total_ns_ = 0;
-  u64 count_ = 0;
-};
-
-/// Named counters and timers, created on first use. Lookup returns a
-/// reference that stays valid for the registry's lifetime, so hot paths
-/// can cache it and pay only the atomic add per event.
+/// Named counters, created on first use. Lookup returns a reference
+/// that stays valid for the registry's lifetime, so hot paths can cache
+/// it and pay only the counter's own lock per event.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
-  Timer& timer(const std::string& name);
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
 };
 
-/// RAII span: records the elapsed time into @p timer on destruction (or
-/// at an explicit stop(), which also returns the elapsed seconds).
-class ScopedTimer {
+/// Wall-clock seconds elapsed since construction, on the steady clock.
+class Stopwatch {
  public:
-  explicit ScopedTimer(Timer& timer)
-      : timer_(&timer), start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (timer_ != nullptr) stop();
-  }
-
-  /// Ends the span now; returns elapsed seconds. Idempotent.
-  double stop() {
-    if (timer_ == nullptr) return last_seconds_;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_->record(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed));
-    last_seconds_ = std::chrono::duration<double>(elapsed).count();
-    timer_ = nullptr;
-    return last_seconds_;
+  [[nodiscard]] double seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
   }
 
  private:
-  Timer* timer_;
-  std::chrono::steady_clock::time_point start_;
-  double last_seconds_ = 0.0;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
 /// One trace event, written as `{"ev": "<name>", "ts": <seconds since
@@ -187,7 +146,7 @@ class TraceWriter {
   std::ofstream out_;
   mutable std::mutex mutex_;
   u64 events_ = 0;
-  std::chrono::steady_clock::time_point start_;
+  Stopwatch clock_;
 };
 
 }  // namespace wp

@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -16,16 +17,23 @@ namespace {
 
 // File-scope state, not members: the handler may run on any thread at
 // any instruction, so everything it touches must be an lvalue with
-// static storage duration and async-signal-safe access.
-volatile std::sig_atomic_t g_signal = 0;
+// static storage duration and async-signal-safe access. The flag is
+// also shared between threads (pool workers and the service's poll
+// thread read it while trigger() writes it), which sig_atomic_t does
+// not make safe; a lock-free atomic is safe both between threads and
+// inside a signal handler.
+std::atomic<int> g_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 int g_pipe[2] = {-1, -1};
 bool g_installed = false;
 std::once_flag g_install_once;
 
 void latchHandler(int sig) {
   // Order matters: the flag first, then the wakeup byte, so a poller
-  // woken by the pipe always observes requested() == true.
-  if (g_signal == 0) g_signal = sig;
+  // woken by the pipe always observes requested() == true. The first
+  // signal wins.
+  int none = 0;
+  g_signal.compare_exchange_strong(none, sig);
   if (g_pipe[1] >= 0) {
     const char byte = 1;
     // Best-effort: a full pipe already woke every poller.
@@ -68,16 +76,16 @@ void ShutdownLatch::install() {
 
 bool ShutdownLatch::installed() const { return g_installed; }
 
-bool ShutdownLatch::requested() const { return g_signal != 0; }
+bool ShutdownLatch::requested() const { return g_signal.load() != 0; }
 
-int ShutdownLatch::signalNumber() const { return g_signal; }
+int ShutdownLatch::signalNumber() const { return g_signal.load(); }
 
 int ShutdownLatch::pollFd() const { return g_pipe[0]; }
 
 void ShutdownLatch::trigger(int sig) { latchHandler(sig); }
 
 void ShutdownLatch::reset() {
-  g_signal = 0;
+  g_signal.store(0);
   if (g_pipe[0] >= 0) {
     char buf[64];
     while (::read(g_pipe[0], buf, sizeof buf) > 0) {

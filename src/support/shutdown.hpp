@@ -7,7 +7,7 @@
 // exit with a distinct code. The latch is the one async-signal-safe
 // primitive that supports both consumers:
 //
-//   polling   requested() is a relaxed atomic read — the sweep executor
+//   polling   requested() is an atomic read — the sweep executor
 //             checks it at each cell boundary, so an interrupted bench
 //             stops starting new cells but never tears a running one.
 //   waiting   pollFd() is the read end of a self-pipe the handler
@@ -18,7 +18,7 @@
 // install() is idempotent and chains nothing: it replaces the default
 // disposition only (benches and the daemon own their process). The
 // handler itself does exactly two async-signal-safe things — a write(2)
-// to the pipe and a sig_atomic_t store.
+// to the pipe and a compare-exchange on a lock-free std::atomic<int>.
 #pragma once
 
 namespace wp {

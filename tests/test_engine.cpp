@@ -7,11 +7,16 @@
 // FetchPath::fetch) and without (batched). Over the full workload suite
 // the two must agree on the retired instruction stream, the data flow,
 // the workload output and every RunStats counter (statsDigest also
-// folds in the priced energy).
+// folds in the priced energy). The differential fuzz slice at the end
+// repeats the comparison on tiny, miss-heavy machines.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "driver/checkpoint.hpp"
 #include "driver/runner.hpp"
+#include "layout/strategy.hpp"
+#include "profile/profiler.hpp"
 #include "workloads/workload.hpp"
 #include "test_util.hpp"
 
@@ -81,6 +86,251 @@ TEST(EngineEquivalence, AllWorkloadsIdenticalAcrossEngines) {
                 p.workload->expected(workloads::InputSize::kLarge));
       // Full RunStats + priced energy, in one digest.
       EXPECT_EQ(driver::statsDigest(interp), driver::statsDigest(block));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Differential fuzz, fixed-seed tier-1 slice. At 32 KB/32-way this suite
+// almost never misses, so the comparison above barely reaches the
+// closed-form fetch's miss, fill, replacement and flash-clear branches.
+// Here the same two runs meet on tiny machines (1-4 KB, 2-8 ways,
+// 16-64 B lines) with WP areas on both sides of the image edge, solo and
+// as two-process co-runs at seeded quanta under both TLB policies.
+
+/// One fuzz guest: its original and way-placed images, and how to feed
+/// it and read its result.
+struct FuzzGuest {
+  std::string name;
+  mem::Image original;
+  mem::Image placed;
+  /// The suite workload behind the guest (run on its small input), or
+  /// null for a random program, whose result is the word at "out".
+  const workloads::Workload* workload = nullptr;
+
+  [[nodiscard]] const mem::Image& image(cache::Scheme scheme) const {
+    return scheme == cache::Scheme::kWayPlacement ? placed : original;
+  }
+  [[nodiscard]] std::vector<u8> output(const mem::Memory& memory) const {
+    return workload != nullptr ? workload->output(memory)
+                               : memory.readBlock(mem::kDataBase, 4);
+  }
+};
+
+/// The guests and the Runner that prepared the workload ones.
+struct FuzzSuite {
+  driver::Runner runner;
+  std::vector<driver::PreparedWorkload> prepared;
+  std::vector<FuzzGuest> guests;
+};
+
+const FuzzSuite& fuzzSuite() {
+  static const FuzzSuite suite = [] {
+    FuzzSuite s;
+    for (const char* name : {"crc", "bitcount", "sha"}) {
+      s.prepared.push_back(s.runner.prepare(name));
+    }
+    for (const driver::PreparedWorkload& p : s.prepared) {
+      s.guests.push_back({p.name, p.imageFor("original"),
+                          p.imageFor("way_placement"), p.workload.get()});
+    }
+    for (const u64 seed : {3, 17, 29}) {
+      ir::Module m = randomProgram(seed);
+      FuzzGuest g{"random" + std::to_string(seed),
+                  layout::layoutImage(m, "original"), {}, nullptr};
+      mem::Memory memory;
+      g.original.loadInto(memory);
+      profile::annotate(m, profile::profileImage(g.original, memory));
+      g.placed = layout::layoutImage(m, "way_placement");
+      s.guests.push_back(std::move(g));
+    }
+    return s;
+  }();
+  return suite;
+}
+
+/// The machines of the slice, drawn from 1/2/4 KB x 2/4/8 ways x
+/// 16/32/64 B lines.
+std::vector<cache::CacheGeometry> fuzzGeometries(u64 seed, int count) {
+  Rng rng(seed);
+  std::vector<cache::CacheGeometry> out;
+  for (int i = 0; i < count; ++i) {
+    cache::CacheGeometry g;
+    g.size_bytes = (1u << rng.below(3)) * 1024;
+    g.ways = 2u << rng.below(3);
+    g.line_bytes = 16u << rng.below(3);
+    out.push_back(g);
+  }
+  return out;
+}
+
+/// WP area @p kind for @p image: 1 KB, one page short of the end of its
+/// code (at least one page), or one page past it.
+u32 fuzzWpArea(int kind, const mem::Image& image) {
+  const u32 pages = static_cast<u32>(
+      (image.code.size() + mem::kPageBytes - 1) / mem::kPageBytes);
+  if (kind == 0) return mem::kPageBytes;
+  if (kind == 1) return (std::max(pages, 2u) - 1) * mem::kPageBytes;
+  return (pages + 1) * mem::kPageBytes;
+}
+
+struct FuzzRun {
+  u64 digest = 0;  ///< statsDigest: every RunStats counter, energy, outputs
+  std::vector<u8> output;
+  std::vector<sim::ProcessRunStats> processes;
+  u64 icache_misses = 0;
+};
+
+/// Runs @p group on one GuestScheduler over @p machine, each member with
+/// its own WP area of @p area_kind; with a no-op fault hook attached when
+/// @p reference (one FetchPath::fetch per retirement).
+FuzzRun runFuzz(const driver::Runner& runner, sim::MachineConfig machine,
+                const sim::SchedulerConfig& sched,
+                const std::vector<const FuzzGuest*>& group, int area_kind,
+                bool reference) {
+  const cache::Scheme scheme = machine.fetch.scheme;
+  const bool wp = scheme == cache::Scheme::kWayPlacement;
+  if (wp) {
+    machine.fetch.wp_area_bytes =
+        fuzzWpArea(area_kind, group.front()->image(scheme));
+  }
+  sim::GuestScheduler s(machine, sched);
+  for (const FuzzGuest* g : group) {
+    const mem::Image& image = g->image(scheme);
+    const u32 asid =
+        s.addProcess(g->name, image, wp ? fuzzWpArea(area_kind, image) : 0);
+    if (g->workload != nullptr) {
+      g->workload->prepare(s.memoryOf(asid), workloads::InputSize::kSmall);
+    }
+  }
+  NoOpHook hook;
+  if (reference) s.fetchPath().attachFaultHook(&hook);
+  sim::CoRunStats co = s.run();
+  driver::RunResult r;
+  r.stats = co.combined;
+  r.energy = sim::Processor::price(runner.energyModel(), machine, r.stats);
+  for (u32 i = 0; i < group.size(); ++i) {
+    const std::vector<u8> out = group[i]->output(s.memoryOf(i));
+    if (group[i]->workload != nullptr) {
+      EXPECT_EQ(out, group[i]->workload->expected(workloads::InputSize::kSmall))
+          << group[i]->name;
+    }
+    r.output.insert(r.output.end(), out.begin(), out.end());
+  }
+  return {driver::statsDigest(r), r.output, std::move(co.processes),
+          r.stats.icache.misses};
+}
+
+/// The batched run and the per-instruction reference must agree on the
+/// full digest, the outputs and every process's hashes and cycles.
+/// Returns the reference run's I-cache misses.
+u64 expectBatchedMatchesReference(const driver::Runner& runner,
+                                   const sim::MachineConfig& machine,
+                                   const sim::SchedulerConfig& sched,
+                                   const std::vector<const FuzzGuest*>& group,
+                                   int area_kind) {
+  const FuzzRun ref = runFuzz(runner, machine, sched, group, area_kind, true);
+  const FuzzRun batched =
+      runFuzz(runner, machine, sched, group, area_kind, false);
+  EXPECT_EQ(batched.digest, ref.digest);
+  EXPECT_EQ(batched.output, ref.output);
+  EXPECT_EQ(batched.processes.size(), ref.processes.size());
+  if (batched.processes.size() != ref.processes.size()) return 0;
+  for (std::size_t i = 0; i < ref.processes.size(); ++i) {
+    SCOPED_TRACE(ref.processes[i].name);
+    EXPECT_EQ(batched.processes[i].instructions, ref.processes[i].instructions);
+    EXPECT_EQ(batched.processes[i].retired_pc_hash,
+              ref.processes[i].retired_pc_hash);
+    EXPECT_EQ(batched.processes[i].dataflow_hash,
+              ref.processes[i].dataflow_hash);
+    EXPECT_EQ(batched.processes[i].cycles, ref.processes[i].cycles);
+  }
+  return ref.icache_misses;
+}
+
+/// Machines per fuzz test, sized so the slice takes about 8 s.
+constexpr int kFuzzSoloMachines = 6;
+constexpr int kFuzzCoRunMachines = 8;
+
+constexpr cache::Scheme kFuzzSchemes[] = {
+    cache::Scheme::kBaseline, cache::Scheme::kWayPlacement,
+    cache::Scheme::kWayMemoization, cache::Scheme::kWayPrediction};
+
+/// The machine of one fuzz run: Table 1 around a tiny I-cache.
+sim::MachineConfig fuzzMachine(const driver::Runner& runner,
+                               const cache::CacheGeometry& g,
+                               cache::Scheme scheme, bool intraline_skip) {
+  driver::SchemeSpec spec;
+  spec.scheme = scheme;
+  spec.intraline_skip = intraline_skip;
+  return runner.machineFor(g, spec);
+}
+
+TEST(EngineFuzz, SoloRunsIdenticalOnMissHeavyMachines) {
+  const FuzzSuite& suite = fuzzSuite();
+  // Runs that missed more often than their code has lines: the slice
+  // must reach replacement, not only compulsory fills.
+  int replacing_runs = 0;
+  for (const cache::CacheGeometry& g :
+       fuzzGeometries(0x5eed, kFuzzSoloMachines)) {
+    SCOPED_TRACE(std::to_string(g.size_bytes) + " B/" +
+                 std::to_string(g.ways) + "-way/" +
+                 std::to_string(g.line_bytes) + " B lines");
+    for (const FuzzGuest& guest : suite.guests) {
+      SCOPED_TRACE(guest.name);
+      for (const cache::Scheme scheme : kFuzzSchemes) {
+        for (const bool skip : {true, false}) {
+          SCOPED_TRACE(std::string(cache::schemeName(scheme)) +
+                       (skip ? " skip" : " no-skip"));
+          const sim::MachineConfig m =
+              fuzzMachine(suite.runner, g, scheme, skip);
+          sim::SchedulerConfig solo;
+          solo.quantum = m.max_instructions;
+          const int areas = scheme == cache::Scheme::kWayPlacement ? 3 : 1;
+          const u64 code_lines =
+              (guest.image(scheme).code.size() + g.line_bytes - 1) /
+              g.line_bytes;
+          for (int kind = 0; kind < areas; ++kind) {
+            SCOPED_TRACE("area kind " + std::to_string(kind));
+            const u64 misses = expectBatchedMatchesReference(
+                suite.runner, m, solo, {&guest}, kind);
+            if (misses > code_lines) ++replacing_runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(replacing_runs, 0);
+}
+
+TEST(EngineFuzz, CoRunsIdenticalOnMissHeavyMachines) {
+  const FuzzSuite& suite = fuzzSuite();
+  Rng rng(0xc0);
+  for (const cache::CacheGeometry& g :
+       fuzzGeometries(0xc0de, kFuzzCoRunMachines)) {
+    SCOPED_TRACE(std::to_string(g.size_bytes) + " B/" +
+                 std::to_string(g.ways) + "-way/" +
+                 std::to_string(g.line_bytes) + " B lines");
+    const std::size_t a = rng.below(suite.guests.size());
+    const std::size_t b = (a + 1 + rng.below(suite.guests.size() - 1)) %
+                          suite.guests.size();
+    const std::vector<const FuzzGuest*> group = {&suite.guests[a],
+                                                 &suite.guests[b]};
+    sim::SchedulerConfig sched;
+    sched.quantum = 1 + rng.below(4000);
+    SCOPED_TRACE(group[0]->name + "+" + group[1]->name + " quantum " +
+                 std::to_string(sched.quantum));
+    for (const cache::TlbSwitchPolicy policy :
+         {cache::TlbSwitchPolicy::kFlush, cache::TlbSwitchPolicy::kAsidTagged}) {
+      sched.tlb_policy = policy;
+      for (const cache::Scheme scheme : kFuzzSchemes) {
+        SCOPED_TRACE(std::string(cache::tlbSwitchPolicyName(policy)) + " " +
+                     cache::schemeName(scheme));
+        const int kind = static_cast<int>(rng.below(3));
+        expectBatchedMatchesReference(
+            suite.runner, fuzzMachine(suite.runner, g, scheme, true), sched,
+            group, kind);
+      }
     }
   }
 }

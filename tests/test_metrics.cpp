@@ -1,11 +1,10 @@
-// Tests for the observability primitives: counter/timer registry,
-// scoped spans, JSONL trace events/writer, the flat-JSON codec every
+// Tests for the observability primitives: the counter registry, JSONL
+// trace events/writer, the flat-JSON codec every
 // line goes through (JsonLine + parseFlatJsonLine/JsonReader), and the
 // fail-loud I/O policy for requested artifacts.
 #include <gtest/gtest.h>
 
 #include <cfloat>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,15 +31,6 @@ TEST(Metrics, CounterAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Metrics, TimerAccumulatesDurationsAndCounts) {
-  Timer t;
-  t.record(std::chrono::nanoseconds(1'500'000'000));
-  t.record(std::chrono::nanoseconds(500'000'000));
-  EXPECT_EQ(t.count(), 2u);
-  EXPECT_EQ(t.totalNanoseconds(), 2'000'000'000u);
-  EXPECT_DOUBLE_EQ(t.seconds(), 2.0);
-}
-
 TEST(Metrics, RegistryReturnsStableReferences) {
   MetricsRegistry r;
   Counter& a = r.counter("x");
@@ -48,8 +38,6 @@ TEST(Metrics, RegistryReturnsStableReferences) {
   EXPECT_EQ(&r.counter("x"), &a) << "same name must be the same counter";
   EXPECT_EQ(r.counter("x").value(), 7u);
   EXPECT_EQ(r.counter("y").value(), 0u) << "fresh counter starts at zero";
-  Timer& t = r.timer("t");
-  EXPECT_EQ(&r.timer("t"), &t);
 }
 
 TEST(Metrics, RegistryIsThreadSafeUnderConcurrentAdds) {
@@ -61,28 +49,12 @@ TEST(Metrics, RegistryIsThreadSafeUnderConcurrentAdds) {
     threads.emplace_back([&r] {
       for (int k = 0; k < kAdds; ++k) {
         r.counter("shared").add();
-        r.timer("shared").record(std::chrono::nanoseconds(1));
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(r.counter("shared").value(),
             static_cast<u64>(kThreads) * kAdds);
-  EXPECT_EQ(r.timer("shared").count(), static_cast<u64>(kThreads) * kAdds);
-}
-
-TEST(Metrics, ScopedTimerRecordsOnceAndReturnsSeconds) {
-  Timer t;
-  {
-    ScopedTimer span(t);
-    const double s = span.stop();
-    EXPECT_GE(s, 0.0);
-    EXPECT_DOUBLE_EQ(span.stop(), s) << "stop() must be idempotent";
-  }
-  EXPECT_EQ(t.count(), 1u) << "destructor must not double-record";
-
-  { ScopedTimer span(t); }  // destructor path
-  EXPECT_EQ(t.count(), 2u);
 }
 
 TEST(Metrics, JsonEscapeHandlesSpecials) {

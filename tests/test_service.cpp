@@ -274,6 +274,24 @@ TEST(ServiceHandleLine, CrashFaultsDegradeByRetryBudget) {
   EXPECT_NE(field(reply, "error"), "");
 }
 
+TEST(ServiceHandleLine, SuiteRowQuarantineNamesItsOwnCell) {
+  driver::SupervisorConfig sup;
+  sup.retries = 0;
+  TestService ts(7, 1, sup);
+  // Another request's quarantined cell sorts before the row's own
+  // (".../16384/..." < ".../8192/..."): the row must still name its own.
+  const std::string other = ts.service.handleLine(
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"wp_kb\": 16, "
+      "\"fault\": \"persistent\"}");
+  ASSERT_EQ(fate(other), "quarantined") << other;
+  const std::string row = ts.service.handleLine(
+      "{\"op\": \"suite\", \"wp_kb\": 8, \"fault\": \"persistent\"}");
+  EXPECT_EQ(fate(row), "quarantined") << row;
+  const std::string error = field(row, "error");
+  EXPECT_NE(error.find("/8192/"), std::string::npos) << error;
+  EXPECT_EQ(error.find("/16384/"), std::string::npos) << error;
+}
+
 TEST(ServiceHandleLine, HangWithoutDeadlineIsRejectedAtAdmission) {
   driver::SupervisorConfig sup;
   sup.isolate = true;  // isolation alone is not enough for a hang

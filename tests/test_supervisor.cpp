@@ -1,6 +1,6 @@
 // Tests for the cell supervision layer (driver/supervisor.hpp):
-// deterministic backoff, transient faults healing on retry, persistent
-// faults quarantining without polluting the memo, and watchdog timeouts.
+// transient faults healing on retry, persistent faults quarantining
+// without polluting the memo, and watchdog timeouts.
 // Crash-safe resume through the result store lives in
 // test_result_store.cpp.
 #include <gtest/gtest.h>
@@ -30,33 +30,6 @@ driver::SchemeSpec cellFaulted(fault::CellFault kind, u32 failures = 1) {
 }
 
 double icacheEnergy(const driver::Normalized& n) { return n.icache_energy; }
-
-// ---------------------------------------------------------------------
-// Backoff: seed-derived, never wall-clock (DESIGN.md §9).
-
-TEST(CellSupervisorBackoff, SlotsAreDeterministicInSeedKeyAttempt) {
-  const u64 a = driver::CellSupervisor::backoffSlots(7, "crc/g32768", 1);
-  EXPECT_EQ(a, driver::CellSupervisor::backoffSlots(7, "crc/g32768", 1))
-      << "backoff must be a pure function of (seed, key, attempt)";
-
-  // Attempt n draws from [1 << min(n,6), 64 << min(n,6)] slots.
-  for (unsigned attempt = 0; attempt < 10; ++attempt) {
-    const unsigned shift = attempt < 6 ? attempt : 6;
-    const u64 slots =
-        driver::CellSupervisor::backoffSlots(0, "some/cell", attempt);
-    EXPECT_GE(slots, 1ULL << shift);
-    EXPECT_LE(slots, 64ULL << shift);
-  }
-}
-
-TEST(CellSupervisorBackoff, ScheduleDecorrelatesAcrossSeedsAndCells) {
-  // Two cells (or two seeds) must not retry in lockstep; these are pure
-  // functions, so the inequalities are stable across runs.
-  EXPECT_NE(driver::CellSupervisor::backoffSlots(0, "cell/a", 3),
-            driver::CellSupervisor::backoffSlots(0, "cell/b", 3));
-  EXPECT_NE(driver::CellSupervisor::backoffSlots(0, "cell/a", 3),
-            driver::CellSupervisor::backoffSlots(1, "cell/a", 3));
-}
 
 // ---------------------------------------------------------------------
 // Transient faults heal on retry with bit-identical results.

@@ -271,6 +271,38 @@ TEST(SweepExecutor, JsonReportCarriesObservabilityFields) {
   EXPECT_LE(jsonNumber(json, "wp_area_coverage", cell), 1.0);
 }
 
+TEST(SweepExecutor, HostBlockSumsTheCellsItComputed) {
+  // One set of books: the report's host block is the sum of the cells'
+  // own RunResults, and the stderr summary prints the report's MIPS.
+  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1);
+  const driver::SchemeSpec wp = driver::SchemeSpec::wayPlacement(16 * 1024);
+  suite.runAll({{kXScale, wp}});
+  const auto& p = suite.prepared().at(0);
+  const driver::RunResult& base =
+      suite.run(p, kXScale, driver::SchemeSpec::baseline());
+  const driver::RunResult& cell = suite.run(p, kXScale, wp);
+
+  std::ostringstream os;
+  suite.writeJsonReport(os);
+  const std::string json = os.str();
+  const std::size_t host = json.find("\"host\": {");
+  ASSERT_NE(host, std::string::npos);
+  // Two addends: the sum is the same in any order.
+  EXPECT_EQ(jsonNumber(json, "guest_instructions", host),
+            static_cast<double>(base.stats.instructions +
+                                cell.stats.instructions));
+  EXPECT_EQ(jsonNumber(json, "simulate_seconds", host),
+            base.simulate_seconds + cell.simulate_seconds);
+
+  std::ostringstream summary;
+  suite.printSummary(summary);
+  char mips[32];
+  std::snprintf(mips, sizeof mips, "(%.1f MIPS)",
+                jsonNumber(json, "guest_mips", host));
+  EXPECT_NE(summary.str().find(mips), std::string::npos)
+      << summary.str() << " does not print the report's " << mips;
+}
+
 TEST(SweepKey, LayoutStrategiesAreKeyMaterialAndAliasesCanonicalize) {
   driver::SchemeSpec s = driver::SchemeSpec::wayPlacement(1024);
   std::set<std::string> keys;

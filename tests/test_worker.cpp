@@ -3,12 +3,13 @@
 // bit-identically, every way a worker can die (SimError, SIGKILL,
 // nonzero exit, hang) is classified into a tagged failure, and the
 // sweep executor feeds those failures through the same
-// retry/backoff/quarantine ladder as in-process errors — so a crash or
+// retry/quarantine ladder as in-process errors — so a crash or
 // a wedged loop costs one attempt of one cell, never the bench.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -132,9 +133,22 @@ TEST(IsolatedSweep, TablesMatchInProcessRunsBitIdentically) {
             driver::statsDigest(isolated.run(ip, kXScale, wpSpec())));
   EXPECT_EQ(isolated.metrics().counter("cells.isolated").value(), 2u)
       << "baseline + way-placement both ran in workers";
-  EXPECT_GT(isolated.runner().metrics().counter("guest.instructions").value(),
-            0u)
-      << "the child's guest-side accounting must fold back into the parent";
+
+  // An isolated cell's RunResult carries its own host cost, so both
+  // reports sum the same guest instructions from the same cells.
+  const auto hostInstructions = [](const driver::SweepExecutor& suite) {
+    std::ostringstream os;
+    suite.writeJsonReport(os);
+    const std::string json = os.str();
+    const std::string needle = "\"guest_instructions\": ";
+    const std::size_t at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << json;
+    return at == std::string::npos
+               ? 0ull
+               : std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+  };
+  EXPECT_GT(hostInstructions(plain), 0u);
+  EXPECT_EQ(hostInstructions(isolated), hostInstructions(plain));
 }
 
 TEST(IsolatedSweep, CrashFaultHealsOnRetryInsteadOfKillingTheBench) {
