@@ -9,11 +9,6 @@
 
 namespace wp::driver {
 
-namespace {
-
-/// Clamps a way-placement area to @p image's code pages: pages past the
-/// end of code are never fetched, so the clamp is behavior-neutral, but
-/// it keeps per-process limits (and resize storms) inside each image.
 u32 clampWpAreaToImage(u32 wp_area_bytes, const mem::Image& image) {
   const u32 code_pages = static_cast<u32>(
       (image.code.size() + mem::kPageBytes - 1) / mem::kPageBytes);
@@ -21,7 +16,20 @@ u32 clampWpAreaToImage(u32 wp_area_bytes, const mem::Image& image) {
   return wp_area_bytes > code_bytes ? code_bytes : wp_area_bytes;
 }
 
-}  // namespace
+void stampLayout(RunResult& result, const PreparedWorkload& primary,
+                 const SchemeSpec& spec) {
+  const layout::LayoutResult& laid = primary.layoutFor(spec.layout);
+  result.layout_strategy = laid.report.strategy;
+  result.layout_chains = laid.report.chains;
+  result.layout_repairs = laid.report.repairs;
+  // Coverage against the *clamped* area — what the hardware will
+  // actually probe single-way.
+  result.wp_area_coverage =
+      spec.scheme == cache::Scheme::kWayPlacement
+          ? laid.report.coverage(
+                clampWpAreaToImage(spec.wp_area_bytes, laid.image))
+          : 0.0;
+}
 
 Normalized normalize(const RunResult& scheme, const RunResult& baseline,
                      const std::string& workload) {
@@ -241,16 +249,8 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
 
   sim::CoRunStats co = sched->run();
 
-  const layout::LayoutResult& laid = group.front()->layoutFor(spec.layout);
   RunResult result;
-  result.layout_strategy = laid.report.strategy;
-  result.layout_chains = laid.report.chains;
-  result.layout_repairs = laid.report.repairs;
-  if (wp) {
-    // Coverage against the *clamped* area — what the hardware will
-    // actually probe single-way.
-    result.wp_area_coverage = laid.report.coverage(wp_limits.front());
-  }
+  stampLayout(result, *group.front(), spec);
   result.stats = co.combined;
   result.simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
 

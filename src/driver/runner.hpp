@@ -190,6 +190,23 @@ struct PreparedWorkload {
       std::make_unique<std::mutex>();
 };
 
+/// @p wp_area_bytes clamped to @p image's code pages: pages past the end
+/// of code are never fetched, so the clamp is behavior-neutral, but it
+/// keeps per-process limits (and resize storms) inside each image.
+/// runGroup installs each member's clamped area; the sweep executor keys
+/// the machines it simulates on it.
+[[nodiscard]] u32 clampWpAreaToImage(u32 wp_area_bytes,
+                                     const mem::Image& image);
+
+/// Sets @p result's layout fields — the strategy, chains and fall-through
+/// repairs of the layout @p spec selects on @p primary, and (way-placement
+/// only) that layout's profiled coverage of the primary's clamped WP
+/// area. runGroup stamps every result with it; the sweep executor
+/// re-stamps a result it shares between layouts whose images are
+/// byte-identical.
+void stampLayout(RunResult& result, const PreparedWorkload& primary,
+                 const SchemeSpec& spec);
+
 /// Normalized headline metrics of a scheme run against its baseline.
 struct Normalized {
   double icache_energy = 1.0;  ///< scheme / baseline I-cache energy

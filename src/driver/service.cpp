@@ -20,6 +20,7 @@
 #include "support/ensure.hpp"
 #include "support/number.hpp"
 #include "support/socket.hpp"
+#include "support/stats.hpp"
 
 namespace wp::driver {
 
@@ -347,42 +348,52 @@ std::string SweepService::runEval(const Request& req) {
 }
 
 std::string SweepService::runSuiteRow(const Request& req) {
-  // One checked average per headline metric; the first call prices the
-  // whole row (every workload plus shared baselines) across the
-  // executor's pool, the rest read the memo.
-  const auto avg = [&](double Normalized::*metric) {
-    return suite_.averageNormalizedChecked(
-        req.icache, req.spec,
-        [metric](const Normalized& n) { return n.*metric; });
-  };
-  const SweepExecutor::SuiteAverage icache = avg(&Normalized::icache_energy);
-  const SweepExecutor::SuiteAverage total = avg(&Normalized::total_energy);
-  const SweepExecutor::SuiteAverage delay = avg(&Normalized::delay);
-  const SweepExecutor::SuiteAverage ed = avg(&Normalized::ed_product);
+  // One pass: price the whole row (every workload plus shared
+  // baselines) across the executor's pool, then read each workload's
+  // baseline and cell once for all four means, summed in preparation
+  // order like averageNormalizedChecked, so a mean is bit-identical to
+  // the bench tables'.
+  suite_.runAll({{req.icache, req.spec}});
+  Accumulator icache, total, delay, ed;
+  unsigned included = 0, excluded = 0;
+  const std::string* first_error = nullptr;
+  for (const PreparedWorkload& p : suite_.prepared()) {
+    const SweepExecutor::CellView base =
+        suite_.tryRun(p, req.icache, SchemeSpec::baselineFor(req.spec));
+    const SweepExecutor::CellView cell = suite_.tryRun(p, req.icache, req.spec);
+    if (base.quarantined || cell.quarantined) {
+      // The row's own first failure, in suite order and baseline before
+      // scheme as runEval does, is the one a wholly quarantined row
+      // reports — never another request's cell.
+      if (first_error == nullptr) {
+        first_error = base.quarantined ? base.error : cell.error;
+      }
+      ++excluded;
+      continue;
+    }
+    const Normalized n = normalize(*cell.result, *base.result, p.name);
+    icache.add(n.icache_energy);
+    total.add(n.total_energy);
+    delay.add(n.delay);
+    ed.add(n.ed_product);
+    ++included;
+  }
 
   JsonLine out = replyHead(req.id, req.op);
-  if (icache.included == 0) {
-    // The whole row quarantined: no mean exists to serve. Surface the
-    // row's own first failure — in suite order, baseline before scheme
-    // as runEval does — so the client sees *why* instead of a row of
-    // QUAR, never another request's cell.
-    for (const PreparedWorkload& p : suite_.prepared()) {
-      for (const SchemeSpec& spec :
-           {SchemeSpec::baselineFor(req.spec), req.spec}) {
-        const SweepExecutor::CellView cell =
-            suite_.tryRun(p, req.icache, spec);
-        if (cell.quarantined) return quarantineReply(out, *cell.error);
-      }
-    }
-    return quarantineReply(out, "every cell of the row quarantined");
+  if (included == 0) {
+    // The whole row quarantined: no mean exists to serve. Surface why
+    // instead of a row of QUAR.
+    return quarantineReply(out, first_error != nullptr
+                                    ? *first_error
+                                    : "every cell of the row quarantined");
   }
   return out.str("fate", "served")
-      .num("icache_energy", icache.mean)
-      .num("total_energy", total.mean)
-      .num("delay", delay.mean)
-      .num("ed_product", ed.mean)
-      .num("included", icache.included)
-      .num("excluded", icache.excluded)
+      .num("icache_energy", icache.mean())
+      .num("total_energy", total.mean())
+      .num("delay", delay.mean())
+      .num("ed_product", ed.mean())
+      .num("included", included)
+      .num("excluded", excluded)
       .render();
 }
 
@@ -434,6 +445,7 @@ std::string SweepService::statsReply(const Request& req) {
   return replyHead(req.id, req.op)
       .str("fate", "ok")
       .num("cells_computed", m.counter("cells.computed").value())
+      .num("machines_simulated", m.counter("machines.simulated").value())
       .num("cells_from_store", m.counter("cells.from_store").value())
       .num("cells_quarantined", m.counter("cells.quarantined").value())
       .num("memo_hits", m.counter("memo.hits").value())

@@ -4,8 +4,11 @@
 // across many geometries, CI dashboards — keep re-paying suite
 // preparation and process startup for every query. The service keeps
 // one prepared SweepExecutor resident behind a Unix-domain socket and
-// answers evaluation requests from its memo, then its result store,
-// so a warm cell costs a socket round-trip instead of a process.
+// answers evaluation requests from its memo, then its result store, so
+// a warm cell costs a socket round-trip instead of a process. A `suite`
+// row is one runAll batch and shares machines with earlier rows; an
+// `eval` is a lone request and simulates a cell of its own, so its cost
+// never depends on which other request reached a machine first.
 //
 // Protocol: one flat one-line JSON object per message in each direction
 // (the result store's and worker pipe's shape: JsonLine writes it,
@@ -18,7 +21,9 @@
 //   recommend  the dominant-block WP-area recommendation for one
 //              workload under one layout (driver/autotune.hpp)
 //   health     liveness + admission state (never touches the queue)
-//   stats      executor/store/service counters
+//   stats      executor/store/service counters (cells_computed counts
+//              requested cells priced without their own store record,
+//              machines_simulated the simulations run to price them)
 //   drain      begin graceful shutdown (same path as SIGTERM)
 //
 // Design rules (DESIGN.md §14):

@@ -25,36 +25,70 @@ unsigned jobsFromEnv() {
                    : static_cast<unsigned>(jobs);
 }
 
+/// One requested cell: the unit of report rows, quarantine keys, store
+/// records and service replies.
 struct SweepExecutor::CellEntry {
   std::string workload;
   cache::CacheGeometry icache;
   SchemeSpec spec;
   std::once_flag once;
-  /// Set after the once-body produced a usable result (computed or
-  /// served from the store); writeJsonReport and aggregation skip
+  /// Set after the once-body produced a usable result (from the store
+  /// or from the cell's machine); writeJsonReport and aggregation skip
   /// entries without it. Mutually exclusive with `quarantined`.
   std::atomic<bool> ready{false};
-  /// Set when every supervised attempt failed. The entry then carries
-  /// `failure` instead of `result`, and stays quarantined for the
-  /// executor's lifetime (a re-run gets fresh attempts because
+  /// Set when the cell's machine exhausted its attempts. The entry then
+  /// carries `failure` instead of `result`, and stays quarantined for
+  /// the executor's lifetime (a re-run gets fresh attempts because
   /// quarantined cells are never published to the store).
   std::atomic<bool> quarantined{false};
-  RunResult result;
-  /// Tagged error of the most recent failed attempt:
-  /// "cell '<key>' (attempt i/n): <what>".
+  /// The cell's result once ready: its machine's, shared, or `own`.
+  const RunResult* result = nullptr;
+  /// The cell's store record, or its machine's result re-stamped with
+  /// this cell's layout fields (another layout, byte-identical image).
+  RunResult own;
+  /// Tagged error of the machine's final failed attempt, naming this
+  /// cell: "cell '<key>' (attempt i/n): <what>".
   std::string failure;
-  /// Attempts spent on this cell (0 = served from the store without
-  /// running anything).
+  /// Attempts its machine spent (0 = served from the store, or from a
+  /// machine a store record filled, without running anything).
   unsigned attempts = 0;
   /// Quarantined-without-running because the shutdown latch fired.
   bool interrupted = false;
   bool from_store = false;  ///< served from the WP_STORE result store
-  /// Host wall-clock of the whole cell compute (simulate + price) and
-  /// the pool worker that ran it (-1: computed on an external thread;
-  /// -3: served from the result store — wall_seconds is then the
-  /// original compute's).
+  /// Host wall-clock this request spent getting its result (the
+  /// simulation for the cell that ran its machine, a lookup for the
+  /// cells sharing it) and the pool worker that settled it (-1: an
+  /// external thread; -3: served from the result store — wall_seconds
+  /// is then the original compute's).
   double wall_seconds = 0.0;
   int worker = -1;
+};
+
+/// One distinct simulated machine. Requested cells that differ only in
+/// WP areas that clamp alike, or in layouts whose images are
+/// byte-identical, share it.
+struct SweepExecutor::Machine {
+  enum class State { kEmpty, kRunning, kReady, kQuarantined };
+  State state = State::kEmpty;  ///< guarded by memo_mutex_
+  /// Once ready: `simulated`, or the result of the store-served cell
+  /// that filled the machine.
+  const RunResult* result = nullptr;
+  RunResult simulated;
+  bool from_store = false;  ///< filled from a cell's store record
+  unsigned attempts = 0;    ///< attempts spent (0 = filled from the store)
+  /// What the final failed attempt threw, once quarantined.
+  std::string error;
+};
+
+struct SweepExecutor::MachineId {
+  /// The primary, then every co-run partner that resolved.
+  std::vector<const PreparedWorkload*> group;
+  /// Why the partners do not resolve; the attempts then fail with it.
+  std::string group_error;
+  std::string key;
+  /// Names the cell's store record: the primary's image digest for a
+  /// solo cell, the fold over every member's for a co-run.
+  u64 image_digest = 0;
 };
 
 SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
@@ -102,8 +136,9 @@ SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
                "thread(s)...\n",
                workload_names.size(), pool_.threadCount());
   prepared_.resize(workload_names.size());
+  std::vector<ThreadPool::Task> prepares;
   for (std::size_t i = 0; i < workload_names.size(); ++i) {
-    pool_.submit([this, &workload_names, i] {
+    prepares.push_back([this, &workload_names, i] {
       prepared_[i] = runner_.prepare(workload_names[i]);
       if (trace_) {
         const PreparedWorkload& p = prepared_[i];
@@ -117,6 +152,7 @@ SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
       }
     });
   }
+  pool_.submitAll(std::move(prepares));
   pool_.wait();
 }
 
@@ -125,6 +161,8 @@ SweepExecutor::~SweepExecutor() {
     trace_->write(
         TraceEvent("sweep_end")
             .num("cells_computed", metrics_.counter("cells.computed").value())
+            .num("machines_simulated",
+                 metrics_.counter("machines.simulated").value())
             .num("cells_quarantined",
                  metrics_.counter("cells.quarantined").value())
             .num("memo_hits", metrics_.counter("memo.hits").value())
@@ -132,24 +170,22 @@ SweepExecutor::~SweepExecutor() {
   }
 }
 
-std::string SweepExecutor::keyOf(const std::string& workload,
-                                 const cache::CacheGeometry& g,
-                                 const SchemeSpec& s) {
+namespace {
+
+/// A memo key with the WP area and layout fields given as text: a cell
+/// key holds the requested values, a machine key what the machine runs.
+std::string keyWith(const std::string& workload, const cache::CacheGeometry& g,
+                    const SchemeSpec& s, const std::string& area,
+                    const std::string& layout) {
   // How the retire loop batches its fetches is deliberately absent:
   // batching is host-side only and never changes a result (the
   // equivalence tests enforce it), so a store recorded before any
   // batching change legitimately serves the runs after it.
   std::ostringstream os;
   os << workload << '/' << g.size_bytes << '/' << g.ways << '/'
-     << g.line_bytes << '/' << static_cast<int>(s.scheme) << '/'
-     << s.wp_area_bytes << '/' << s.intraline_skip << '/'
-     << s.wm_precise_invalidation << '/' << s.drowsy_window << '/'
-     // Canonicalized so an alias spelling (or any equivalent spelling
-     // of a parameterized spec) memoizes to the same cell, and so every
-     // tuned param value is key material — a store record can never
-     // serve a differently-tuned cell. Default-param specs canonicalize
-     // to the bare name, keeping pre-parameterization stores valid.
-     << layout::resolveStrategy(s.layout).canonical();
+     << g.line_bytes << '/' << static_cast<int>(s.scheme) << '/' << area
+     << '/' << s.intraline_skip << '/' << s.wm_precise_invalidation << '/'
+     << s.drowsy_window << '/' << layout;
   if (s.fault.runtimeEnabled()) {
     os << "/f" << s.fault.period << ':' << s.fault.seed << ':'
        << s.fault.flip_way_hint << s.fault.flip_tlb_wp_bit
@@ -175,10 +211,246 @@ std::string SweepExecutor::keyOf(const std::string& workload,
   return os.str();
 }
 
+bool sameLayout(const RunResult& a, const RunResult& b) {
+  return a.layout_strategy == b.layout_strategy &&
+         a.layout_chains == b.layout_chains &&
+         a.layout_repairs == b.layout_repairs &&
+         a.wp_area_coverage == b.wp_area_coverage;
+}
+
+}  // namespace
+
+std::string SweepExecutor::keyOf(const std::string& workload,
+                                 const cache::CacheGeometry& g,
+                                 const SchemeSpec& s) {
+  // The layout is canonicalized so an alias spelling (or any equivalent
+  // spelling of a parameterized spec) memoizes to the same cell, and so
+  // every tuned param value is key material — a store record can never
+  // serve a differently-tuned cell. Default-param specs canonicalize to
+  // the bare name, keeping pre-parameterization stores valid.
+  return keyWith(workload, g, s, std::to_string(s.wp_area_bytes),
+                 layout::resolveStrategy(s.layout).canonical());
+}
+
+u64 SweepExecutor::digestOf(const mem::Image& image) {
+  std::lock_guard<std::mutex> lock(digest_mutex_);
+  const auto [it, fresh] = digests_.try_emplace(&image, 0);
+  if (fresh) it->second = imageDigest(image);
+  return it->second;
+}
+
+SweepExecutor::MachineId SweepExecutor::machineOf(
+    const std::string& cell_key, const PreparedWorkload& p,
+    const cache::CacheGeometry& icache, const SchemeSpec& spec) {
+  // Every cell is a process group: the primary, then (for a co-run)
+  // every corun_partners name resolved against the prepared suite. An
+  // empty partner list is a one-process co-run; an empty name or an
+  // unresolvable partner is a deterministic cell failure that rides the
+  // normal retry/quarantine ladder with the key attached instead of
+  // aborting the sweep.
+  MachineId id;
+  id.group.push_back(&p);
+  if (spec.corunEnabled()) {
+    const std::string& names = spec.corun_partners;
+    for (std::size_t start = 0; !names.empty() && id.group_error.empty();) {
+      const std::size_t comma = names.find(',', start);
+      const std::string name = names.substr(start, comma - start);
+      const auto partner = std::find_if(
+          prepared_.begin(), prepared_.end(),
+          [&](const PreparedWorkload& c) { return c.name == name; });
+      if (name.empty()) {
+        id.group_error = "empty co-run partner name in '" + names + "'";
+      } else if (partner == prepared_.end()) {
+        id.group_error = "co-run partner '" + name +
+                         "' is not a prepared workload of this sweep";
+      } else {
+        id.group.push_back(&*partner);
+      }
+      if (comma == std::string::npos) break;
+      start = comma + 1;
+    }
+  }
+
+  // The machine key is the cell key with each member's clamped WP area
+  // in place of the requested one and its image digest in place of the
+  // layout name: everything else (geometry, scheme knobs, faults, the
+  // co-run axis) stays key material. An area runGroup rejects keeps its
+  // raw value, so it can never borrow a valid machine. A solo cell's
+  // store record is named by its image's bare digest (solo records
+  // predate co-runs); a co-run's folds every member's, so it is tied to
+  // *all* the code the cell simulates.
+  std::string areas;
+  std::string digests;
+  u64 folded = kFnvOffset;
+  for (const PreparedWorkload* member : id.group) {
+    const mem::Image& image = member->imageFor(spec.layout);
+    const u64 digest = digestOf(image);
+    folded = fnv1aWord(folded, digest);
+    const u32 area = spec.wp_area_bytes % mem::kPageBytes == 0
+                         ? clampWpAreaToImage(spec.wp_area_bytes, image)
+                         : spec.wp_area_bytes;
+    char hex[20];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    areas += (areas.empty() ? "" : ":") + std::to_string(area);
+    digests += (digests.empty() ? "" : ":") + std::string(hex);
+  }
+  id.image_digest =
+      spec.corunEnabled() ? folded : digestOf(p.imageFor(spec.layout));
+  // A group that does not resolve has no machine to share: its attempts
+  // fail alone, under the cell's own key.
+  id.key = id.group_error.empty()
+               ? keyWith(p.name, icache, spec, areas, digests)
+               : cell_key;
+  return id;
+}
+
+bool SweepExecutor::simulate(Machine& machine, const MachineId& id,
+                             const std::string& key,
+                             const cache::CacheGeometry& icache,
+                             const SchemeSpec& spec) {
+  const int worker = ThreadPool::currentWorkerIndex();
+  const unsigned max_attempts = supervisor_.maxAttempts();
+  const bool is_baseline = spec.scheme == cache::Scheme::kBaseline;
+  const bool isolate = supervisor_.isolate;
+  for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
+    machine.attempts = attempt;
+    try {
+      // The whole attempt body — fault injection, watchdog, simulate,
+      // price — so the isolated path runs exactly what the in-process
+      // path runs, just inside a forked worker. Spec-scoped faults
+      // first (unit tests target one cell), then the WP_CELL_FAULT
+      // knob, which spares baselines so a persistent fault degrades
+      // cells rather than erasing every normalization denominator.
+      const auto attemptBody = [&]() -> RunResult {
+        if (!id.group_error.empty()) throw SimError(id.group_error);
+        if (spec.fault.cellFaultEnabled()) {
+          fault::injectCellFault(spec.fault, attempt - 1);  // 0-based
+        }
+        if (!is_baseline) {
+          fault::injectCellFault(supervisor_.cell_fault,
+                                 supervisor_.cell_fault_failures, attempt - 1,
+                                 "WP_CELL_FAULT");
+        }
+        const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
+        return runner_.runGroup(id.group, icache, spec,
+                                workloads::InputSize::kLarge,
+                                watchdog.check ? &watchdog : nullptr);
+      };
+      if (trace_) {
+        trace_->write(TraceEvent("cell_start")
+                          .str("key", key)
+                          .num("attempt", attempt)
+                          .num("worker", worker)
+                          .boolean("isolated", isolate));
+      }
+      const Stopwatch wall;
+      if (isolate) {
+        // Crash domain = this attempt of this machine. Every way the
+        // worker can die comes back as a WorkerResult error, rethrown
+        // here so crashes, hangs and SimErrors all ride the same
+        // retry/quarantine ladder below. The result carries its own
+        // host cost, so nothing else needs to come back.
+        WorkerResult wr = runCellInWorker(
+            key, id.image_digest, supervisor_.cell_timeout_ms, attemptBody);
+        if (!wr.ok) throw SimError(wr.error);
+        machine.simulated = std::move(wr.result);
+        metrics_.counter("cells.isolated").add();
+      } else {
+        machine.simulated = attemptBody();
+      }
+      machine.result = &machine.simulated;
+      metrics_.counter("machines.simulated").add();
+      if (attempt > 1) metrics_.counter("cells.healed").add();
+      if (trace_) {
+        const RunResult& r = machine.simulated;
+        TraceEvent ev("cell_end");
+        ev.str("key", key)
+            .num("attempt", attempt)
+            .num("worker", worker)
+            .num("wall_seconds", wall.seconds())
+            .num("simulate_seconds", r.simulate_seconds)
+            .num("price_seconds", r.price_seconds);
+        // Omitted (not 0) when the simulate span rounded to 0 s.
+        if (const auto mips = r.guestMips()) ev.num("guest_mips", *mips);
+        ev.num("instructions", r.stats.instructions)
+            .num("cycles", r.stats.cycles)
+            .str("layout", r.layout_strategy)
+            .num("layout_chains", r.layout_chains)
+            .num("layout_repairs", r.layout_repairs)
+            .num("wp_area_coverage", r.wp_area_coverage);
+        trace_->write(ev);
+      }
+      return true;
+    } catch (const SimError& e) {
+      machine.error = e.what();
+      metrics_.counter("cells.failed_attempts").add();
+      if (trace_) {
+        trace_->write(TraceEvent("cell_failure")
+                          .str("key", key)
+                          .num("attempt", attempt)
+                          .num("worker", worker)
+                          .str("error", e.what()));
+      }
+      if (attempt < max_attempts && trace_) {
+        trace_->write(
+            TraceEvent("cell_retry").str("key", key).num("attempt", attempt));
+      }
+    }
+  }
+  return false;
+}
+
+SweepExecutor::Machine& SweepExecutor::ensureMachine(
+    const MachineId& id, const std::string& key,
+    const cache::CacheGeometry& icache, const SchemeSpec& spec) {
+  Machine* machine = nullptr;
+  bool claimed = false;
+  {
+    std::unique_lock<std::mutex> lock(memo_mutex_);
+    std::unique_ptr<Machine>& slot = machines_[id.key];
+    if (!slot) slot = std::make_unique<Machine>();
+    machine = slot.get();
+    machine_cv_.wait(lock, [machine] {
+      return machine->state != Machine::State::kRunning;
+    });
+    claimed = machine->state == Machine::State::kEmpty;
+    if (claimed) machine->state = Machine::State::kRunning;
+  }
+  if (!claimed) {
+    if (trace_) {
+      trace_->write(TraceEvent("machine_hit")
+                        .str("key", key)
+                        .str("machine", id.key)
+                        .num("worker", ThreadPool::currentWorkerIndex()));
+    }
+    return *machine;
+  }
+
+  const auto settle = [&](Machine::State state) {
+    {
+      std::lock_guard<std::mutex> lock(memo_mutex_);
+      machine->state = state;
+    }
+    machine_cv_.notify_all();
+  };
+  try {
+    settle(simulate(*machine, id, key, icache, spec)
+               ? Machine::State::kReady
+               : Machine::State::kQuarantined);
+  } catch (...) {
+    // Not a cell failure (those are SimErrors, settled by the ladder):
+    // give the claim back so no requester waits forever, and rethrow.
+    settle(Machine::State::kEmpty);
+    throw;
+  }
+  return *machine;
+}
+
 void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                                 const PreparedWorkload& p,
                                 const cache::CacheGeometry& icache,
-                                const SchemeSpec& spec) {
+                                const SchemeSpec& spec, bool batched) {
   const int worker = ThreadPool::currentWorkerIndex();
 
   // Interrupt check before any work (and before touching the store, so
@@ -197,51 +469,25 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
     return;
   }
 
-  // Every cell is a process group: the primary, then (for a co-run)
-  // every corun_partners name resolved against the prepared suite. An
-  // empty partner list is a one-process co-run; an empty name or an
-  // unresolvable partner is a deterministic cell failure that rides the
-  // normal retry/quarantine ladder with the key attached instead of
-  // aborting the sweep. A solo cell's store record is named by its
-  // image's bare digest (solo records predate co-runs); a co-run's folds
-  // every member's, so it is tied to *all* the code the cell simulates.
-  std::vector<const PreparedWorkload*> group{&p};
-  std::string group_error;
-  u64 image_digest = imageDigest(p.imageFor(spec.layout));
-  if (spec.corunEnabled()) {
-    const std::string& names = spec.corun_partners;
-    for (std::size_t start = 0; !names.empty() && group_error.empty();) {
-      const std::size_t comma = names.find(',', start);
-      const std::string name = names.substr(start, comma - start);
-      const auto partner = std::find_if(
-          prepared_.begin(), prepared_.end(),
-          [&](const PreparedWorkload& c) { return c.name == name; });
-      if (name.empty()) {
-        group_error = "empty co-run partner name in '" + names + "'";
-      } else if (partner == prepared_.end()) {
-        group_error = "co-run partner '" + name +
-                      "' is not a prepared workload of this sweep";
-      } else {
-        group.push_back(&*partner);
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    image_digest = kFnvOffset;
-    for (const PreparedWorkload* pw : group) {
-      image_digest =
-          fnv1aWord(image_digest, imageDigest(pw->imageFor(spec.layout)));
-    }
-  }
+  MachineId id = machineOf(key, p, icache, spec);
+  // Only a runAll batch shares machines: it plans them from its cell
+  // list, one job per machine, so within a batch which cell simulates
+  // and which look it up is fixed before any thread runs. A lone
+  // request keys its machine on its own cell, so its cost never hangs
+  // on whether another request (a store read, or a compute on another
+  // thread) reached the machine first.
+  if (!batched) id.key = key;
 
-  // Result store first: it coordinates across *processes*, so even the
-  // lookup participates in the lease protocol — on a miss this cell now
-  // holds its compute lease (released on every exit path below).
+  // The cell's own store record first: the store coordinates across
+  // *processes*, so even the lookup participates in the lease protocol
+  // — on a miss this cell now holds its compute lease (released on
+  // every exit path below).
   ResultStore::Lease lease;
   if (store_) {
-    ResultStore::Outcome outcome = store_->open(key, image_digest);
+    ResultStore::Outcome outcome = store_->open(key, id.image_digest);
     if (outcome.record) {
-      entry.result = std::move(outcome.record->result);
+      entry.own = std::move(outcome.record->result);
+      entry.result = &entry.own;
       entry.wall_seconds = outcome.record->wall_seconds;
       entry.worker = -3;
       entry.from_store = true;
@@ -252,131 +498,75 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                           .str("key", key)
                           .num("worker", worker));
       }
+      {
+        // The record fills its machine too, unless the machine is
+        // already claimed, so the cells sharing it need no simulation.
+        std::lock_guard<std::mutex> lock(memo_mutex_);
+        std::unique_ptr<Machine>& slot = machines_[id.key];
+        if (!slot) slot = std::make_unique<Machine>();
+        if (slot->state == Machine::State::kEmpty) {
+          slot->result = &entry.own;
+          slot->from_store = true;
+          slot->state = Machine::State::kReady;
+        }
+      }
       entry.ready.store(true, std::memory_order_release);
       return;
     }
     lease = std::move(outcome.lease);
   }
 
-  const unsigned max_attempts = supervisor_.maxAttempts();
-  const bool is_baseline = spec.scheme == cache::Scheme::kBaseline;
-  const bool isolate = supervisor_.isolate;
-  for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-    entry.attempts = attempt;
-    try {
-      // The whole attempt body — fault injection, watchdog, simulate,
-      // price — so the isolated path runs exactly what the in-process
-      // path runs, just inside a forked worker. Spec-scoped faults
-      // first (unit tests target one cell), then the WP_CELL_FAULT
-      // knob, which spares baselines so a persistent fault degrades
-      // cells rather than erasing every normalization denominator.
-      const auto attemptBody = [&]() -> RunResult {
-        if (!group_error.empty()) throw SimError(group_error);
-        if (spec.fault.cellFaultEnabled()) {
-          fault::injectCellFault(spec.fault, attempt - 1);  // 0-based
-        }
-        if (!is_baseline) {
-          fault::injectCellFault(supervisor_.cell_fault,
-                                 supervisor_.cell_fault_failures, attempt - 1,
-                                 "WP_CELL_FAULT");
-        }
-        const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
-        return runner_.runGroup(group, icache, spec,
-                                workloads::InputSize::kLarge,
-                                watchdog.check ? &watchdog : nullptr);
-      };
-      if (trace_) {
-        trace_->write(TraceEvent("cell_start")
-                          .str("key", key)
-                          .num("attempt", attempt)
-                          .num("worker", worker)
-                          .boolean("isolated", isolate));
-      }
-      const Stopwatch wall;
-      if (isolate) {
-        // Crash domain = this attempt of this cell. Every way the
-        // worker can die comes back as a WorkerResult error, rethrown
-        // here so crashes, hangs and SimErrors all ride the same
-        // retry/quarantine ladder below. The result carries its own
-        // host cost, so nothing else needs to come back.
-        WorkerResult wr = runCellInWorker(
-            key, image_digest, supervisor_.cell_timeout_ms, attemptBody);
-        if (!wr.ok) throw SimError(wr.error);
-        entry.result = std::move(wr.result);
-        metrics_.counter("cells.isolated").add();
-      } else {
-        entry.result = attemptBody();
-      }
-      entry.wall_seconds = wall.seconds();
-      entry.worker = worker;
-      metrics_.counter("cells.computed").add();
-      if (attempt > 1) metrics_.counter("cells.healed").add();
-      if (trace_) {
-        TraceEvent ev("cell_end");
-        ev.str("key", key)
-            .num("attempt", attempt)
-            .num("worker", worker)
-            .num("wall_seconds", entry.wall_seconds)
-            .num("simulate_seconds", entry.result.simulate_seconds)
-            .num("price_seconds", entry.result.price_seconds);
-        // Omitted (not 0) when the simulate span rounded to 0 s.
-        if (const auto mips = entry.result.guestMips()) {
-          ev.num("guest_mips", *mips);
-        }
-        ev.num("instructions", entry.result.stats.instructions)
-            .num("cycles", entry.result.stats.cycles)
-            .str("layout", entry.result.layout_strategy)
-            .num("layout_chains", entry.result.layout_chains)
-            .num("layout_repairs", entry.result.layout_repairs)
-            .num("wp_area_coverage", entry.result.wp_area_coverage);
-        trace_->write(ev);
-      }
-      if (store_) {
-        store_->put(lease, key, image_digest, entry.result,
-                    entry.wall_seconds);
-      }
-      entry.ready.store(true, std::memory_order_release);
-      return;
-    } catch (const SimError& e) {
-      // Satellite of the supervision layer: no SimError leaves a cell
-      // without its full identity attached.
-      entry.failure = "cell '" + key + "' (attempt " +
-                      std::to_string(attempt) + "/" +
-                      std::to_string(max_attempts) + "): " + e.what();
-      metrics_.counter("cells.failed_attempts").add();
-      if (trace_) {
-        trace_->write(TraceEvent("cell_failure")
-                          .str("key", key)
-                          .num("attempt", attempt)
-                          .num("worker", worker)
-                          .str("error", e.what()));
-      }
-      if (attempt < max_attempts && trace_) {
-        trace_->write(
-            TraceEvent("cell_retry").str("key", key).num("attempt", attempt));
-      }
+  // Then the machine table, which simulates the machine if no other
+  // cell has. Its result carries the layout fields of the cell that
+  // produced it; a cell whose layout differs (but whose image bytes do
+  // not) gets a copy stamped with its own.
+  const Stopwatch wall;
+  const Machine& machine = ensureMachine(id, key, icache, spec);
+  entry.attempts = machine.attempts;
+  if (machine.result == nullptr) {
+    // Quarantine releases the lease (via Lease's destructor) without
+    // publishing: another process gets a fresh claim at this cell, and
+    // a re-run gets fresh attempts. Every cell of the machine is
+    // quarantined under its own key; the attempts were spent once.
+    entry.failure = "cell '" + key + "' (attempt " +
+                    std::to_string(machine.attempts) + "/" +
+                    std::to_string(supervisor_.maxAttempts()) +
+                    "): " + machine.error;
+    entry.quarantined.store(true, std::memory_order_release);
+    metrics_.counter("cells.quarantined").add();
+    std::fprintf(stderr,
+                 "[wayplace] QUARANTINED cell '%s' after %u attempt(s): %s\n",
+                 key.c_str(), entry.attempts, entry.failure.c_str());
+    if (trace_) {
+      trace_->write(TraceEvent("cell_quarantined")
+                        .str("key", key)
+                        .num("attempts", entry.attempts)
+                        .str("error", entry.failure));
     }
+    return;
   }
-
-  // Quarantine releases the lease (via Lease's destructor) without
-  // publishing: another process gets a fresh claim at this cell, and a
-  // re-run gets fresh attempts.
-  entry.quarantined.store(true, std::memory_order_release);
-  metrics_.counter("cells.quarantined").add();
-  std::fprintf(stderr,
-               "[wayplace] QUARANTINED cell '%s' after %u attempt(s): %s\n",
-               key.c_str(), entry.attempts, entry.failure.c_str());
-  if (trace_) {
-    trace_->write(TraceEvent("cell_quarantined")
-                      .str("key", key)
-                      .num("attempts", entry.attempts)
-                      .str("error", entry.failure));
+  RunResult fields;
+  stampLayout(fields, p, spec);
+  if (sameLayout(fields, *machine.result)) {
+    entry.result = machine.result;
+  } else {
+    entry.own = *machine.result;
+    stampLayout(entry.own, p, spec);
+    entry.result = &entry.own;
   }
+  entry.wall_seconds = wall.seconds();
+  entry.worker = worker;
+  metrics_.counter("cells.computed").add();
+  if (store_) {
+    store_->put(lease, key, id.image_digest, *entry.result,
+                entry.wall_seconds);
+  }
+  entry.ready.store(true, std::memory_order_release);
 }
 
 SweepExecutor::CellEntry& SweepExecutor::ensureCell(
     const PreparedWorkload& p, const cache::CacheGeometry& icache,
-    const SchemeSpec& spec) {
+    const SchemeSpec& spec, bool batched) {
   const std::string key = keyOf(p.name, icache, spec);
   CellEntry* entry = nullptr;
   {
@@ -390,12 +580,12 @@ SweepExecutor::CellEntry& SweepExecutor::ensureCell(
     }
     entry = slot.get();
   }
-  // Exactly-once supervised compute; a second thread asking for the
-  // same cell blocks here until the first settles the cell's fate
-  // (ready or quarantined — the once-body itself never throws).
+  // Exactly-once settle; a second thread asking for the same cell
+  // blocks here until the first settles the cell's fate (ready or
+  // quarantined — the once-body never throws for a cell failure).
   bool settled_here = false;
   std::call_once(entry->once, [&] {
-    computeCell(*entry, key, p, icache, spec);
+    computeCell(*entry, key, p, icache, spec, batched);
     settled_here = true;
   });
   if (!settled_here) {
@@ -411,46 +601,71 @@ SweepExecutor::CellEntry& SweepExecutor::ensureCell(
 }
 
 void SweepExecutor::runAll(const std::vector<Cell>& cells) {
+  // One job per distinct machine, settling that machine's requested
+  // cells in grid order, so no pool thread waits on a sibling computing
+  // the same machine. The baseline is requested before each cell:
+  // normalize() needs it for every cell of its geometry, and the memo
+  // dedups it across schemes. A co-run cell normalizes against the
+  // *co-run* baseline (same quantum/policy/partners, baseline scheme),
+  // so the comparison isolates the scheme, not the multiprogramming.
+  struct Request {
+    const PreparedWorkload* p;
+    cache::CacheGeometry icache;
+    SchemeSpec spec;
+  };
+  std::vector<std::vector<Request>> jobs;
+  std::map<std::string, std::size_t> job_of_machine;
   for (const PreparedWorkload& p : prepared_) {
     for (const Cell& cell : cells) {
-      pool_.submit([this, &p, cell] {
-        // The baseline first: normalize() needs it for every cell of
-        // this geometry, and ensureCell dedups it across schemes. A
-        // co-run cell normalizes against the *co-run* baseline (same
-        // quantum/policy/partners, baseline scheme), so the comparison
-        // isolates the scheme, not the multiprogramming.
-        ensureCell(p, cell.icache, SchemeSpec::baselineFor(cell.spec));
-        ensureCell(p, cell.icache, cell.spec);
-      });
+      for (const SchemeSpec& spec :
+           {SchemeSpec::baselineFor(cell.spec), cell.spec}) {
+        const std::string machine =
+            machineOf(keyOf(p.name, cell.icache, spec), p, cell.icache, spec)
+                .key;
+        const auto [job, fresh] =
+            job_of_machine.try_emplace(machine, jobs.size());
+        if (fresh) jobs.emplace_back();
+        jobs[job->second].push_back({&p, cell.icache, spec});
+      }
     }
   }
+  std::vector<ThreadPool::Task> tasks;
+  tasks.reserve(jobs.size());
+  for (std::vector<Request>& job : jobs) {
+    tasks.push_back([this, requests = std::move(job)] {
+      for (const Request& r : requests) {
+        ensureCell(*r.p, r.icache, r.spec, /*batched=*/true);
+      }
+    });
+  }
+  pool_.submitAll(std::move(tasks));
   pool_.wait();
 }
 
 const RunResult& SweepExecutor::run(const PreparedWorkload& p,
                                     const cache::CacheGeometry& icache,
                                     const SchemeSpec& spec) {
-  CellEntry& entry = ensureCell(p, icache, spec);
+  CellEntry& entry = ensureCell(p, icache, spec, /*batched=*/false);
   if (entry.quarantined.load(std::memory_order_acquire)) {
     // The cell key travels with the error: a caller that cannot handle
     // degradation at least reports exactly which (workload, geometry,
     // scheme) died, not a bare simulator message.
     throw SimError("quarantined " + entry.failure);
   }
-  return entry.result;
+  return *entry.result;
 }
 
 SweepExecutor::CellView SweepExecutor::tryRun(
     const PreparedWorkload& p, const cache::CacheGeometry& icache,
     const SchemeSpec& spec) {
-  CellEntry& entry = ensureCell(p, icache, spec);
+  CellEntry& entry = ensureCell(p, icache, spec, /*batched=*/false);
   CellView view;
   view.attempts = entry.attempts;
   if (entry.quarantined.load(std::memory_order_acquire)) {
     view.quarantined = true;
     view.error = &entry.failure;
   } else {
-    view.result = &entry.result;
+    view.result = entry.result;
   }
   return view;
 }
@@ -519,12 +734,13 @@ struct SweepExecutor::HostTotals {
 
 SweepExecutor::HostTotals SweepExecutor::hostTotals() const {
   HostTotals t;
-  for (const auto& [key, entry] : memo_) {
-    // A store-served cell cost this run a read, not a simulation.
-    if (!entry->ready.load(std::memory_order_acquire) || entry->from_store) {
+  // Each simulation once, however many cells share it; a store-filled
+  // machine cost this run a read, not a simulation.
+  for (const auto& [key, machine] : machines_) {
+    if (machine->state != Machine::State::kReady || machine->from_store) {
       continue;
     }
-    const RunResult& r = entry->result;
+    const RunResult& r = machine->simulated;
     t.instructions += r.stats.instructions;
     t.simulate_seconds += r.simulate_seconds;
     t.price_seconds += r.price_seconds;
@@ -578,8 +794,8 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
         !base->second->ready.load(std::memory_order_acquire)) {
       continue;  // scheme priced without its baseline: nothing to normalize
     }
-    const Normalized n =
-        normalize(entry->result, base->second->result, entry->workload);
+    const RunResult& r = *entry->result;
+    const Normalized n = normalize(r, *base->second->result, entry->workload);
     JsonLine cell;
     cell.str("workload", entry->workload)
         .num("icache_size_bytes", entry->icache.size_bytes)
@@ -593,10 +809,10 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
         .num("drowsy_window", entry->spec.drowsy_window)
         // The layout that actually ran (profile fallback makes this
         // "original" even when the spec asked for a profile-driven one).
-        .str("layout", entry->result.layout_strategy)
-        .num("layout_chains", entry->result.layout_chains)
-        .num("layout_repairs", entry->result.layout_repairs)
-        .num("wp_area_coverage", entry->result.wp_area_coverage)
+        .str("layout", r.layout_strategy)
+        .num("layout_chains", r.layout_chains)
+        .num("layout_repairs", r.layout_repairs)
+        .num("wp_area_coverage", r.wp_area_coverage)
         .boolean("fault", entry->spec.fault.runtimeEnabled());
     // Only co-run cells carry the multiprog fields, so solo reports
     // keep their exact schema.
@@ -609,14 +825,14 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
         .num("total_energy", n.total_energy)
         .num("delay", n.delay)
         .num("ed_product", n.ed_product)
-        .num("cycles", entry->result.stats.cycles)
-        .num("instructions", entry->result.stats.instructions)
+        .num("cycles", r.stats.cycles)
+        .num("instructions", r.stats.instructions)
         .num("attempts", entry->attempts)
         .boolean("from_store", entry->from_store)
         .num("wall_seconds", entry->wall_seconds)
-        .num("simulate_seconds", entry->result.simulate_seconds)
-        .num("price_seconds", entry->result.price_seconds);
-    if (const auto mips = entry->result.guestMips()) {
+        .num("simulate_seconds", r.simulate_seconds)
+        .num("price_seconds", r.price_seconds);
+    if (const auto mips = r.guestMips()) {
       cell.num("guest_mips", *mips);
     } else {
       cell.raw("guest_mips", "null");  // span rounded to 0 s: not measurable
@@ -638,6 +854,7 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   host.num("mips_measurable_cells", totals.measurable_cells)
       .num("mips_unmeasurable_cells", totals.unmeasurable_cells)
       .num("cells_computed", count("cells.computed"))
+      .num("machines_simulated", count("machines.simulated"))
       .num("cells_from_store", count("cells.from_store"))
       .num("cells_isolated", count("cells.isolated"))
       .num("cells_healed", count("cells.healed"))
@@ -735,12 +952,14 @@ void SweepExecutor::printSummary(std::ostream& os) const {
   }
   char line[640];
   std::snprintf(line, sizeof line,
-                "[wayplace] sweep: %zu workloads, %llu cells priced "
-                "(+%llu memo hits%s), %.1fM guest insts, simulate %.2fs host "
-                "(%s), wall %.2fs, jobs %u%s\n",
+                "[wayplace] sweep: %zu workloads, %llu cells priced on "
+                "%llu machines simulated (+%llu memo hits%s), %.1fM guest "
+                "insts, simulate %.2fs host (%s), wall %.2fs, jobs %u%s\n",
                 prepared_.size(),
                 static_cast<unsigned long long>(
                     metrics_.counter("cells.computed").value()),
+                static_cast<unsigned long long>(
+                    metrics_.counter("machines.simulated").value()),
                 static_cast<unsigned long long>(
                     metrics_.counter("memo.hits").value()),
                 extras, static_cast<double>(totals.instructions) / 1e6,

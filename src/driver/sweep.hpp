@@ -9,6 +9,18 @@
 // identical at any job count, and the baseline for each (workload,
 // geometry) is priced exactly once no matter how many schemes share it.
 //
+// The memo has two levels. Requested cells, keyed by keyOf(), own the
+// report rows, quarantine keys, store records and service replies. Each
+// cell runAll prices points at a machine: the same key with every
+// member's clamped WP area in place of the requested one and its image
+// digest in place of the layout name. Such cells whose areas clamp
+// alike, or whose layouts emit byte-identical images, share one
+// simulation, in that batch or a later one; a cell of another layout
+// gets the machine's result re-stamped with its own layout fields
+// (stampLayout). A lone run/tryRun of a cell no batch priced is a
+// machine of its own, so what one request costs never depends on which
+// other request reached a machine first. See DESIGN.md §10.
+//
 // Every cell runs *supervised* (see driver/supervisor.hpp): a cell that
 // throws SimError is retried at once, and a cell that exhausts its
 // attempts is quarantined — tagged with its full cell key, excluded
@@ -51,11 +63,12 @@
 // WP_STORE, at any WP_JOBS, with or without WP_ISOLATE, the printed
 // tables are byte-identical. Host cost has one set of books: every
 // host aggregate (the report's host block and the stderr summary) is
-// summed from the RunResults of the cells this executor computed and
-// the PreparePhases of the workloads it prepared, so an isolated
-// attempt is accounted by the same code as an in-process one.
+// summed from the RunResults of the machines this executor simulated,
+// each once, and the PreparePhases of the workloads it prepared, so an
+// isolated attempt is accounted by the same code as an in-process one.
 #pragma once
 
+#include <condition_variable>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -157,15 +170,17 @@ class SweepExecutor {
   }
 
   /// Prices every (prepared workload × cell) plus the implied baselines
-  /// across the pool. Already-memoized cells cost nothing; benches call
-  /// this up front with their whole grid so the pool stays saturated
-  /// instead of draining at each table cell. Never throws for a failing
-  /// cell: failures retry and then quarantine (inspect via tryRun /
-  /// quarantined()).
+  /// across the pool, one job per distinct machine; a machine an earlier
+  /// batch settled is shared, not simulated again. Already-memoized
+  /// cells cost nothing; benches call this up front with their whole
+  /// grid so the pool stays saturated instead of draining at each table
+  /// cell. Never throws for a failing cell: failures retry and then
+  /// quarantine (inspect via tryRun / quarantined()).
   void runAll(const std::vector<Cell>& cells);
 
   /// Memoized result of one simulation; computed on the calling thread
-  /// on a miss. The reference stays valid for the executor's lifetime.
+  /// on a miss, as a machine of its own (only runAll shares machines).
+  /// The reference stays valid for the executor's lifetime.
   /// A quarantined cell throws SimError tagged with the full cell key —
   /// use tryRun() to handle quarantine without exceptions.
   const RunResult& run(const PreparedWorkload& p,
@@ -222,17 +237,20 @@ class SweepExecutor {
   /// path is a fatal error (exit 1), not a silent omission.
   void emitJsonIfRequested() const;
 
-  /// One-line human summary of the sweep so far — cells priced, memo
-  /// hits, quarantined and store counts, guest instructions, host
-  /// throughput (MIPS), wall-clock and job count. The instruction,
-  /// simulate and MIPS figures are the report's host block. Benches
+  /// One-line human summary of the sweep so far — cells priced, the
+  /// machines simulated for them, memo hits, quarantined and store
+  /// counts, guest instructions, host throughput (MIPS), wall-clock and
+  /// job count. The instruction, simulate and MIPS figures are the
+  /// report's host block. Benches
   /// print this to stderr (stderr, so the stdout tables stay
   /// byte-identical across job counts).
   void printSummary(std::ostream& os) const;
 
-  /// Host-side event counters: "cells.computed" / "memo.hits" /
-  /// "cells.from_store" / "cells.quarantined" / "cells.failed_attempts",
-  /// the store's and (under wp_serve) the service's.
+  /// Host-side event counters: "cells.computed" (requested cells priced
+  /// without their own store record) / "machines.simulated" /
+  /// "memo.hits" / "cells.from_store" / "cells.quarantined" /
+  /// "cells.failed_attempts" (machine attempts), the store's and (under
+  /// wp_serve) the service's.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
   /// True when WP_TRACE requested a JSONL event log.
   [[nodiscard]] bool tracing() const { return trace_ != nullptr; }
@@ -241,21 +259,51 @@ class SweepExecutor {
 
  private:
   struct CellEntry;
+  struct Machine;
+  struct MachineId;
 
-  /// Finds-or-creates the memo entry and computes it exactly once
-  /// (concurrent callers for the same key block until it is ready).
-  /// The compute is supervised: store lookup first, then up to
-  /// maxAttempts() tries, then quarantine. Never throws for a cell
-  /// failure.
+  /// Finds-or-creates the memo entry and settles it exactly once
+  /// (concurrent callers for the same key block until it is settled).
+  /// Never throws for a cell failure. @p batched: the request comes
+  /// from a runAll job, so its cell may share a machine; a lone request
+  /// (run/tryRun) settles its cell as a machine of its own.
   CellEntry& ensureCell(const PreparedWorkload& p,
                         const cache::CacheGeometry& icache,
-                        const SchemeSpec& spec);
+                        const SchemeSpec& spec, bool batched);
 
-  /// The supervised once-body of ensureCell.
+  /// The once-body of ensureCell: the cell's own store record, else its
+  /// machine (simulated here if nobody has yet), published under the
+  /// cell's own key.
   void computeCell(CellEntry& entry, const std::string& key,
                    const PreparedWorkload& p,
                    const cache::CacheGeometry& icache,
-                   const SchemeSpec& spec);
+                   const SchemeSpec& spec, bool batched);
+
+  /// The machine the requested cell @p cell_key runs: its process group,
+  /// machine key and store image digest. Throws SimError when the
+  /// cell's layout spec cannot be laid out.
+  [[nodiscard]] MachineId machineOf(const std::string& cell_key,
+                                    const PreparedWorkload& p,
+                                    const cache::CacheGeometry& icache,
+                                    const SchemeSpec& spec);
+
+  /// imageDigest of @p image, computed on first use and then cached for
+  /// the executor's lifetime.
+  [[nodiscard]] u64 digestOf(const mem::Image& image);
+
+  /// Finds-or-creates @p id's machine and returns it settled (ready or
+  /// quarantined): a machine another thread is simulating is waited
+  /// for, and an unsettled one is simulated here on behalf of the
+  /// requested cell @p key.
+  Machine& ensureMachine(const MachineId& id, const std::string& key,
+                         const cache::CacheGeometry& icache,
+                         const SchemeSpec& spec);
+
+  /// The supervised simulation of one machine: up to maxAttempts()
+  /// tries. True once an attempt produced the machine's result.
+  bool simulate(Machine& machine, const MachineId& id,
+                const std::string& key, const cache::CacheGeometry& icache,
+                const SchemeSpec& spec);
 
   /// Every host aggregate, summed from the computed cells' RunResults
   /// and the prepared workloads' PreparePhases. Call under memo_mutex_.
@@ -277,9 +325,18 @@ class SweepExecutor {
   ThreadPool pool_;
   std::vector<PreparedWorkload> prepared_;
   mutable std::mutex memo_mutex_;  ///< also guards const report reads
-  /// Keyed by keyOf(); entries hold a once_flag, so they live behind a
-  /// unique_ptr (once_flag is neither movable nor copyable).
+  /// Requested cells, keyed by keyOf(); entries hold a once_flag, so
+  /// they live behind a unique_ptr (once_flag is neither movable nor
+  /// copyable).
   std::map<std::string, std::unique_ptr<CellEntry>> memo_;
+  /// Distinct simulated machines, keyed by machine key; each requested
+  /// cell points at one. Guarded by memo_mutex_, like their states.
+  std::map<std::string, std::unique_ptr<Machine>> machines_;
+  /// Wakes requesters waiting on a machine another thread simulates.
+  std::condition_variable machine_cv_;
+  std::mutex digest_mutex_;
+  /// imageDigest per prepared image, filled on first use (digestOf).
+  std::map<const mem::Image*, u64> digests_;
   /// Extra writeJsonReport sections (addJsonSection), key → rendered
   /// JSON. Guarded by memo_mutex_ like the other report inputs.
   std::map<std::string, std::string> extra_json_;

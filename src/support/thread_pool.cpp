@@ -35,18 +35,32 @@ thread_local int t_worker_index = -1;
 
 int ThreadPool::currentWorkerIndex() { return t_worker_index; }
 
+unsigned ThreadPool::homeDeque() {
+  return t_worker_index >= 0 &&
+                 static_cast<std::size_t>(t_worker_index) < deques_.size()
+             ? static_cast<unsigned>(t_worker_index)
+             : (next_victim_++ % static_cast<unsigned>(deques_.size()));
+}
+
 void ThreadPool::submit(Task task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const unsigned home =
-        t_worker_index >= 0 && static_cast<std::size_t>(t_worker_index) <
-                                   deques_.size()
-            ? static_cast<unsigned>(t_worker_index)
-            : (next_victim_++ % static_cast<unsigned>(deques_.size()));
-    deques_[home].push_back(std::move(task));
+    deques_[homeDeque()].push_back(std::move(task));
     ++queued_;
   }
   work_cv_.notify_one();
+}
+
+void ThreadPool::submitAll(std::vector<Task> tasks) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Last task first: a worker pops its own deque newest-first.
+    for (auto task = tasks.rbegin(); task != tasks.rend(); ++task) {
+      deques_[homeDeque()].push_back(std::move(*task));
+    }
+    queued_ += tasks.size();
+  }
+  work_cv_.notify_all();
 }
 
 bool ThreadPool::popTask(unsigned me, Task& out) {

@@ -41,6 +41,12 @@ class ThreadPool {
   /// running task (the task lands on the submitting worker's own deque).
   void submit(Task task);
 
+  /// Enqueues every task of @p tasks under one lock before waking any
+  /// worker, so no worker starts while the batch is half queued. Each
+  /// worker's share is queued so that its newest-first pop takes the
+  /// share in list order: with one thread, tasks run in list order.
+  void submitAll(std::vector<Task> tasks);
+
   /// Blocks until every submitted task has finished, then rethrows the
   /// first exception any task threw (if any). The pool stays usable
   /// afterwards — submit/wait cycles can repeat.
@@ -63,6 +69,9 @@ class ThreadPool {
   /// Pops the next task for worker @p me (own deque first, then steals);
   /// returns false when there is nothing to run right now.
   bool popTask(unsigned me, Task& out);
+  /// The deque a submit from the calling thread lands on: a worker's
+  /// own, else the next one round-robin. Call under mutex_.
+  unsigned homeDeque();
 
   std::mutex mutex_;
   std::condition_variable work_cv_;   ///< wakes idle workers

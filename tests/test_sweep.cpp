@@ -1,19 +1,25 @@
 // Tests for the parallel sweep executor: memo-key uniqueness,
-// deterministic aggregation independent of the worker-thread count, the
-// WP_JSON cell report, the WP_TRACE event log, and the fail-loud policy
-// for unwritable report paths.
+// deterministic aggregation independent of the worker-thread count, one
+// simulation per distinct machine, the WP_JSON cell report, the WP_TRACE
+// event log, and the fail-loud policy for unwritable report paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
+#include "driver/checkpoint.hpp"
+#include "driver/service.hpp"
 #include "driver/sweep.hpp"
+#include "support/shutdown.hpp"
 #include "test_util.hpp"
 
 namespace wp {
@@ -336,6 +342,195 @@ TEST(SweepKey, LayoutStrategiesAreKeyMaterialAndAliasesCanonicalize) {
 }
 
 // ---------------------------------------------------------------------
+// Machine dedupe: requested cells that differ only in WP areas that
+// clamp alike, or in layouts whose images are byte-identical, share one
+// simulation, and each still reads exactly what Runner::run gives it.
+
+driver::SchemeSpec wayPlacementWith(u32 area_kb, const std::string& layout) {
+  driver::SchemeSpec s = driver::SchemeSpec::wayPlacement(area_kb * 1024);
+  s.layout = layout;
+  return s;
+}
+
+TEST(SweepExecutor, SharedMachinesMatchRunnerRunForEveryRequestedCell) {
+  const driver::SupervisorConfig pinned;
+  driver::SweepExecutor suite({"crc", "bitcount", "sha"},
+                              energy::EnergyParams{}, 0, 4, &pinned);
+  const u32 areas_kb[] = {1, 2, 8, 16};
+  std::vector<driver::SweepExecutor::Cell> grid;
+  for (const layout::LayoutStrategy* s : layout::strategies()) {
+    for (const u32 kb : areas_kb) {
+      grid.push_back({kXScale, wayPlacementWith(kb, s->name)});
+    }
+  }
+  suite.runAll(grid);
+  ASSERT_TRUE(suite.quarantined().empty());
+
+  // The distinct machines, counted from the prepared images themselves.
+  std::set<std::tuple<std::string, u32, u64>> machines;
+  struct Check {
+    const driver::PreparedWorkload* p;
+    driver::SchemeSpec spec;
+  };
+  std::vector<Check> checks;
+  for (const driver::PreparedWorkload& p : suite.prepared()) {
+    for (const driver::SweepExecutor::Cell& c : grid) {
+      const mem::Image& image = p.imageFor(c.spec.layout);
+      machines.emplace(p.name,
+                       driver::clampWpAreaToImage(c.spec.wp_area_bytes, image),
+                       driver::imageDigest(image));
+      checks.push_back({&p, c.spec});
+    }
+  }
+  const u64 baselines = suite.prepared().size();
+  EXPECT_EQ(suite.metrics().counter("machines.simulated").value(),
+            machines.size() + baselines);
+  EXPECT_EQ(suite.metrics().counter("cells.computed").value(),
+            checks.size() + baselines);
+  EXPECT_LT(machines.size(), checks.size())
+      << "the grid must repeat machines for this test to mean anything";
+
+  // The reference runs fan out over a few threads; each check reads the
+  // executor's cell and compares it with its own Runner::run.
+  std::vector<std::string> mismatches(checks.size());
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < checks.size(); i += 4) {
+        const Check& c = checks[i];
+        const driver::RunResult ref = suite.runner().run(*c.p, kXScale, c.spec);
+        const driver::RunResult& got = suite.run(*c.p, kXScale, c.spec);
+        if (driver::statsDigest(got) != driver::statsDigest(ref) ||
+            got.output != ref.output) {
+          mismatches[i] = driver::SweepExecutor::keyOf(c.p->name, kXScale,
+                                                       c.spec);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& key : mismatches) {
+    EXPECT_EQ(key, "") << "a shared machine's result differs from Runner::run";
+  }
+}
+
+TEST(SweepExecutor, CoRunAtAreasThatClampAlikeSharesOneSimulation) {
+  driver::SweepExecutor suite({"crc", "bitcount"}, energy::EnergyParams{}, 0,
+                              2);
+  std::vector<driver::SweepExecutor::Cell> grid;
+  for (const u32 kb : {8u, 16u}) {
+    driver::SchemeSpec spec = driver::SchemeSpec::wayPlacement(kb * 1024);
+    spec.corun_quantum = 2000;
+    spec.corun_partners = "bitcount";
+    grid.push_back({kXScale, spec});
+  }
+  suite.runAll(grid);
+  const driver::PreparedWorkload& crc = suite.prepared().at(0);
+  std::vector<const driver::RunResult*> results;
+  for (const driver::SweepExecutor::Cell& c : grid) {
+    const auto view = suite.tryRun(crc, kXScale, c.spec);
+    ASSERT_FALSE(view.quarantined);
+    results.push_back(view.result);
+  }
+  EXPECT_EQ(results[0], results[1])
+      << "same layout, same clamped areas: one shared RunResult";
+  // Each primary (crc, and bitcount co-run with itself): its co-run
+  // baseline plus two requested cells on one machine.
+  EXPECT_EQ(suite.metrics().counter("cells.computed").value(), 6u);
+  EXPECT_EQ(suite.metrics().counter("machines.simulated").value(), 4u);
+}
+
+TEST(SweepExecutor, PersistentFaultOnSharedMachineQuarantinesEachCell) {
+  driver::SupervisorConfig cfg;
+  cfg.retries = 1;
+  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1, &cfg);
+  const driver::PreparedWorkload& p = suite.prepared().at(0);
+  std::vector<driver::SweepExecutor::Cell> grid;
+  for (const u32 kb : {8u, 16u}) {
+    driver::SchemeSpec bad = driver::SchemeSpec::wayPlacement(kb * 1024);
+    bad.fault.cell_fault = fault::CellFault::kPersistent;
+    grid.push_back({kXScale, bad});
+  }
+  suite.runAll(grid);
+  std::vector<std::string> keys;
+  for (const driver::SweepExecutor::Cell& c : grid) {
+    keys.push_back(driver::SweepExecutor::keyOf(p.name, kXScale, c.spec));
+    const auto view = suite.tryRun(p, kXScale, c.spec);
+    ASSERT_TRUE(view.quarantined);
+    EXPECT_EQ(view.attempts, 2u);
+    EXPECT_EQ(view.error->rfind("cell '" + keys.back() + "' (attempt 2/2): ",
+                                0),
+              0u)
+        << "each error names its own cell: " << *view.error;
+  }
+  EXPECT_EQ(suite.metrics().counter("cells.failed_attempts").value(), 2u)
+      << "the shared machine spends its attempts once";
+  EXPECT_EQ(suite.metrics().counter("cells.quarantined").value(), 2u);
+  const auto q = suite.quarantined();
+  ASSERT_EQ(q.size(), 2u);
+  EXPECT_EQ(std::set<std::string>({q[0].key, q[1].key}),
+            std::set<std::string>(keys.begin(), keys.end()));
+}
+
+TEST(SweepExecutor, StorePublishesEveryRequestedCellOfASharedMachine) {
+  const std::string dir = testing::TempDir() + "sweep_machine_store";
+  std::filesystem::remove_all(dir);
+  ScopedEnv env("WP_STORE", dir.c_str());
+  const std::vector<driver::SweepExecutor::Cell> grid = {
+      {kXScale, driver::SchemeSpec::wayPlacement(8 * 1024)},
+      {kXScale, driver::SchemeSpec::wayPlacement(16 * 1024)}};
+  {
+    driver::SweepExecutor cold({"crc"}, energy::EnergyParams{}, 0, 2);
+    cold.runAll(grid);
+    EXPECT_EQ(cold.metrics().counter("cells.computed").value(), 3u);
+    EXPECT_EQ(cold.metrics().counter("machines.simulated").value(), 2u);
+  }
+  std::size_t records = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    records += f.path().extension() == ".rec" ? 1 : 0;
+  }
+  EXPECT_EQ(records, 3u) << "one record per requested cell";
+
+  driver::SweepExecutor warm({"crc"}, energy::EnergyParams{}, 0, 2);
+  warm.runAll(grid);
+  EXPECT_EQ(warm.metrics().counter("cells.computed").value(), 0u);
+  EXPECT_EQ(warm.metrics().counter("cells.from_store").value(), 3u);
+  EXPECT_EQ(warm.metrics().counter("machines.simulated").value(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepExecutor, StatsReplyCountsCellsAndMachines) {
+  const driver::SupervisorConfig pinned;
+  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1, &pinned);
+  driver::SweepService service(driver::ServiceConfig{}, suite,
+                               ShutdownLatch::instance());
+  const auto served = [&](const std::string& line) {
+    const std::string reply = service.handleLine(line);
+    EXPECT_NE(reply.find("\"fate\": \"served\""), std::string::npos) << reply;
+  };
+  const auto expectCounts = [&](unsigned cells, unsigned machines) {
+    const std::string stats = service.handleLine("{\"op\": \"stats\"}");
+    EXPECT_NE(stats.find("\"cells_computed\": " + std::to_string(cells) + ","),
+              std::string::npos)
+        << stats;
+    EXPECT_NE(stats.find("\"machines_simulated\": " + std::to_string(machines) +
+                         ","),
+              std::string::npos)
+        << stats;
+  };
+  // Two suite rows are two runAll batches: crc fits in one page, so the
+  // 16 KB row's cell shares the 8 KB row's machine.
+  for (const char* kb : {"8", "16"}) {
+    served(std::string("{\"op\": \"suite\", \"wp_kb\": ") + kb + "}");
+  }
+  expectCounts(3, 2);
+  // An eval is a lone request: its 4 KB cell clamps alike too, but it
+  // simulates a machine of its own.
+  served("{\"op\": \"eval\", \"workload\": \"crc\", \"wp_kb\": 4}");
+  expectCounts(4, 3);
+}
+
+// ---------------------------------------------------------------------
 // WP_TRACE: the JSONL event log records the sweep without changing it.
 
 TEST(SweepTrace, WritesEventsAndDoesNotPerturbResults) {
@@ -383,6 +578,51 @@ TEST(SweepTrace, WritesEventsAndDoesNotPerturbResults) {
   EXPECT_EQ(count("cell_start"), 2) << "baseline + way-placement";
   EXPECT_EQ(count("cell_end"), 2);
   EXPECT_GE(count("memo_hit"), 1) << "the explicit run() re-read a cell";
+}
+
+TEST(SweepTrace, OneThreadRunsInListOrder) {
+  // At one thread the trace is a function of the request lists alone:
+  // no worker starts before a whole batch is queued, and it takes the
+  // batch in list order.
+  const std::string path = testing::TempDir() + "sweep_trace_order.jsonl";
+  const auto eventsOf = [&path](const std::string& ev, const char* field) {
+    std::ifstream in(path);
+    std::vector<std::string> values;
+    const std::string tag = "\"ev\": \"" + ev + "\"";
+    const std::string name = std::string("\"") + field + "\": \"";
+    for (std::string line; std::getline(in, line);) {
+      if (line.find(tag) == std::string::npos) continue;
+      const std::size_t at = line.find(name) + name.size();
+      values.push_back(line.substr(at, line.find('"', at) - at));
+    }
+    return values;
+  };
+  const std::vector<std::string> names = {"crc", "bitcount", "sha"};
+  {
+    ScopedEnv env("WP_TRACE", path.c_str());
+    driver::SweepExecutor suite(names, energy::EnergyParams{}, 0, 1);
+  }
+  EXPECT_EQ(eventsOf("prepare", "workload"), names);
+
+  const std::vector<driver::SchemeSpec> specs = {
+      driver::SchemeSpec::wayMemoization(),
+      driver::SchemeSpec::wayPlacement(2 * 1024),
+      driver::SchemeSpec::wayPrediction()};
+  {
+    ScopedEnv env("WP_TRACE", path.c_str());
+    driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1);
+    std::vector<driver::SweepExecutor::Cell> grid;
+    for (const driver::SchemeSpec& s : specs) grid.push_back({kXScale, s});
+    suite.runAll(grid);
+  }
+  std::vector<std::string> keys = {driver::SweepExecutor::keyOf(
+      "crc", kXScale, driver::SchemeSpec::baseline())};
+  for (const driver::SchemeSpec& s : specs) {
+    keys.push_back(driver::SweepExecutor::keyOf("crc", kXScale, s));
+  }
+  EXPECT_EQ(eventsOf("cell_start", "key"), keys)
+      << "one job per machine, first requests first";
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
