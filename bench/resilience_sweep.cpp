@@ -156,43 +156,6 @@ int main() {
                          "supervision layer is broken\n");
   suite.printSummary(std::cerr);
 
-  // --- Process isolation: crash and hang cell faults kill the attempt
-  // dead (SIGKILL / a loop that never retires an instruction), so only
-  // a forked worker can contain them. A crash:1 cell must heal on the
-  // retry bit-identically to the clean cell; a hung cell must be killed
-  // by the parent-side wall-clock and quarantined — while the rest of
-  // the sweep keeps running in this very process.
-  std::cout << "\nprocess isolation (WP_ISOLATE semantics, retries=2):\n";
-  driver::SupervisorConfig icfg;
-  icfg.retries = 2;
-  icfg.isolate = true;
-  icfg.cell_timeout_ms = 30000;
-  driver::SweepExecutor iso(names, energy::EnergyParams{},
-                            bench::experimentSeed(), 0, &icfg);
-  driver::SchemeSpec wp_crash = wp_clean;
-  wp_crash.fault.cell_fault = fault::CellFault::kCrash;
-  wp_crash.fault.cell_fault_failures = 1;
-  iso.runAll({{geom, wp_clean}, {geom, wp_crash}});
-
-  TextTable it;
-  it.header({"workload", "crash fate", "attempts", "healed == clean"});
-  for (const auto& p : iso.prepared()) {
-    const auto clean = iso.tryRun(p, geom, wp_clean);
-    const auto healed = iso.tryRun(p, geom, wp_crash);
-    const bool healed_ok = !clean.quarantined && !healed.quarantined &&
-                           healed.attempts == 2;
-    const bool equal = healed_ok &&
-                       driver::statsDigest(*healed.result) ==
-                           driver::statsDigest(*clean.result);
-    all_ok = all_ok && equal;
-    it.row({p.name, healed_ok ? "healed" : "NOT HEALED",
-            std::to_string(healed.attempts), equal ? "yes" : "NO"});
-  }
-  it.print(std::cout);
-  std::cout << "\nisolation invariant: a SIGKILLed attempt costs one retry, "
-            << (all_ok ? "never the bench\n" : "BUT THE LADDER BROKE\n");
-  iso.printSummary(std::cerr);
-
   // --- Result store: a second sweep against the store the first one
   // populated must serve every cell from disk (zero computes) with
   // results byte-identical to the computed ones.

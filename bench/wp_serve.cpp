@@ -23,9 +23,8 @@ int main() {
   // All strict env parsing first, so a bad knob fails in milliseconds
   // instead of after minutes of suite preparation.
   const driver::ServiceConfig config = driver::ServiceConfig::fromEnv();
-  // WP_CELL_TIMEOUT_MS is the request deadline: one budget, one
-  // enforcement path, whether the cell wedges in-process or in a forked
-  // worker.
+  // WP_CELL_TIMEOUT_MS is the request deadline: the same in-process
+  // watchdog that bounds every bench cell.
   const driver::SupervisorConfig sup = driver::SupervisorConfig::fromEnv();
   const std::vector<std::string> workloads = bench::selectedWorkloads();
   const u64 seed = bench::experimentSeed();

@@ -135,7 +135,7 @@ void visitGuestFields(R& r, V&& v) {
 
 /// Extracts a CheckpointRecord from a parsed "cell" line. Structural
 /// validation only — parseRecordLine reports a stats-digest mismatch
-/// separately (store: rejected; worker pipe: torn result).
+/// separately (the store rejects such a record).
 bool readRecord(const JsonReader& fields, CheckpointRecord& rec) {
   bool ok = true;
   const auto get = [&](const std::string& name, auto& out) {

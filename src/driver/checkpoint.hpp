@@ -1,7 +1,6 @@
 // The cell record: the one serialized form of a finished cell, shared
-// by the result store (WP_STORE, driver/result_store.hpp), the isolated-
-// worker pipe (driver/worker.hpp) and the sweep service's replies — and
-// the one flat-JSON reader (parseFlatJsonLine + JsonReader) for lines
+// by the result store (WP_STORE, driver/result_store.hpp) and the sweep
+// service's replies — and the one flat-JSON reader (parseFlatJsonLine + JsonReader) for lines
 // JsonLine (support/json.hpp) writes.
 //
 // A record is one flat JSON line carrying the cell key, the full
@@ -59,8 +58,8 @@ struct CheckpointRecord {
                                        double wall_seconds);
 
 /// One parsed `"key": value` pair of a flat one-line JSON object (the
-/// only JSON shape the result store, the worker pipe and the service
-/// protocol ever emit).
+/// only JSON shape the result store and the service protocol ever
+/// emit).
 struct JsonToken {
   bool is_string = false;
   std::string text;  ///< unescaped for strings, raw digits otherwise
@@ -109,8 +108,8 @@ enum class RecordParse {
 };
 
 /// Parses one record line (as produced by renderRecord) and verifies
-/// its stats digest. Shared by the result store and the isolated-worker
-/// pipe protocol, so both trust records under exactly the same rules.
+/// its stats digest. The result store and wp_store_fsck both trust
+/// records through it, so they judge a record by the same rules.
 [[nodiscard]] RecordParse parseRecordLine(const std::string& line,
                                           CheckpointRecord& out);
 

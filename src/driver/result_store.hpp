@@ -7,39 +7,31 @@
 // addressed by (experiment seed, cell key, image digest) — the image
 // digest covers the exact bytes the cell would simulate, so a store
 // populated under other code, another layout pipeline or other inputs
-// simply misses instead of serving stale numbers. Any number of bench
-// processes (and any WP_JOBS inside each) can share one store:
+// simply misses instead of serving stale numbers.
 //
-//   record files   written to a temp name, fsync'd, then atomically
-//                  rename(2)'d into place (plus a directory fsync), so
-//                  a reader never observes a half-written record and
-//                  concurrent writers of the same cell converge on the
-//                  same bytes — results are deterministic per key.
-//   lock leases    a miss is computed under `<record>.lock`, created
-//                  with O_CREAT|O_EXCL and carrying a {"pid", "boot",
-//                  "seed"} payload. A second process that misses the
-//                  same cell waits on the lease instead of
-//                  double-computing, and reclaims it when the holder is
-//                  provably dead (kill(pid, 0) => ESRCH), was written
-//                  in a previous boot (the boot nonce mismatches — a
-//                  rebooted host may have reused the pid for a live,
-//                  unrelated process), or has sat on it past
-//                  WP_LEASE_TIMEOUT_MS (a hung holder). See DESIGN.md
-//                  §10 for why this is O_EXCL + pid probing and not
-//                  flock.
+// The store is a plain verified cache: open() is one verified read and
+// put() is one atomic publish. A record is written to a staging file
+// named by the writer's pid (`<record>.tmp.<pid>`), fsync'd, then
+// rename(2)'d into place, then the directory is fsync'd — so a reader
+// never observes a half-written record.
 //
-// Trust rules match the worker pipe's: every read re-verifies the
-// record's own stats digest plus its header (version, seed, key) and
-// the image digest; tampered, torn or version-mismatched records are
-// rejected, counted, and recomputed — never served; wp_store_fsck
-// audits a store through the same functions below. An unwritable or
-// corrupt store *degrades loudly* to compute-everything (stderr warning +
-// store.degraded metric) instead of aborting: losing the cache must
-// never lose the sweep. Environment parsing, by contrast, stays strict
-// — a malformed WP_LEASE_TIMEOUT_MS exits 1 like every other WP_* knob.
+// Any number of bench processes (and any WP_JOBS inside each) can share
+// one store without coordinating. Within one process the executor's
+// memo computes each cell once. Two processes that miss the same cell
+// may both compute it: each stages its record under its own pid and
+// renames it into place, the last rename wins, and readers verify
+// whichever record they find. Both records carry the same guest
+// payload; only their host timing fields differ.
+//
+// Trust rules: every read re-verifies the record's own stats digest
+// plus its header (version, seed, key) and the image digest; tampered,
+// torn or version-mismatched records are rejected, counted, and
+// recomputed — never served; wp_store_fsck audits a store through the
+// same functions below. An unwritable or corrupt store *degrades
+// loudly* to compute-everything (stderr warning + store.degraded
+// metric) instead of aborting: losing the cache must never lose the
+// sweep.
 #pragma once
-
-#include <sys/types.h>
 
 #include <atomic>
 #include <optional>
@@ -50,35 +42,6 @@
 #include "support/metrics.hpp"
 
 namespace wp::driver {
-
-/// Identity of the current OS boot, hashed to a stable nonce: the
-/// kernel's boot_id UUID when readable, the boot timestamp from
-/// /proc/stat otherwise, 0 when neither exists (the nonce check then
-/// disables itself). Lease payloads carry it so a lease written before
-/// a reboot can never be mistaken for one held by a live process —
-/// after a reboot the old holder's pid may have been reused by an
-/// unrelated, very-much-alive process, and probing it with kill(pid, 0)
-/// would wrongly keep the stale lease parked until WP_LEASE_TIMEOUT_MS.
-[[nodiscard]] u64 bootNonce();
-
-/// What a store lease (.lock) file says about its holder — the one
-/// verdict the store's reclamation and wp_store_fsck both act on. pid 0
-/// means the file is missing or torn, or names a pid no process can
-/// have (the store waits it out, fsck calls it stale); boot 0 means an
-/// old-format payload, and the pid probe is the only evidence left.
-struct StoreLeaseHolder {
-  pid_t pid = 0;
-  u64 boot = 0;
-  bool dead = false;  ///< pidDead(pid)
-  /// Written in a previous boot: the pid may since belong to an
-  /// unrelated live process, so probing it proves nothing.
-  bool previous_boot = false;
-};
-
-[[nodiscard]] StoreLeaseHolder readStoreLease(const std::string& lock_path);
-
-/// kill(pid, 0) => ESRCH: @p pid provably names no live process.
-[[nodiscard]] bool pidDead(pid_t pid);
 
 /// A record file's name, `cell-<seed>-<key digest>-<image digest>.rec`
 /// (16 lowercase hex digits each), and its inverse.
@@ -104,14 +67,9 @@ class ResultStore {
  public:
   struct Config {
     std::string dir;
-    /// Milliseconds a live-but-silent lease holder keeps its lease
-    /// (WP_LEASE_TIMEOUT_MS; a dead holder is reclaimed immediately).
-    u64 lease_timeout_ms = 10 * 60 * 1000;
   };
 
-  /// Strict parse of WP_STORE / WP_LEASE_TIMEOUT_MS; nullopt when
-  /// WP_STORE is unset or empty (the store is opt-in). Malformed values
-  /// exit 1 with a message naming the knob.
+  /// WP_STORE; nullopt when it is unset or empty (the store is opt-in).
   [[nodiscard]] static std::optional<Config> fromEnv();
 
   /// Opens (creating if needed) the store directory. Failures degrade
@@ -120,46 +78,24 @@ class ResultStore {
   ResultStore(const Config& config, u64 seed, MetricsRegistry& metrics,
               TraceWriter* trace);
 
-  /// Ownership of one cell's compute lease. Movable; releases (unlinks
-  /// its lock file, if still ours) on destruction, so a quarantined or
-  /// thrown-through cell frees the cell for other processes.
-  class Lease {
-   public:
-    Lease() = default;
-    ~Lease() { release(); }
-    Lease(Lease&& other) noexcept { *this = std::move(other); }
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
+  /// The token open() hands back and put() takes. It holds nothing: no
+  /// process locks a cell to compute it.
+  struct Lease {};
 
-    [[nodiscard]] bool owned() const { return !lock_path_.empty(); }
-    /// Unlinks the lock file if this process still holds it. Idempotent.
-    void release();
-
-   private:
-    friend class ResultStore;
-    std::string lock_path_;
-  };
-
-  /// Fate of one lookup: either a verified record to serve, or (on a
-  /// miss) the lease under which the caller must compute the cell and
-  /// then put(). A degraded store returns a miss with an unowned lease.
+  /// Fate of one lookup: a verified record to serve, or (on a miss,
+  /// a rejected record or a degraded store) none, and the caller
+  /// computes the cell and then put()s it.
   struct Outcome {
     std::optional<CheckpointRecord> record;
     Lease lease;
   };
 
-  /// Blocks until the cell is either readable (verified hit — possibly
-  /// after waiting out another process's compute) or this process owns
-  /// its lease. Never blocks longer than one lease timeout per stale
-  /// holder. Thread-safe; the executor's memo guarantees one caller per
-  /// key per process.
+  /// One verified read of the cell's record. Thread-safe.
   [[nodiscard]] Outcome open(const std::string& key, u64 image_digest);
 
-  /// Publishes a computed cell: temp write + fsync + atomic rename +
-  /// directory fsync, then releases @p lease. No-op (beyond the
-  /// release) on a degraded store or an unowned lease.
-  void put(Lease& lease, const std::string& key, u64 image_digest,
+  /// Publishes a computed cell: staging write + fsync + atomic rename +
+  /// directory fsync. No-op on a degraded store.
+  void put(const Lease& lease, const std::string& key, u64 image_digest,
            const RunResult& result, double wall_seconds);
 
   /// True once any I/O failure switched the store to compute-everything.
@@ -169,8 +105,8 @@ class ResultStore {
   [[nodiscard]] const std::string& dir() const { return config_.dir; }
   [[nodiscard]] u64 seed() const { return seed_; }
 
-  /// The record file (and, with ".lock", the lease file) for a cell.
-  /// Exposed for tests and post-mortem tooling.
+  /// The record file for a cell. Exposed for tests and post-mortem
+  /// tooling.
   [[nodiscard]] std::string recordPathFor(const std::string& key,
                                           u64 image_digest) const;
 

@@ -41,10 +41,9 @@ JsonLine replyHead(const std::string& id, const std::string& op) {
   return out;
 }
 
-/// Ends @p reply for a quarantined cell: fate "deadline" when a watchdog
-/// killed it — both watchdog paths, the in-process instruction-budget
-/// hook and the isolated worker's parent-side timer, tag their SimError
-/// with the budget knob's name — else "quarantined".
+/// Ends @p reply for a quarantined cell: fate "deadline" when the
+/// watchdog ended it — its SimError names the budget knob — else
+/// "quarantined".
 std::string quarantineReply(JsonLine& reply, const std::string& error) {
   const bool deadline = error.find("WP_CELL_TIMEOUT_MS") != std::string::npos;
   return reply.str("fate", deadline ? "deadline" : "quarantined")
@@ -268,20 +267,10 @@ bool SweepService::parseRequest(const std::string& line, Request& req,
     if (!fault::parseCellFault(fault, "fault", kind, failures, error)) {
       return fail(error);
     }
-    // Admission control against hostile faults: a crash/hang cell in a
-    // non-isolating daemon would SIGKILL or wedge the service itself,
-    // and a hang without a watchdog wedges a worker forever even under
-    // isolation. Both are the client's problem to fix, not ours to die
-    // of.
-    const SupervisorConfig& sup = suite_.supervisor();
-    if ((kind == fault::CellFault::kCrash ||
-         kind == fault::CellFault::kHang) &&
-        !sup.isolate) {
-      return fail("fault '" + fault + "' requires process isolation; this "
-                  "daemon runs without WP_ISOLATE=1 and would die with "
-                  "the cell");
-    }
-    if (kind == fault::CellFault::kHang && sup.cell_timeout_ms == 0) {
+    // A hang ends only at its watchdog, so a daemon without a deadline
+    // refuses it at admission instead of failing the cell.
+    if (kind == fault::CellFault::kHang &&
+        suite_.supervisor().cell_timeout_ms == 0) {
       return fail("fault 'hang' requires a deadline (start the daemon "
                   "with WP_CELL_TIMEOUT_MS) or the cell would wedge a "
                   "worker forever");
@@ -435,7 +424,6 @@ std::string SweepService::healthReply(const Request& req) {
       .num("queue_limit", config_.queue_limit)
       .num("in_flight", in_flight)
       .num("deadline_ms", suite_.supervisor().cell_timeout_ms)
-      .boolean("isolate", suite_.supervisor().isolate)
       .boolean("draining", latch_.requested())
       .render();
 }
@@ -541,13 +529,12 @@ int SweepService::serve() {
   }
   std::fprintf(stderr,
                "[wp_serve] listening on %s (seed %llu, %zu workloads, %u "
-               "jobs, queue %u, deadline %llu ms%s)\n",
+               "jobs, queue %u, deadline %llu ms)\n",
                config_.socket_path.c_str(),
                static_cast<unsigned long long>(suite_.runner().seed()),
                suite_.prepared().size(), suite_.jobs(), config_.queue_limit,
                static_cast<unsigned long long>(
-                   suite_.supervisor().cell_timeout_ms),
-               suite_.supervisor().isolate ? ", isolated" : "");
+                   suite_.supervisor().cell_timeout_ms));
 
   const unsigned workers = std::max(1u, suite_.jobs());
   std::vector<std::thread> pool;

@@ -11,7 +11,7 @@
 // never depends on which other request reached a machine first.
 //
 // Protocol: one flat one-line JSON object per message in each direction
-// (the result store's and worker pipe's shape: JsonLine writes it,
+// (the result store's shape: JsonLine writes it,
 // JsonReader reads it, a key named twice is malformed). Requests name an op:
 //
 //   eval       price one (workload, geometry, scheme) cell, normalized
@@ -38,15 +38,15 @@
 //                 retry_after_ms hint — the daemon never buffers
 //                 unboundedly and never stalls its accept loop.
 //   deadlines     The request deadline is the per-cell supervisor
-//                 watchdog (WP_CELL_TIMEOUT_MS); a cell that blows its
-//                 budget comes back as fate "deadline", and under
-//                 WP_ISOLATE=1 the wedged worker process is killed and
-//                 reaped.
+//                 watchdog (WP_CELL_TIMEOUT_MS), which runs in the
+//                 daemon's own process; a cell that blows its budget
+//                 comes back as fate "deadline".
 //   degradation   Malformed or invalid requests get a tagged `error`
 //                 reply, quarantined cells a `quarantined` reply —
-//                 nothing a client sends can kill the daemon. Request
-//                 faults that *would* (crash/hang cell faults without
-//                 process isolation) are rejected at admission.
+//                 nothing a client sends can kill the daemon. A request
+//                 fault that *would* wedge a worker (a hang cell fault
+//                 on a daemon without a deadline) is rejected at
+//                 admission.
 //   drain         SIGTERM (or the drain op) latches the process
 //                 ShutdownLatch: the listener closes, queued and
 //                 in-flight requests finish and flush their replies,

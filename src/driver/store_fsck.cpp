@@ -1,9 +1,11 @@
 #include "driver/store_fsck.hpp"
 
 #include <dirent.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -13,6 +15,15 @@
 #include "support/number.hpp"
 
 namespace wp::driver {
+
+namespace {
+
+/// kill(pid, 0) => ESRCH: @p pid provably names no live process.
+bool pidDead(pid_t pid) {
+  return pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH;
+}
+
+}  // namespace
 
 bool parseFsckArgs(int argc, const char* const* argv, FsckOptions& options,
                    std::string& error) {
@@ -67,28 +78,6 @@ FsckReport fsckStore(const FsckOptions& options, std::ostream& os) {
   for (const std::string& name : names) {
     const std::string path = options.dir + "/" + name;
 
-    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".lock") == 0) {
-      // Lease litter: judged by the store's own reclamation evidence —
-      // a dead holder or a previous-boot nonce is stale litter; a live
-      // current-boot holder may be mid-compute and is left alone (the
-      // running store ages it out via WP_LEASE_TIMEOUT_MS).
-      const StoreLeaseHolder holder = readStoreLease(path);
-      if (holder.pid == 0 || holder.dead || holder.previous_boot) {
-        ++report.stale_leases;
-        os << "STALE-LEASE " << name << " ("
-           << (holder.pid == 0         ? "torn payload"
-               : holder.previous_boot  ? "holder from a previous boot"
-                                       : "holder process is dead")
-           << ")\n";
-        act(path);
-      } else {
-        ++report.live_leases;
-        os << "LIVE-LEASE  " << name << " (pid "
-           << static_cast<long>(holder.pid) << ")\n";
-      }
-      continue;
-    }
-
     const std::size_t tmp_at = name.find(".tmp.");
     if (tmp_at != std::string::npos) {
       // Staging litter from ResultStore::put: the suffix is the writer's
@@ -132,9 +121,8 @@ FsckReport fsckStore(const FsckOptions& options, std::ostream& os) {
   }
 
   os << "wp_store_fsck: " << report.healthy << " healthy, "
-     << report.damaged << " damaged, " << report.stale_leases
-     << " stale lease(s), " << report.live_leases << " live lease(s), "
-     << report.stale_tmp << " stale tmp, " << report.live_tmp
+     << report.damaged << " damaged, " << report.stale_tmp
+     << " stale tmp, " << report.live_tmp
      << " live tmp, " << report.foreign << " foreign";
   if (options.remove) os << ", " << report.removed << " removed";
   os << "\n";

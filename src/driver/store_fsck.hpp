@@ -1,18 +1,18 @@
 // Offline integrity checker for WP_STORE directories (wp_store_fsck).
 //
 // A crash-only system accumulates litter by design: a SIGKILLed sweep
-// leaves its lease (.lock) files and occasionally a .tmp staging file
-// behind, and a disk fault can tear a record despite the write/fsync/
-// rename discipline. The running store already defends itself (torn
-// records are rejected and recomputed, stale leases reclaimed on the
-// next contention) — fsck is the *audit* form of the same rules, and it
-// owns no copy of them: it walks the directory once, maps every record
-// name back to its address with the store's parseRecordFileName, checks
-// every record with the store's own readRecordFile (header identity,
-// the record's own stats digest, the image digest), classifies every
-// lease by the store's readStoreLease verdict (dead pid, previous-boot
-// nonce) and every staging file by its writer's pid, and either reports
-// (default) or removes (--remove) what the store would never serve.
+// can leave a .tmp staging file behind, and a disk fault can tear a
+// record despite the write/fsync/rename discipline. The running store
+// already defends itself (torn records are rejected and recomputed) —
+// fsck is the *audit* form of the same rules, and it owns no copy of
+// them: it walks the directory once, maps every record name back to its
+// address with the store's parseRecordFileName, checks every record
+// with the store's own readRecordFile (header identity, the record's
+// own stats digest, the image digest), classifies every staging file by
+// its writer's pid, and either reports (default) or removes (--remove)
+// what the store would never serve. Anything else — a README, or a
+// .lock file an older store left behind — is foreign: listed, never
+// removed, never counted against health.
 //
 // fsck is seed-agnostic: record filenames carry their seed, and the
 // header inside must agree — stores legitimately host records from many
@@ -47,14 +47,12 @@ struct FsckReport {
   bool dir_ok = false;    ///< directory existed and was listable
   u64 healthy = 0;        ///< records that verify end to end
   u64 damaged = 0;        ///< torn, misnamed or digest-mismatched records
-  u64 stale_leases = 0;   ///< .lock held by a dead or previous-boot pid
-  u64 live_leases = 0;    ///< .lock held by a live current-boot pid
   u64 stale_tmp = 0;      ///< .tmp.<pid> staging files with a dead writer
   u64 live_tmp = 0;       ///< .tmp.<pid> with a live writer (in-flight put)
   u64 foreign = 0;        ///< files the store never writes (left alone)
   u64 removed = 0;        ///< files unlinked under --remove
   [[nodiscard]] bool clean() const {
-    return dir_ok && damaged == 0 && stale_leases == 0 && stale_tmp == 0;
+    return dir_ok && damaged == 0 && stale_tmp == 0;
   }
 };
 

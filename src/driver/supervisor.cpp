@@ -16,8 +16,6 @@ SupervisorConfig SupervisorConfig::fromEnv() {
   c.cell_timeout_ms = envUnsigned("WP_CELL_TIMEOUT_MS", 0, 0,
                                   24ULL * 60 * 60 * 1000,
                                   "per-cell timeout in milliseconds");
-  c.isolate =
-      envUnsigned("WP_ISOLATE", 0, 0, 1, "isolation flag (0 or 1)") != 0;
 
   const char* fault = std::getenv("WP_CELL_FAULT");
   if (fault != nullptr && *fault != '\0') {
@@ -28,6 +26,15 @@ SupervisorConfig SupervisorConfig::fromEnv() {
     if (!fault::parseCellFault(fault, "WP_CELL_FAULT", c.cell_fault,
                                c.cell_fault_failures, error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
+      std::exit(1);
+    }
+    // A hang ends only at its watchdog: without one the bench would
+    // wedge on its first faulted cell.
+    if (c.cell_fault == fault::CellFault::kHang && c.cell_timeout_ms == 0) {
+      std::fprintf(stderr,
+                   "error: WP_CELL_FAULT=hang needs a deadline: set "
+                   "WP_CELL_TIMEOUT_MS, or the first faulted cell would "
+                   "block forever\n");
       std::exit(1);
     }
   }

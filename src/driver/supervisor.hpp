@@ -20,31 +20,21 @@
 //   WP_CELL_TIMEOUT_MS  per-cell watchdog: a simulation running longer
 //                       than this wall-clock budget is aborted with a
 //                       SimError and treated like any other cell
-//                       failure (default 0 = no watchdog). Under
-//                       WP_ISOLATE=1 the parent enforces the same
-//                       budget from outside the worker process, so even
-//                       a cell that stops retiring instructions (where
-//                       the in-process instruction-budget hook can
-//                       never fire) is killed and retried.
-//   WP_ISOLATE          0|1 (default 0): run every cell attempt in a
-//                       forked worker process (driver/worker.hpp). A
-//                       SIGSEGV, OOM kill or runaway loop then costs
-//                       one attempt of one cell — it feeds the same
-//                       retry/quarantine ladder as a SimError —
-//                       instead of the whole bench.
+//                       failure (default 0 = no watchdog). It checks
+//                       its deadline from the instruction-budget hook,
+//                       so a host loop that retires no guest
+//                       instruction is never stopped: the sweep process
+//                       is the one crash domain (DESIGN.md §10).
 //   WP_CELL_FAULT       harness fault injection for every non-baseline
 //                       cell: "transient[:N]" (N failing attempts, then
 //                       heals; default 1), "persistent" (always fails,
-//                       forcing quarantine), "crash[:N]" (attempt dies
-//                       by SIGKILL; bare "crash" = every attempt,
-//                       ":N" = N crashing attempts then heals) or
-//                       "hang" (attempt wedges until the watchdog kills
-//                       it). crash/hang are survivable only under
-//                       WP_ISOLATE=1 — that is what they death-test.
+//                       forcing quarantine) or "hang" (the attempt
+//                       retires nothing until its watchdog fires, so
+//                       it needs WP_CELL_TIMEOUT_MS; without it the
+//                       bench exits 1 at startup).
 //
-// A retry follows its failed attempt at once: transient and crash
-// faults heal by attempt index, not by waiting, and the cell's store
-// lease is held across its attempts. See DESIGN.md §9.
+// A retry follows its failed attempt at once: transient faults heal by
+// attempt index, not by waiting. See DESIGN.md §9.
 #pragma once
 
 #include <string>
@@ -64,8 +54,6 @@ struct SupervisorConfig {
   /// Retired instructions between watchdog checks. Not an environment
   /// knob — tests shrink it to make tiny timeouts deterministic.
   u64 timeout_check_interval = 1u << 20;
-  /// Run each cell attempt in a forked worker process (WP_ISOLATE).
-  bool isolate = false;
   /// Harness-level cell fault applied to every non-baseline cell
   /// (WP_CELL_FAULT); spec-level cell faults are independent of this.
   fault::CellFault cell_fault = fault::CellFault::kNone;

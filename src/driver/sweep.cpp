@@ -1,7 +1,5 @@
 #include "driver/sweep.hpp"
 
-#include "driver/worker.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -117,17 +115,12 @@ SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
     store_ = std::make_unique<ResultStore>(*store_config, runner_.seed(),
                                            metrics_, trace_.get());
     if (!store_->degraded()) {
-      std::fprintf(stderr, "[wayplace] result store: %s (lease timeout "
-                   "%llu ms)\n",
-                   store_->dir().c_str(),
-                   static_cast<unsigned long long>(
-                       store_config->lease_timeout_ms));
+      std::fprintf(stderr, "[wayplace] result store: %s\n",
+                   store_->dir().c_str());
     }
     if (trace_) {
       trace_->write(TraceEvent("store_open")
                         .str("dir", store_->dir())
-                        .num("lease_timeout_ms",
-                             store_config->lease_timeout_ms)
                         .boolean("degraded", store_->degraded()));
     }
   }
@@ -312,53 +305,35 @@ bool SweepExecutor::simulate(Machine& machine, const MachineId& id,
   const int worker = ThreadPool::currentWorkerIndex();
   const unsigned max_attempts = supervisor_.maxAttempts();
   const bool is_baseline = spec.scheme == cache::Scheme::kBaseline;
-  const bool isolate = supervisor_.isolate;
   for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
     machine.attempts = attempt;
     try {
-      // The whole attempt body — fault injection, watchdog, simulate,
-      // price — so the isolated path runs exactly what the in-process
-      // path runs, just inside a forked worker. Spec-scoped faults
-      // first (unit tests target one cell), then the WP_CELL_FAULT
-      // knob, which spares baselines so a persistent fault degrades
-      // cells rather than erasing every normalization denominator.
-      const auto attemptBody = [&]() -> RunResult {
-        if (!id.group_error.empty()) throw SimError(id.group_error);
-        if (spec.fault.cellFaultEnabled()) {
-          fault::injectCellFault(spec.fault, attempt - 1);  // 0-based
-        }
-        if (!is_baseline) {
-          fault::injectCellFault(supervisor_.cell_fault,
-                                 supervisor_.cell_fault_failures, attempt - 1,
-                                 "WP_CELL_FAULT");
-        }
-        const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
-        return runner_.runGroup(id.group, icache, spec,
-                                workloads::InputSize::kLarge,
-                                watchdog.check ? &watchdog : nullptr);
-      };
       if (trace_) {
         trace_->write(TraceEvent("cell_start")
                           .str("key", key)
                           .num("attempt", attempt)
-                          .num("worker", worker)
-                          .boolean("isolated", isolate));
+                          .num("worker", worker));
       }
       const Stopwatch wall;
-      if (isolate) {
-        // Crash domain = this attempt of this machine. Every way the
-        // worker can die comes back as a WorkerResult error, rethrown
-        // here so crashes, hangs and SimErrors all ride the same
-        // retry/quarantine ladder below. The result carries its own
-        // host cost, so nothing else needs to come back.
-        WorkerResult wr = runCellInWorker(
-            key, id.image_digest, supervisor_.cell_timeout_ms, attemptBody);
-        if (!wr.ok) throw SimError(wr.error);
-        machine.simulated = std::move(wr.result);
-        metrics_.counter("cells.isolated").add();
-      } else {
-        machine.simulated = attemptBody();
+      if (!id.group_error.empty()) throw SimError(id.group_error);
+      // The watchdog is armed before any fault, so a hang fault polls
+      // the attempt's own deadline. Spec-scoped faults first (unit
+      // tests target one cell), then the WP_CELL_FAULT knob, which
+      // spares baselines so a persistent fault degrades cells rather
+      // than erasing every normalization denominator.
+      const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
+      if (spec.fault.cellFaultEnabled()) {
+        fault::injectCellFault(spec.fault, attempt - 1,  // 0-based
+                               watchdog.check);
       }
+      if (!is_baseline) {
+        fault::injectCellFault(supervisor_.cell_fault,
+                               supervisor_.cell_fault_failures, attempt - 1,
+                               "WP_CELL_FAULT", watchdog.check);
+      }
+      machine.simulated = runner_.runGroup(
+          id.group, icache, spec, workloads::InputSize::kLarge,
+          watchdog.check ? &watchdog : nullptr);
       machine.result = &machine.simulated;
       metrics_.counter("machines.simulated").add();
       if (attempt > 1) metrics_.counter("cells.healed").add();
@@ -453,8 +428,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                                 const SchemeSpec& spec, bool batched) {
   const int worker = ThreadPool::currentWorkerIndex();
 
-  // Interrupt check before any work (and before touching the store, so
-  // a draining bench never takes a lease it won't use): a latched
+  // Interrupt check before any work, the store read included: a latched
   // shutdown quarantines every not-yet-started cell quietly — no retry
   // ladder, no per-cell stderr line — so a SIGTERM'd sweep reaches its
   // flush-and-exit path in one pool drain instead of minutes later.
@@ -478,11 +452,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
   // thread) reached the machine first.
   if (!batched) id.key = key;
 
-  // The cell's own store record first: the store coordinates across
-  // *processes*, so even the lookup participates in the lease protocol
-  // — on a miss this cell now holds its compute lease (released on
-  // every exit path below).
-  ResultStore::Lease lease;
+  // The cell's own store record first.
   if (store_) {
     ResultStore::Outcome outcome = store_->open(key, id.image_digest);
     if (outcome.record) {
@@ -513,7 +483,6 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
       entry.ready.store(true, std::memory_order_release);
       return;
     }
-    lease = std::move(outcome.lease);
   }
 
   // Then the machine table, which simulates the machine if no other
@@ -524,10 +493,9 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
   const Machine& machine = ensureMachine(id, key, icache, spec);
   entry.attempts = machine.attempts;
   if (machine.result == nullptr) {
-    // Quarantine releases the lease (via Lease's destructor) without
-    // publishing: another process gets a fresh claim at this cell, and
-    // a re-run gets fresh attempts. Every cell of the machine is
-    // quarantined under its own key; the attempts were spent once.
+    // Quarantine publishes nothing, so a re-run gets fresh attempts.
+    // Every cell of the machine is quarantined under its own key; the
+    // attempts were spent once.
     entry.failure = "cell '" + key + "' (attempt " +
                     std::to_string(machine.attempts) + "/" +
                     std::to_string(supervisor_.maxAttempts()) +
@@ -558,8 +526,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
   entry.worker = worker;
   metrics_.counter("cells.computed").add();
   if (store_) {
-    store_->put(lease, key, id.image_digest, *entry.result,
-                entry.wall_seconds);
+    store_->put({}, key, id.image_digest, *entry.result, entry.wall_seconds);
   }
   entry.ready.store(true, std::memory_order_release);
 }
@@ -856,7 +823,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
       .num("cells_computed", count("cells.computed"))
       .num("machines_simulated", count("machines.simulated"))
       .num("cells_from_store", count("cells.from_store"))
-      .num("cells_isolated", count("cells.isolated"))
       .num("cells_healed", count("cells.healed"))
       .num("cells_quarantined", count("cells.quarantined"))
       .num("failed_attempts", count("cells.failed_attempts"))
@@ -869,8 +835,6 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
                .num("misses", count("store.misses"))
                .num("rejected", count("store.rejected"))
                .num("records_written", count("store.records_written"))
-               .num("lease_waits", count("store.lease_waits"))
-               .num("leases_reclaimed", count("store.leases_reclaimed"))
                .render())
       .raw("phase_seconds",
            JsonLine()

@@ -41,31 +41,25 @@
 //                 executes: per-workload prepare phases, cell
 //                 start/end/failure/retry/quarantine with worker thread
 //                 and durations, memo hits, report emission
-//   WP_RETRIES / WP_CELL_TIMEOUT_MS / WP_CELL_FAULT / WP_ISOLATE
+//   WP_RETRIES / WP_CELL_TIMEOUT_MS / WP_CELL_FAULT
 //                 cell supervision policy — see driver/supervisor.hpp.
-//                 Under WP_ISOLATE=1 every cell attempt runs in a
-//                 forked worker process (driver/worker.hpp), so a
-//                 SIGSEGV or wedged loop costs one attempt of one
-//                 cell, not the bench.
+//                 Every attempt runs in this process: it is the one
+//                 crash domain (DESIGN.md §10).
 //   WP_STORE      directory of a persistent cross-run result store:
 //                 cells whose stored record verifies (image digest +
 //                 stats digest + seed) are served instead of simulated,
-//                 freshly computed cells are published atomically, and
-//                 concurrent sweeps sharing the directory coordinate
-//                 through lock-file leases (WP_LEASE_TIMEOUT_MS) so a
-//                 cell is computed once across processes. It is also
-//                 the crash-recovery path: a killed sweep re-run on the
-//                 same store recomputes only the cells it never
-//                 published and prints a byte-identical table. See
-//                 driver/result_store.hpp.
+//                 and freshly computed cells are published atomically.
+//                 It is also the crash-recovery path: a killed sweep
+//                 re-run on the same store recomputes only the cells it
+//                 never published and prints a byte-identical table.
+//                 See driver/result_store.hpp.
 //
 // Instrumentation is host-side only: with or without WP_TRACE/WP_JSON/
-// WP_STORE, at any WP_JOBS, with or without WP_ISOLATE, the printed
-// tables are byte-identical. Host cost has one set of books: every
-// host aggregate (the report's host block and the stderr summary) is
-// summed from the RunResults of the machines this executor simulated,
-// each once, and the PreparePhases of the workloads it prepared, so an
-// isolated attempt is accounted by the same code as an in-process one.
+// WP_STORE, at any WP_JOBS, the printed tables are byte-identical. Host
+// cost has one set of books: every host aggregate (the report's host
+// block and the stderr summary) is summed from the RunResults of the
+// machines this executor simulated, each once, and the PreparePhases of
+// the workloads it prepared.
 #pragma once
 
 #include <condition_variable>

@@ -10,8 +10,11 @@
 //     comparison) is ~53 % of a read access,
 //   - the data-array row read is ~42 %,
 //   - decode/output drive make up the rest,
-//   - the I-cache is ~25 % of total processor energy (StrongARM burns
-//     27 % in its I-cache [Montanaro et al.]).
+//   - the I-cache is ~14-15 % of total processor energy (see
+//     core_per_instruction; the recorded fig6 baselines put it at
+//     15.2-15.8 % at 32 ways). StrongARM burns 27 % in its I-cache
+//     [Montanaro et al.], but the paper's own ED numbers imply a
+//     smaller share.
 //
 // CAM sub-bank read model: the matching way's match line drives the word
 // line of its data row, so a read senses the whole row (line_bits x

@@ -1,12 +1,11 @@
 #include "fault/fault.hpp"
 
-#include <csignal>
-#include <cstdio>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
+#include <chrono>
+#include <cstdio>
 #include <string>
+#include <thread>
 
 #include "support/ensure.hpp"
 #include "support/number.hpp"
@@ -47,8 +46,6 @@ const char* cellFaultName(CellFault f) {
       return "transient";
     case CellFault::kPersistent:
       return "persistent";
-    case CellFault::kCrash:
-      return "crash";
     case CellFault::kHang:
       return "hang";
   }
@@ -56,7 +53,7 @@ const char* cellFaultName(CellFault f) {
 }
 
 void injectCellFault(CellFault kind, u32 failures, unsigned attempt,
-                     const char* origin) {
+                     const char* origin, const DeadlineCheck& deadline) {
   switch (kind) {
     case CellFault::kNone:
       return;
@@ -73,85 +70,57 @@ void injectCellFault(CellFault kind, u32 failures, unsigned attempt,
       throw SimError("injected persistent cell fault (" +
                      std::string(origin) +
                      "): every attempt fails — this cell must quarantine");
-    case CellFault::kCrash:
-      if (failures == 0 || attempt < failures) {
-        // A real crash, not an exception: SIGKILL cannot be caught,
-        // blocked or sanitized away, so the attempt dies exactly like a
-        // SIGSEGV'd simulator would. Only a forked worker survives it.
-        std::fprintf(stderr,
-                     "[wayplace] injected crash cell fault (%s): attempt %u "
-                     "dies by SIGKILL\n",
-                     origin, attempt + 1);
-        ::raise(SIGKILL);
-        for (;;) {}  // unreachable; raise cannot fail for SIGKILL
-      }
-      return;
     case CellFault::kHang:
-      // A wedged attempt: never retires an instruction, so the
-      // in-process instruction-budget watchdog can never fire. Only the
-      // worker parent's wall-clock kill (WP_ISOLATE=1 +
-      // WP_CELL_TIMEOUT_MS) ends it.
+      // A wedged attempt retires no instruction, so the simulator never
+      // reaches its budget hook; polling the same check here ends the
+      // attempt exactly as the watchdog ends a runaway simulation.
+      // Without a watchdog nothing ends it, which is why the supervisor
+      // and the service refuse a hang without WP_CELL_TIMEOUT_MS.
       std::fprintf(stderr,
                    "[wayplace] injected hang cell fault (%s): attempt %u "
-                   "blocks forever\n",
+                   "blocks until its watchdog fires\n",
                    origin, attempt + 1);
-      for (;;) ::pause();
+      for (;;) {
+        if (deadline) deadline(0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
   }
   WP_UNREACHABLE("bad cell fault");
 }
 
-void injectCellFault(const FaultSpec& spec, unsigned attempt) {
-  injectCellFault(spec.cell_fault, spec.cell_fault_failures, attempt, "spec");
+void injectCellFault(const FaultSpec& spec, unsigned attempt,
+                     const DeadlineCheck& deadline) {
+  injectCellFault(spec.cell_fault, spec.cell_fault_failures, attempt, "spec",
+                  deadline);
 }
 
 bool parseCellFault(std::string_view spec, std::string_view knob,
                     CellFault& kind, u32& failures, std::string& error) {
-  const auto badSpec = [&] {
-    error = std::string(knob) + "='" + std::string(spec) +
-            "' is not a valid cell fault (expected 'transient[:N]', "
-            "'persistent', 'crash[:N]' or 'hang')";
-    return false;
-  };
   const auto colon = spec.find(':');
   const std::string_view name = spec.substr(0, colon);
-  // Strict failure-count parse for the kinds that accept ":N".
-  const auto parseFailures = [&](const char* shape, u32& out) {
+  failures = 1;
+  if (name == "persistent" && colon == std::string_view::npos) {
+    kind = CellFault::kPersistent;
+  } else if (name == "hang" && colon == std::string_view::npos) {
+    kind = CellFault::kHang;
+  } else if (name == "transient") {
+    kind = CellFault::kTransient;
+    if (colon == std::string_view::npos) return true;
+    // Strict failure-count parse of the ":N" suffix.
     const std::optional<u64> v =
         parseUnsigned(spec.substr(colon + 1), /*hex=*/false);
     if (!v || *v == 0 || *v > 1000) {
       error = std::string(knob) + "='" + std::string(spec) +
-              "' has a bad failure count (expected " + shape +
-              " with N in [1, 1000])";
+              "' has a bad failure count (expected transient[:N] with N "
+              "in [1, 1000])";
       return false;
     }
-    out = static_cast<u32>(*v);
-    return true;
-  };
-  if (name == "persistent" && colon == std::string_view::npos) {
-    kind = CellFault::kPersistent;
-    failures = 1;
-  } else if (name == "transient") {
-    kind = CellFault::kTransient;
-    failures = 1;
-    if (colon != std::string_view::npos &&
-        !parseFailures("transient[:N]", failures)) {
-      return false;
-    }
-  } else if (name == "crash") {
-    kind = CellFault::kCrash;
-    // Bare "crash" crashes every attempt (failures = 0); "crash:N"
-    // crashes N attempts and then heals — mirroring transient, except
-    // the failure is a SIGKILL instead of a catchable SimError.
-    failures = 0;
-    if (colon != std::string_view::npos &&
-        !parseFailures("crash[:N]", failures)) {
-      return false;
-    }
-  } else if (name == "hang" && colon == std::string_view::npos) {
-    kind = CellFault::kHang;
-    failures = 1;
+    failures = static_cast<u32>(*v);
   } else {
-    return badSpec();
+    error = std::string(knob) + "='" + std::string(spec) +
+            "' is not a valid cell fault (expected 'transient[:N]', "
+            "'persistent' or 'hang')";
+    return false;
   }
   return true;
 }

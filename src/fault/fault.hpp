@@ -15,6 +15,7 @@
 // and delay degrade boundedly.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -41,18 +42,16 @@ enum class ProfileFault : u8 {
 /// class this never touches the simulated machine — a healed attempt's
 /// results are bit-identical to a never-faulted run of the same cell.
 ///
-/// kTransient/kPersistent throw SimError (a failure the in-process
-/// supervisor can catch). kCrash and kHang are *hostile*: the attempt
-/// dies by SIGKILL or wedges forever, exactly like a SIGSEGV'd or
-/// runaway simulator. They are survivable only under WP_ISOLATE=1,
-/// where each attempt runs in a forked worker process — which is the
-/// point: they death-test the process-isolation crash domain.
+/// kTransient/kPersistent throw SimError. kHang stands for a simulator
+/// that stops retiring instructions: the attempt retires nothing and
+/// ends only when its own watchdog (WP_CELL_TIMEOUT_MS) fires. The
+/// values are explicit because sweep memo keys, quarantine errors and
+/// service replies carry them (a hang cell's key ends in "/c4:1").
 enum class CellFault : u8 {
-  kNone,
-  kTransient,   ///< early attempts fail, a retry heals the cell
-  kPersistent,  ///< every attempt fails — the cell must quarantine
-  kCrash,       ///< attempt dies by SIGKILL (failures = 0: every attempt)
-  kHang,        ///< attempt never returns; only a watchdog kill ends it
+  kNone = 0,
+  kTransient = 1,   ///< early attempts fail, a retry heals the cell
+  kPersistent = 2,  ///< every attempt fails — the cell must quarantine
+  kHang = 4,        ///< attempt retires nothing until its watchdog fires
 };
 
 [[nodiscard]] const char* cellFaultName(CellFault f);
@@ -74,8 +73,8 @@ struct FaultSpec {
   /// Harness-level cell fault (see CellFault). Key material for the
   /// sweep memo but invisible to the simulated machine.
   CellFault cell_fault = CellFault::kNone;
-  /// Failing attempts before kTransient/kCrash heal; 0 means "every
-  /// attempt" for kCrash (the persistent-crash form). Ignored by kHang.
+  /// Failing attempts before kTransient heals. Ignored by kPersistent
+  /// and kHang.
   u32 cell_fault_failures = 1;
 
   [[nodiscard]] bool cellFaultEnabled() const {
@@ -133,23 +132,28 @@ class FaultInjector final : public cache::FetchFaultHook {
 /// to show corrupt profiles degrade energy, never correctness.
 void corruptProfile(profile::ProfileResult& prof, ProfileFault kind, Rng& rng);
 
+/// The attempt's watchdog check (sim::BudgetHook::check): throws
+/// SimError once the attempt is past its deadline. Empty when no
+/// watchdog is armed.
+using DeadlineCheck = std::function<void(u64 instructions)>;
+
 /// Fails 0-based attempt @p attempt of a cell when @p kind says so.
 /// kTransient throws SimError for the first @p failures attempts;
-/// kPersistent always throws. kCrash raises SIGKILL for the first
-/// @p failures attempts (0 = every attempt) and kHang blocks forever —
-/// both are survivable only when the attempt runs in a forked worker
-/// (WP_ISOLATE=1). Deterministic in its arguments — the supervisor's
-/// retry schedule replays identically from the seed. @p origin names
-/// the fault's source ("spec" or "WP_CELL_FAULT") in the thrown
-/// message.
+/// kPersistent always throws. kHang polls @p deadline until it throws,
+/// so the attempt fails with the watchdog's own error; without a
+/// deadline it blocks forever.
+/// Deterministic in its arguments — the supervisor's retry schedule
+/// replays identically from the seed. @p origin names the fault's
+/// source ("spec" or "WP_CELL_FAULT") in the thrown message.
 void injectCellFault(CellFault kind, u32 failures, unsigned attempt,
-                     const char* origin);
+                     const char* origin, const DeadlineCheck& deadline);
 
 /// The FaultSpec-level form: injectCellFault(spec.cell_fault, ...).
-void injectCellFault(const FaultSpec& spec, unsigned attempt);
+void injectCellFault(const FaultSpec& spec, unsigned attempt,
+                     const DeadlineCheck& deadline);
 
-/// Parses a cell-fault spec string — "transient[:N]", "persistent",
-/// "crash[:N]" or "hang" — into (@p kind, @p failures). Never exits:
+/// Parses a cell-fault spec string — "transient[:N]", "persistent" or
+/// "hang" — into (@p kind, @p failures). Never exits:
 /// on garbage it returns false with @p error set to a message naming
 /// @p knob (the environment variable or request field the spec came
 /// from), so callers choose their own fate — SupervisorConfig::fromEnv

@@ -1,5 +1,5 @@
 // The one flat-JSON writer. Every JSON line the harness writes — store
-// records, headers and leases, worker-pipe lines, wp_serve replies,
+// records and headers, wp_serve replies,
 // WP_TRACE events and the WP_JSON report — is built by JsonLine; the
 // one reader is parseFlatJsonLine plus JsonReader (driver/checkpoint.hpp).
 #pragma once

@@ -1,7 +1,7 @@
 // The one strict unsigned-integer reader.
 //
-// Every numeric environment knob, flat-JSON field (store records, lease
-// payloads, service requests), layout param, file-name pid suffix and
+// Every numeric environment knob, flat-JSON field (store records,
+// service requests), layout param, file-name pid suffix and
 // CLI flag goes through parseUnsigned, so one rule decides which text is
 // a number: a typo, a sign, padding or a leading zero is never silently
 // read as some other value. envUnsigned adds the one startup error every

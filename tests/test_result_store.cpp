@@ -1,11 +1,10 @@
 // Tests for the persistent result store (driver/result_store.hpp +
 // WP_STORE), the sweep's one durability path: verified round-trips,
-// tamper/torn rejection, pinned digests, the lock-file lease protocol
-// (wait, dead-holder reclaim, expiry reclaim), loud degradation on an
+// tamper/torn rejection, pinned digests, loud degradation on an
 // unusable store, warm and partially populated stores resuming a sweep
 // byte-identically at any job count, quarantined cells never published,
-// seeds never mixed, and two processes racing one store without
-// double-computing or leaving locks behind.
+// seeds never mixed, and two processes sharing one store without
+// leaving anything but records behind.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -13,13 +12,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "driver/checkpoint.hpp"
@@ -96,46 +92,7 @@ TEST(ResultStoreConfig, IsOptInAndParsesTheLeaseTimeout) {
     const auto c = driver::ResultStore::fromEnv();
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->dir, "/tmp/some-store");
-    EXPECT_EQ(c->lease_timeout_ms, 10u * 60 * 1000)
-        << "default lease timeout is 10 minutes";
   }
-  {
-    ScopedEnv store("WP_STORE", "/tmp/some-store");
-    ScopedEnv lease("WP_LEASE_TIMEOUT_MS", "1234");
-    const auto c = driver::ResultStore::fromEnv();
-    ASSERT_TRUE(c.has_value());
-    EXPECT_EQ(c->lease_timeout_ms, 1234u);
-  }
-}
-
-using ResultStoreDeathTest = ::testing::Test;
-
-TEST(ResultStoreDeathTest, TrailingGarbageLeaseTimeoutExits) {
-  ScopedEnv store("WP_STORE", "/tmp/some-store");
-  ScopedEnv lease("WP_LEASE_TIMEOUT_MS", "100x");
-  EXPECT_EXIT((void)driver::ResultStore::fromEnv(),
-              testing::ExitedWithCode(1), "WP_LEASE_TIMEOUT_MS='100x'");
-}
-
-TEST(ResultStoreDeathTest, ZeroLeaseTimeoutExits) {
-  ScopedEnv store("WP_STORE", "/tmp/some-store");
-  ScopedEnv lease("WP_LEASE_TIMEOUT_MS", "0");
-  EXPECT_EXIT((void)driver::ResultStore::fromEnv(),
-              testing::ExitedWithCode(1), "WP_LEASE_TIMEOUT_MS='0'");
-}
-
-TEST(ResultStoreDeathTest, OverflowLeaseTimeoutExits) {
-  ScopedEnv store("WP_STORE", "/tmp/some-store");
-  ScopedEnv lease("WP_LEASE_TIMEOUT_MS", "99999999999999999999");
-  EXPECT_EXIT((void)driver::ResultStore::fromEnv(),
-              testing::ExitedWithCode(1), "WP_LEASE_TIMEOUT_MS");
-}
-
-TEST(ResultStoreDeathTest, NegativeLeaseTimeoutExits) {
-  ScopedEnv store("WP_STORE", "/tmp/some-store");
-  ScopedEnv lease("WP_LEASE_TIMEOUT_MS", "-5");
-  EXPECT_EXIT((void)driver::ResultStore::fromEnv(),
-              testing::ExitedWithCode(1), "WP_LEASE_TIMEOUT_MS");
 }
 
 // ---------------------------------------------------------------------
@@ -144,31 +101,20 @@ TEST(ResultStoreDeathTest, NegativeLeaseTimeoutExits) {
 TEST(ResultStore, PutThenOpenRoundTripsUnderTheLeaseProtocol) {
   const std::string dir = freshDir("store_roundtrip");
   MetricsRegistry metrics;
-  driver::ResultStore store({dir, 600000}, 7, metrics, nullptr);
+  driver::ResultStore store({dir}, 7, metrics, nullptr);
   ASSERT_FALSE(store.degraded());
 
   auto miss = store.open("cell/a", 42);
   EXPECT_FALSE(miss.record.has_value());
-  ASSERT_TRUE(miss.lease.owned());
-  struct stat st;
-  EXPECT_EQ(::stat((store.recordPathFor("cell/a", 42) + ".lock").c_str(),
-                   &st),
-            0)
-      << "a miss must leave its lease lock on disk";
 
   const driver::RunResult sent = fakeResult();
   store.put(miss.lease, "cell/a", 42, sent, 0.5);
-  EXPECT_FALSE(miss.lease.owned()) << "put releases the lease";
-  EXPECT_NE(::stat((store.recordPathFor("cell/a", 42) + ".lock").c_str(),
-                   &st),
-            0)
-      << "the lock must be gone after publish";
+  struct stat st;
   EXPECT_EQ(::stat(store.recordPathFor("cell/a", 42).c_str(), &st), 0);
   EXPECT_EQ(metrics.counter("store.records_written").value(), 1u);
 
   auto hit = store.open("cell/a", 42);
   ASSERT_TRUE(hit.record.has_value());
-  EXPECT_FALSE(hit.lease.owned());
   EXPECT_EQ(driver::statsDigest(hit.record->result),
             driver::statsDigest(sent));
   EXPECT_EQ(hit.record->wall_seconds, 0.5);
@@ -179,14 +125,13 @@ TEST(ResultStore, PutThenOpenRoundTripsUnderTheLeaseProtocol) {
   // rejection — the store never serves results for other bytes.
   auto other = store.open("cell/a", 43);
   EXPECT_FALSE(other.record.has_value());
-  EXPECT_TRUE(other.lease.owned());
   EXPECT_EQ(metrics.counter("store.rejected").value(), 0u);
 }
 
 TEST(ResultStore, RejectsTamperedAndTornRecordsAndRecomputes) {
   const std::string dir = freshDir("store_tamper");
   MetricsRegistry metrics;
-  driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
+  driver::ResultStore store({dir}, 0, metrics, nullptr);
   {
     auto miss = store.open("cell/a", 1);
     store.put(miss.lease, "cell/a", 1, fakeResult(), 0.0);
@@ -211,8 +156,6 @@ TEST(ResultStore, RejectsTamperedAndTornRecordsAndRecomputes) {
   }
   auto rejected = store.open("cell/a", 1);
   EXPECT_FALSE(rejected.record.has_value());
-  EXPECT_TRUE(rejected.lease.owned())
-      << "a rejected record is a miss: the caller recomputes under lease";
   EXPECT_EQ(metrics.counter("store.rejected").value(), 1u);
   store.put(rejected.lease, "cell/a", 1, fakeResult(), 0.0);
 
@@ -224,132 +167,7 @@ TEST(ResultStore, RejectsTamperedAndTornRecordsAndRecomputes) {
   }
   auto torn = store.open("cell/a", 1);
   EXPECT_FALSE(torn.record.has_value());
-  EXPECT_TRUE(torn.lease.owned());
   EXPECT_EQ(metrics.counter("store.rejected").value(), 2u);
-}
-
-TEST(ResultStore, ReclaimsADeadHoldersLease) {
-  const std::string dir = freshDir("store_deadpid");
-  MetricsRegistry metrics;
-  driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
-
-  // A freshly dead pid: forked and exited before we write the lock.
-  const pid_t dead = ::fork();
-  ASSERT_GE(dead, 0);
-  if (dead == 0) std::_Exit(0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(dead, &status, 0), dead);
-
-  {
-    std::ofstream lock(store.recordPathFor("cell/a", 1) + ".lock");
-    lock << "{\"pid\": " << dead << ", \"seed\": 0}\n";
-  }
-  auto out = store.open("cell/a", 1);
-  EXPECT_FALSE(out.record.has_value());
-  EXPECT_TRUE(out.lease.owned())
-      << "a dead holder's lease must be reclaimed immediately";
-  EXPECT_EQ(metrics.counter("store.leases_reclaimed").value(), 1u);
-}
-
-TEST(ResultStore, ReclaimsAnExpiredLeaseOfALiveHolder) {
-  const std::string dir = freshDir("store_expiry");
-  MetricsRegistry metrics;
-  driver::ResultStore store({dir, 50}, 0, metrics, nullptr);
-
-  // pid 1 is alive but will never release this lock; only the
-  // WP_LEASE_TIMEOUT_MS expiry can break the tie.
-  {
-    std::ofstream lock(store.recordPathFor("cell/a", 1) + ".lock");
-    lock << "{\"pid\": 1, \"seed\": 0}\n";
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  auto out = store.open("cell/a", 1);
-  EXPECT_FALSE(out.record.has_value());
-  EXPECT_TRUE(out.lease.owned());
-  EXPECT_EQ(metrics.counter("store.leases_reclaimed").value(), 1u);
-}
-
-TEST(ResultStore, ReclaimsALeaseFromAPreviousBootDespiteALivePid) {
-  const std::string dir = freshDir("store_staleboot");
-  MetricsRegistry metrics;
-  // Ten-minute lease timeout: only the boot-nonce mismatch can explain
-  // an immediate reclaim here.
-  driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
-
-  ASSERT_NE(driver::bootNonce(), 0u)
-      << "this host exposes no boot identity; the nonce check is moot";
-  EXPECT_EQ(driver::bootNonce(), driver::bootNonce())
-      << "the nonce must be stable within one boot";
-
-  // The PID-reuse-after-reboot shape: pid 1 is alive *now*, but the
-  // lease was written under a different boot nonce — before the fix,
-  // kill(1, 0) succeeding parked this lease until expiry even though
-  // its real holder died with the previous boot.
-  {
-    std::ofstream lock(store.recordPathFor("cell/a", 1) + ".lock");
-    lock << "{\"pid\": 1, \"boot\": " << (driver::bootNonce() ^ 1)
-         << ", \"seed\": 0}\n";
-  }
-  auto out = store.open("cell/a", 1);
-  EXPECT_FALSE(out.record.has_value());
-  EXPECT_TRUE(out.lease.owned())
-      << "a previous-boot lease must be reclaimed immediately";
-  EXPECT_EQ(metrics.counter("store.leases_reclaimed").value(), 1u);
-}
-
-TEST(ResultStore, CurrentBootLeasePayloadKeepsALiveHolderParked) {
-  const std::string dir = freshDir("store_currentboot");
-  MetricsRegistry metrics;
-  driver::ResultStore store({dir, 50}, 0, metrics, nullptr);
-
-  // Same shape as the expiry test, but with the *current* boot nonce in
-  // the payload: the nonce check must not fire, leaving expiry as the
-  // only way past a live holder.
-  {
-    std::ofstream lock(store.recordPathFor("cell/a", 1) + ".lock");
-    lock << "{\"pid\": 1, \"boot\": " << driver::bootNonce()
-         << ", \"seed\": 0}\n";
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  auto out = store.open("cell/a", 1);
-  EXPECT_TRUE(out.lease.owned());
-  EXPECT_EQ(metrics.counter("store.leases_reclaimed").value(), 1u)
-      << "reclaimed exactly once, by expiry";
-}
-
-TEST(ResultStore, WaitsOutALiveHolderAndServesItsRecord) {
-  const std::string dir = freshDir("store_wait");
-  MetricsRegistry metrics;
-  driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
-  const std::string path = store.recordPathFor("cell/a", 9);
-  {
-    std::ofstream lock(path + ".lock");
-    lock << "{\"pid\": 1, \"seed\": 0}\n";  // alive, long lease
-  }
-
-  // "The holder": publishes the record and releases the lock while this
-  // thread is blocked inside open().
-  const driver::RunResult sent = fakeResult();
-  std::thread holder([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const std::string tmp = path + ".tmp.test";
-    std::ofstream out(tmp);
-    out << "{\"ev\": \"store\", \"version\": 1, \"seed\": 0, "
-           "\"key\": \"cell/a\"}\n"
-        << driver::renderRecord("cell/a", 9, sent, 0.25) << "\n";
-    out.close();
-    ASSERT_EQ(::rename(tmp.c_str(), path.c_str()), 0);
-    ::unlink((path + ".lock").c_str());
-  });
-  auto out = store.open("cell/a", 9);
-  holder.join();
-  ASSERT_TRUE(out.record.has_value())
-      << "the waiter must pick up the holder's published record";
-  EXPECT_FALSE(out.lease.owned());
-  EXPECT_EQ(driver::statsDigest(out.record->result),
-            driver::statsDigest(sent));
-  EXPECT_EQ(metrics.counter("store.lease_waits").value(), 1u);
-  EXPECT_EQ(metrics.counter("store.misses").value(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -485,15 +303,16 @@ TEST(StoreSweep, PartialStoreServesItsCellsAndComputesTheRest) {
     driver::SweepExecutor first({"crc"}, energy::EnergyParams{}, 0, 2);
     first.runAll({{kXScale, wpSpec()}});
   }
-  {  // ...while bitcount's way-placement cell was mid-compute: its
-     // SIGKILLed holder left a lease behind.
+  {  // ...while bitcount's way-placement cell was mid-compute in a
+     // process built before the store dropped its lock files: the dead
+     // holder left its lock behind.
     const pid_t dead = ::fork();
     ASSERT_GE(dead, 0);
     if (dead == 0) std::_Exit(0);
     int status = 0;
     ASSERT_EQ(::waitpid(dead, &status, 0), dead);
     MetricsRegistry metrics;
-    const driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
+    const driver::ResultStore store({dir}, 0, metrics, nullptr);
     const driver::PreparedWorkload& bitcount = fresh.prepared().at(1);
     std::ofstream lock(
         store.recordPathFor(
@@ -502,19 +321,26 @@ TEST(StoreSweep, PartialStoreServesItsCellsAndComputesTheRest) {
         ".lock");
     lock << "{\"pid\": " << dead << ", \"seed\": 0}\n";
   }
+  const auto lock_bytes = [&] {
+    const auto locks = filesWithSuffix(dir, ".lock");
+    if (locks.size() != 1) return std::string("missing");
+    std::ifstream in(dir + "/" + locks.front());
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string planted = lock_bytes();
 
   driver::SweepExecutor resumed(fastSubset(), energy::EnergyParams{}, 0, 2);
   resumed.runAll({{kXScale, wpSpec()}});
   EXPECT_EQ(resumed.metrics().counter("cells.from_store").value(), 2u)
       << "crc's baseline + way-placement are served";
   EXPECT_EQ(resumed.metrics().counter("cells.computed").value(), 2u)
-      << "bitcount's cells compute";
-  EXPECT_EQ(resumed.metrics().counter("store.leases_reclaimed").value(), 1u);
+      << "bitcount's cells compute, the locked one included";
   EXPECT_EQ(resumed.averageNormalized(kXScale, wpSpec(), icacheEnergy),
             e_fresh)
       << "a resumed sweep must reproduce the uninterrupted numbers";
   EXPECT_EQ(filesWithSuffix(dir, ".rec").size(), 4u);
-  EXPECT_EQ(filesWithSuffix(dir, ".lock").size(), 0u);
+  EXPECT_EQ(lock_bytes(), planted) << "the store never touches a lock file";
 }
 
 TEST(StoreSweep, QuarantinedCellsAreNeverPublishedSoReRunRetries) {
@@ -533,8 +359,6 @@ TEST(StoreSweep, QuarantinedCellsAreNeverPublishedSoReRunRetries) {
   }
   EXPECT_EQ(filesWithSuffix(dir, ".rec").size(), 1u)
       << "only the healthy cell may be published";
-  EXPECT_EQ(filesWithSuffix(dir, ".lock").size(), 0u)
-      << "quarantine releases the lease";
 
   // On a re-run the quarantined cell gets a fresh set of attempts (and
   // with the spec-level persistent fault still present, quarantines
@@ -674,50 +498,14 @@ TEST(StoreRace, TwoProcessesShareOneStoreWithoutDoubleComputeOrLockLitter) {
   EXPECT_EQ(my_avg, child_avg)
       << "both processes must print byte-identical tables";
 
-  // Exactly one record per cell (2 workloads x baseline+way-placement),
-  // no lease litter: the loser of each race waited and hit, it never
-  // wrote a second record or abandoned a lock.
+  // Exactly one record per cell (2 workloads x baseline+way-placement)
+  // and nothing else: a cell both processes computed was staged under
+  // each writer's pid and renamed into place, the last rename winning.
   EXPECT_EQ(filesWithSuffix(dir, ".rec").size(), 4u);
   EXPECT_EQ(filesWithSuffix(dir, ".lock").size(), 0u);
   EXPECT_EQ(filesWithSuffix(dir, "").size(), 6u)
       << "nothing but records (and . / ..) may remain in the store";
   std::remove(child_out.c_str());
-}
-
-TEST(StoreRace, SigkilledLeaseHolderIsReclaimedByTheSurvivor) {
-  const std::string dir = freshDir("store_race_kill");
-  int ready[2];
-  ASSERT_EQ(::pipe(ready), 0);
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // The doomed holder: acquires the lease, reports readiness, wedges.
-    ::close(ready[0]);
-    MetricsRegistry metrics;
-    driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
-    auto held = store.open("cell/a", 1);
-    const char ok = held.lease.owned() ? '1' : '0';
-    (void)!::write(ready[1], &ok, 1);
-    for (;;) ::pause();  // SIGKILL is the only way out
-  }
-  ::close(ready[1]);
-  char ok = '0';
-  ASSERT_EQ(::read(ready[0], &ok, 1), 1);
-  ::close(ready[0]);
-  ASSERT_EQ(ok, '1') << "the child must own the lease before dying";
-  ASSERT_EQ(::kill(pid, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-
-  MetricsRegistry metrics;
-  driver::ResultStore store({dir, 600000}, 0, metrics, nullptr);
-  auto out = store.open("cell/a", 1);
-  EXPECT_FALSE(out.record.has_value());
-  EXPECT_TRUE(out.lease.owned())
-      << "the survivor must reclaim a SIGKILLed holder's lease";
-  EXPECT_EQ(metrics.counter("store.leases_reclaimed").value(), 1u);
 }
 
 }  // namespace

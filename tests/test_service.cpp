@@ -1,7 +1,7 @@
 // Chaos tests for the crash-only sweep service (driver/service.hpp):
 // strict WP_SERVE_* parsing, a malformed-request fuzz corpus that must
-// never kill the daemon, deadline and crash-fault degradation through
-// the supervisor, concurrent clients collapsing to one compute with
+// never kill the daemon, deadline and fault degradation through the
+// supervisor, concurrent clients collapsing to one compute with
 // byte-identical replies, overload shedding under a bounded queue,
 // graceful drain, and the headline crash-only property — SIGKILL a
 // serving process mid-compute, restart on the same WP_STORE, and replay
@@ -213,7 +213,8 @@ TEST(ServiceHandleLine, MalformedRequestFuzzCorpusNeverKillsTheService) {
       "{\"op\": \"eval\", \"workload\": \"crc\", \"scheme\": "
       "\"baseline\", \"fault\": \"transient\"}",
       "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"nonsense\"}",
-      // crash/hang faults need process isolation this service lacks.
+      // crash is no longer a fault class; hang needs a deadline this
+      // service lacks.
       "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"crash\"}",
       "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"hang\"}",
       "{\"op\": \"recommend\", \"workload\": \"crc\", \"layout\": "
@@ -243,7 +244,6 @@ TEST(ServiceHandleLine, MalformedRequestFuzzCorpusNeverKillsTheService) {
 
 TEST(ServiceHandleLine, HangFaultBecomesDeadlineUnderIsolation) {
   driver::SupervisorConfig sup;
-  sup.isolate = true;
   sup.retries = 0;  // one hanging attempt, not two
   sup.cell_timeout_ms = 300;
   sup.timeout_check_interval = 1u << 12;
@@ -254,24 +254,6 @@ TEST(ServiceHandleLine, HangFaultBecomesDeadlineUnderIsolation) {
   EXPECT_EQ(fate(reply), "deadline") << reply;
   EXPECT_NE(field(reply, "error").find("WP_CELL_TIMEOUT_MS"),
             std::string::npos);
-}
-
-TEST(ServiceHandleLine, CrashFaultsDegradeByRetryBudget) {
-  driver::SupervisorConfig sup;
-  sup.isolate = true;
-  sup.retries = 1;
-  TestService ts(7, 1, sup);
-  // One worker death, then the retry serves the cell: the client never
-  // sees the crash, the service never dies with it.
-  const std::string survived = ts.service.handleLine(
-      "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"crash:1\"}");
-  EXPECT_EQ(fate(survived), "served") << survived;
-  // A persistent crasher exhausts the budget and is quarantined — a
-  // reply the client can act on, not a dead daemon.
-  const std::string reply = ts.service.handleLine(
-      "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"crash:99\"}");
-  EXPECT_EQ(fate(reply), "quarantined") << reply;
-  EXPECT_NE(field(reply, "error"), "");
 }
 
 TEST(ServiceHandleLine, SuiteRowQuarantineNamesItsOwnCell) {
@@ -293,9 +275,7 @@ TEST(ServiceHandleLine, SuiteRowQuarantineNamesItsOwnCell) {
 }
 
 TEST(ServiceHandleLine, HangWithoutDeadlineIsRejectedAtAdmission) {
-  driver::SupervisorConfig sup;
-  sup.isolate = true;  // isolation alone is not enough for a hang
-  TestService ts(7, 1, sup);
+  TestService ts;
   const std::string reply = ts.service.handleLine(
       "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"hang\"}");
   EXPECT_EQ(fate(reply), "error") << reply;
@@ -365,12 +345,11 @@ TEST(ServiceServe, ConcurrentClientsShareOneComputeAndDrainCleanly) {
   EXPECT_EQ(rc, 0);
 }
 
-/// Wall milliseconds of one isolated, unwatched crc eval at the 1 KB
-/// area (its baseline and the cell) on this build, which a sanitizer
-/// build slows several times over.
-u64 isolatedCrcEvalMs() {
+/// Wall milliseconds of one unwatched crc eval at the 1 KB area (its
+/// baseline and the cell) on this build, which a sanitizer build slows
+/// several times over.
+u64 crcEvalMs() {
   driver::SupervisorConfig sup;
-  sup.isolate = true;
   sup.retries = 0;
   TestService probe(7, 1, sup);
   const auto start = std::chrono::steady_clock::now();
@@ -384,11 +363,10 @@ u64 isolatedCrcEvalMs() {
 
 TEST(ServiceServe, OverloadShedsDeadlinesFireAndDrainStillFlushes) {
   driver::SupervisorConfig sup;
-  sup.isolate = true;
   sup.retries = 0;
   // Only the hanging cell may hit the deadline, on any build: the
   // queued crc cell gets several times what one costs here.
-  sup.cell_timeout_ms = std::max<u64>(400, 4 * isolatedCrcEvalMs());
+  sup.cell_timeout_ms = std::max<u64>(400, 4 * crcEvalMs());
   sup.timeout_check_interval = 1u << 12;
   driver::ServiceConfig config;
   config.socket_path = freshPath("svc2.sock");
@@ -452,7 +430,6 @@ TEST(ServiceServe, OverloadShedsDeadlinesFireAndDrainStillFlushes) {
 
 TEST(ServiceServe, DrainRefusesNewWorkButFlushesAdmittedWork) {
   driver::SupervisorConfig sup;
-  sup.isolate = true;
   sup.retries = 0;
   sup.cell_timeout_ms = 500;
   sup.timeout_check_interval = 1u << 12;
@@ -545,7 +522,7 @@ TEST(ServiceServe, SigkillMidComputeLeavesNoTornRecordsAndReplays) {
   ASSERT_EQ(::waitpid(child, &status, 0), child);
 
   // Crash-only promise #1: whatever instant the kill hit, the store
-  // holds no torn record — at worst stale lease/tmp litter.
+  // holds no torn record — at worst stale tmp litter.
   driver::FsckOptions options;
   options.dir = store;
   std::ostringstream report_out;
@@ -567,7 +544,6 @@ TEST(ServiceServe, SigkillMidComputeLeavesNoTornRecordsAndReplays) {
   options.remove = false;
   report = driver::fsckStore(options, after_out);
   EXPECT_EQ(report.damaged, 0u) << after_out.str();
-  EXPECT_EQ(report.stale_leases, 0u) << after_out.str();
   EXPECT_GE(report.healthy, 5u) << after_out.str();  // base + 4 cells
 }
 

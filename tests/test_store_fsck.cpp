@@ -1,9 +1,9 @@
 // Tests for the offline store integrity checker (driver/store_fsck.hpp
 // + the wp_store_fsck tool): flag parsing, a healthy round trip against
-// a real ResultStore, detection of torn/tampered/misfiled records, the
-// three stale-lease signals (torn payload, dead holder, previous-boot
-// nonce), staging-file litter, and the two safety rails — live holders
-// and foreign files are never touched, even under --remove.
+// a real ResultStore, detection of torn/tampered/misfiled records,
+// staging-file litter, and the two safety rails — live writers' staging
+// files and foreign files (a lock file an older store left included)
+// are never touched, even under --remove.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -48,7 +48,6 @@ std::string storeWithOneRecord(const std::string& dir, std::string* record,
   driver::ResultStore store(config, 7, metrics, nullptr);
   driver::ResultStore::Outcome out = store.open("crc/test-cell", 0x1234);
   EXPECT_FALSE(out.record.has_value());
-  EXPECT_TRUE(out.lease.owned());
   store.put(out.lease, "crc/test-cell", 0x1234, fakeResult(), 0.5);
   if (record != nullptr) *record = store.recordPathFor("crc/test-cell", 0x1234);
   return dir;
@@ -180,52 +179,6 @@ TEST(FsckStore, TornAndTamperedRecordsAreDamagedAndRemovable) {
   EXPECT_EQ(report.healthy, 0u);
 }
 
-TEST(FsckStore, LeaseStalenessUsesTheStoresOwnEvidence) {
-  MetricsRegistry metrics;
-  const std::string dir =
-      storeWithOneRecord(freshDir("fsck_lease"), nullptr, metrics);
-  const std::string boot = std::to_string(driver::bootNonce());
-  const std::string pid = std::to_string(static_cast<long>(::getpid()));
-
-  // Torn payload: cannot probe the holder, so it is stale.
-  writeFile(dir + "/a.rec.lock", "garbage");
-  // Dead holder: a pid far beyond pid_max is provably not running.
-  writeFile(dir + "/b.rec.lock",
-            "{\"pid\": 999999999, \"boot\": " + boot + ", \"seed\": 7}");
-  // Live holder, current boot: may be mid-compute, must be left alone.
-  writeFile(dir + "/c.rec.lock",
-            "{\"pid\": " + pid + ", \"boot\": " + boot + ", \"seed\": 7}");
-  // Live pid but a previous boot's nonce: the pid was reused, stale.
-  writeFile(dir + "/d.rec.lock",
-            "{\"pid\": " + pid + ", \"boot\": " +
-                std::to_string(driver::bootNonce() + 1) + ", \"seed\": 7}");
-  // Pids no process can have (negative, beyond pid_t) are torn payloads:
-  // neither may be probed as pid -1 or as 4294967297 truncated to pid 1.
-  writeFile(dir + "/e.rec.lock",
-            "{\"pid\": -1, \"boot\": " + boot + ", \"seed\": 7}");
-  writeFile(dir + "/f.rec.lock",
-            "{\"pid\": 4294967297, \"boot\": " + boot + ", \"seed\": 7}");
-
-  const bool nonce_works = driver::bootNonce() != 0;
-  std::string output;
-  driver::FsckReport report = runFsck(dir, false, &output);
-  EXPECT_EQ(report.stale_leases, nonce_works ? 5u : 4u) << output;
-  EXPECT_EQ(report.live_leases, nonce_works ? 1u : 2u) << output;
-  EXPECT_NE(output.find("torn payload"), std::string::npos);
-  EXPECT_NE(output.find("holder process is dead"), std::string::npos);
-  if (nonce_works) {
-    EXPECT_NE(output.find("previous boot"), std::string::npos);
-  }
-
-  // --remove clears the stale leases and never the live one.
-  report = runFsck(dir, true, &output);
-  EXPECT_EQ(report.removed, nonce_works ? 5u : 4u) << output;
-  EXPECT_EQ(::access((dir + "/c.rec.lock").c_str(), F_OK), 0);
-  EXPECT_NE(::access((dir + "/b.rec.lock").c_str(), F_OK), 0);
-  EXPECT_NE(::access((dir + "/e.rec.lock").c_str(), F_OK), 0);
-  EXPECT_NE(::access((dir + "/f.rec.lock").c_str(), F_OK), 0);
-}
-
 TEST(FsckStore, StagingLitterIsJudgedByItsWriter) {
   MetricsRegistry metrics;
   const std::string dir =
@@ -249,15 +202,21 @@ TEST(FsckStore, ForeignFilesAreInventoriedNeverRemoved) {
   const std::string dir =
       storeWithOneRecord(freshDir("fsck_foreign"), nullptr, metrics);
   writeFile(dir + "/README.txt", "not a store file");
+  // A lock file an older store left behind: the store no longer writes
+  // them, so fsck leaves it alone like any other foreign file.
+  const std::string lock =
+      "cell-0000000000000007-0000000000000001-0000000000001234.rec.lock";
+  writeFile(dir + "/" + lock, "{\"pid\": 999999999, \"seed\": 7}");
 
   std::string output;
   driver::FsckReport report = runFsck(dir, false, &output);
-  EXPECT_EQ(report.foreign, 1u) << output;
+  EXPECT_EQ(report.foreign, 2u) << output;
   EXPECT_TRUE(report.clean()) << output;  // foreign files are not damage
 
   report = runFsck(dir, true, &output);
   EXPECT_EQ(report.removed, 0u);
   EXPECT_EQ(::access((dir + "/README.txt").c_str(), F_OK), 0);
+  EXPECT_EQ(::access((dir + "/" + lock).c_str(), F_OK), 0);
 }
 
 }  // namespace

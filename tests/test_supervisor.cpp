@@ -5,6 +5,8 @@
 // test_result_store.cpp.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdlib>
 #include <string>
 
@@ -160,17 +162,6 @@ TEST(SupervisorEnvDeathTest, NegativeTimeoutExits) {
               testing::ExitedWithCode(1), "WP_CELL_TIMEOUT_MS='-1'");
 }
 
-TEST(SupervisorEnvDeathTest, NonBinaryIsolateExits) {
-  {
-    ScopedEnv env("WP_ISOLATE", "2");
-    EXPECT_EXIT((void)driver::SupervisorConfig::fromEnv(),
-                testing::ExitedWithCode(1), "WP_ISOLATE='2'");
-  }
-  ScopedEnv env("WP_ISOLATE", "yes");
-  EXPECT_EXIT((void)driver::SupervisorConfig::fromEnv(),
-              testing::ExitedWithCode(1), "WP_ISOLATE='yes'");
-}
-
 TEST(SupervisorEnvDeathTest, MalformedCellFaultExits) {
   {
     ScopedEnv env("WP_CELL_FAULT", "bogus");
@@ -178,10 +169,10 @@ TEST(SupervisorEnvDeathTest, MalformedCellFaultExits) {
                 testing::ExitedWithCode(1), "WP_CELL_FAULT='bogus'");
   }
   {
-    // crash takes ":N" but N must be a real count.
-    ScopedEnv env("WP_CELL_FAULT", "crash:0");
+    // crash is no cell fault: nothing in process survives a SIGKILL.
+    ScopedEnv env("WP_CELL_FAULT", "crash");
     EXPECT_EXIT((void)driver::SupervisorConfig::fromEnv(),
-                testing::ExitedWithCode(1), "bad failure count");
+                testing::ExitedWithCode(1), "WP_CELL_FAULT='crash'");
   }
   {
     ScopedEnv env("WP_CELL_FAULT", "transient:12x");
@@ -194,30 +185,53 @@ TEST(SupervisorEnvDeathTest, MalformedCellFaultExits) {
               testing::ExitedWithCode(1), "WP_CELL_FAULT='hang:1'");
 }
 
-TEST(SupervisorEnv, ParsesTheNewIsolationAndFaultKnobs) {
-  {
-    ScopedEnv env("WP_ISOLATE", "1");
-    EXPECT_TRUE(driver::SupervisorConfig::fromEnv().isolate);
-  }
-  {
-    ScopedEnv env("WP_ISOLATE", "0");
-    EXPECT_FALSE(driver::SupervisorConfig::fromEnv().isolate);
-  }
-  {
-    ScopedEnv env("WP_CELL_FAULT", "crash");
-    const auto c = driver::SupervisorConfig::fromEnv();
-    EXPECT_EQ(c.cell_fault, fault::CellFault::kCrash);
-    EXPECT_EQ(c.cell_fault_failures, 0u) << "bare crash = every attempt";
-  }
-  {
-    ScopedEnv env("WP_CELL_FAULT", "crash:3");
-    const auto c = driver::SupervisorConfig::fromEnv();
-    EXPECT_EQ(c.cell_fault, fault::CellFault::kCrash);
-    EXPECT_EQ(c.cell_fault_failures, 3u);
-  }
+// A hang ends only at its watchdog: without WP_CELL_TIMEOUT_MS the
+// bench would wedge on its first faulted cell, so it exits at startup
+// naming both knobs.
+TEST(SupervisorEnvDeathTest, HangWithoutTimeoutExits) {
   ScopedEnv env("WP_CELL_FAULT", "hang");
-  EXPECT_EQ(driver::SupervisorConfig::fromEnv().cell_fault,
-            fault::CellFault::kHang);
+  EXPECT_EXIT((void)driver::SupervisorConfig::fromEnv(),
+              testing::ExitedWithCode(1),
+              "WP_CELL_FAULT=hang.*WP_CELL_TIMEOUT_MS");
+}
+
+TEST(SupervisorEnv, ParsesTheNewIsolationAndFaultKnobs) {
+  ScopedEnv timeout("WP_CELL_TIMEOUT_MS", "500");
+  ScopedEnv env("WP_CELL_FAULT", "hang");
+  const auto c = driver::SupervisorConfig::fromEnv();
+  EXPECT_EQ(c.cell_fault, fault::CellFault::kHang);
+  EXPECT_EQ(c.cell_timeout_ms, 500u);
+}
+
+// Memo keys, quarantine errors and service replies carry the fault's
+// value, so a hang cell's key ends in "/c4:1" for good.
+static_assert(static_cast<int>(fault::CellFault::kHang) == 4);
+
+// WP_ISOLATE and WP_LEASE_TIMEOUT_MS name retired knobs that benchmark
+// harnesses still set, so any value is ignored: the cell runs in this
+// process and its record is published without a lock.
+TEST(SupervisorEnv, RetiredIsolationAndLeaseKnobsAreIgnored) {
+  const std::string dir = testing::TempDir() + "retired_knobs_store";
+  if (std::system(("rm -rf '" + dir + "'").c_str()) != 0) ADD_FAILURE();
+  ScopedEnv isolate("WP_ISOLATE", "yes");
+  ScopedEnv lease("WP_LEASE_TIMEOUT_MS", "garbage");
+  ScopedEnv store("WP_STORE", dir.c_str());
+
+  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1);
+  const auto& p = suite.prepared().at(0);
+  const auto view = suite.tryRun(p, kXScale, wpSpec());
+  ASSERT_FALSE(view.quarantined);
+  EXPECT_EQ(view.attempts, 1u);
+  EXPECT_EQ(suite.metrics().counter("machines.simulated").value(), 1u);
+
+  ASSERT_NE(suite.store(), nullptr);
+  EXPECT_FALSE(suite.store()->degraded());
+  struct stat st {};
+  const std::string record = suite.store()->recordPathFor(
+      driver::SweepExecutor::keyOf(p.name, kXScale, wpSpec()),
+      driver::imageDigest(p.imageFor(wpSpec().layout)));
+  EXPECT_EQ(::stat(record.c_str(), &st), 0) << "the cell's record is published";
+  EXPECT_NE(::stat((record + ".lock").c_str(), &st), 0);
 }
 
 }  // namespace
