@@ -134,8 +134,7 @@ void visitGuestFields(R& r, V&& v) {
 }
 
 /// Extracts a CheckpointRecord from a parsed "cell" line. Structural
-/// validation only — parseRecordLine reports a stats-digest mismatch
-/// separately (the store rejects such a record).
+/// validation only — parseRecordLine also verifies the stats digest.
 bool readRecord(const JsonReader& fields, CheckpointRecord& rec) {
   bool ok = true;
   const auto get = [&](const std::string& name, auto& out) {
@@ -303,15 +302,10 @@ u64 imageDigest(const mem::Image& image) {
 
 u64 stringDigest(std::string_view s) { return fnv1a(s); }
 
-RecordParse parseRecordLine(const std::string& line, CheckpointRecord& out) {
+bool parseRecordLine(const std::string& line, CheckpointRecord& out) {
   JsonReader fields;
-  if (!fields.parse(line) || !readRecord(fields, out)) {
-    return RecordParse::kMalformed;
-  }
-  if (statsDigest(out.result) != out.stats_digest) {
-    return RecordParse::kDigestMismatch;
-  }
-  return RecordParse::kOk;
+  return fields.parse(line) && readRecord(fields, out) &&
+         statsDigest(out.result) == out.stats_digest;
 }
 
 u64 statsDigest(const RunResult& r) {

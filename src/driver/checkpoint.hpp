@@ -100,17 +100,12 @@ class JsonReader {
   std::map<std::string, JsonToken> tokens_;
 };
 
-/// Fate of one "cell" record line under parseRecordLine.
-enum class RecordParse {
-  kOk,              ///< structurally sound and the stats digest verifies
-  kMalformed,       ///< torn/damaged line or not a cell record at all
-  kDigestMismatch,  ///< parsed, but the payload no longer matches its digest
-};
-
 /// Parses one record line (as produced by renderRecord) and verifies
-/// its stats digest. The result store and wp_store_fsck both trust
-/// records through it, so they judge a record by the same rules.
-[[nodiscard]] RecordParse parseRecordLine(const std::string& line,
-                                          CheckpointRecord& out);
+/// its stats digest: true only for a structurally sound cell record
+/// whose payload still matches its digest. The result store and
+/// wp_store_fsck both trust records through it, so they judge a record
+/// by the same rules.
+[[nodiscard]] bool parseRecordLine(const std::string& line,
+                                   CheckpointRecord& out);
 
 }  // namespace wp::driver

@@ -70,7 +70,7 @@ std::optional<CheckpointRecord> readRecordFile(const std::string& path,
     return fail("header key disagrees with the filename's key digest");
   }
   CheckpointRecord rec;
-  if (parseRecordLine(record_line, rec) != RecordParse::kOk) {
+  if (!parseRecordLine(record_line, rec)) {
     return fail("record line torn or stats digest mismatch");
   }
   if (rec.key != key) return fail("record key disagrees with the header");

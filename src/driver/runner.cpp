@@ -180,20 +180,28 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
                            const SchemeSpec& spec, workloads::InputSize input,
                            const sim::BudgetHook* budget_hook,
                            CoRunExtra* extra) const {
-  WP_ENSURE(!group.empty(), "a cell needs at least one workload");
-  for (const PreparedWorkload* pw : group) {
-    WP_ENSURE(pw != nullptr, "null workload in a cell's group");
-  }
-  WP_ENSURE(spec.corunEnabled() || group.size() == 1,
+  std::vector<CoRunExtra> extras;
+  std::vector<RunResult> results =
+      runUnit(group, {{icache, spec}}, input, budget_hook,
+              extra != nullptr ? &extras : nullptr);
+  if (extra != nullptr) *extra = std::move(extras.front());
+  return std::move(results.front());
+}
+
+namespace {
+
+/// Throws SimError naming what makes @p spec an invalid cell of a
+/// @p members -process group.
+void validateSpec(const SchemeSpec& spec, std::size_t members) {
+  WP_ENSURE(spec.corunEnabled() || members == 1,
             "a solo cell runs exactly one workload, not " +
-                std::to_string(group.size()));
+                std::to_string(members));
   // Fault hooks observe per-fetch state of *one* run; wiring them to a
   // time-sliced fetch path is a separate study, so co-run cells reject
   // them instead of silently attributing injections across guests.
   WP_ENSURE(!spec.corunEnabled() || !spec.fault.runtimeEnabled(),
             "co-run cells do not support runtime fault injection");
-  const bool wp = spec.scheme == cache::Scheme::kWayPlacement;
-  if (wp) {
+  if (spec.scheme == cache::Scheme::kWayPlacement) {
     WP_ENSURE(spec.wp_area_bytes > 0,
               "SchemeSpec.wp_area_bytes must be non-zero for the "
               "way-placement scheme");
@@ -202,6 +210,36 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
                   std::to_string(spec.wp_area_bytes) +
                   ") must be a multiple of the " +
                   std::to_string(mem::kPageBytes) + "-byte page size");
+  }
+}
+
+bool sameImage(const mem::Image& a, const mem::Image& b) {
+  return &a == &b || (a.entry == b.entry && a.code == b.code &&
+                      a.data == b.data);
+}
+
+}  // namespace
+
+std::vector<RunResult> Runner::runUnit(
+    const std::vector<const PreparedWorkload*>& group,
+    const std::vector<UnitMachine>& machines, workloads::InputSize input,
+    const sim::BudgetHook* budget_hook, std::vector<CoRunExtra>* extras,
+    double* shared_seconds) const {
+  WP_ENSURE(!group.empty(), "a cell needs at least one workload");
+  for (const PreparedWorkload* pw : group) {
+    WP_ENSURE(pw != nullptr, "null workload in a cell's group");
+  }
+  WP_ENSURE(!machines.empty(), "a unit needs at least one machine");
+  const SchemeSpec& first = machines.front().spec;
+  for (const UnitMachine& m : machines) {
+    validateSpec(m.spec, group.size());
+    WP_ENSURE(m.spec.corun_quantum == first.corun_quantum,
+              "the machines of a unit share one co-run quantum");
+    for (const PreparedWorkload* pw : group) {
+      WP_ENSURE(sameImage(pw->imageFor(m.spec.layout),
+                          pw->imageFor(first.layout)),
+                "the machines of a unit run byte-identical images");
+    }
   }
 
   // simulate_seconds — the guest-MIPS denominator — is *thread CPU
@@ -212,67 +250,102 @@ RunResult Runner::runGroup(const std::vector<const PreparedWorkload*>& group,
   // WP_JOBS settings.
   const double simulate_cpu_start = threadCpuSeconds();
 
-  // Each member's WP limit is clamped to *its* code pages.
-  std::vector<u32> wp_limits(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    wp_limits[i] =
-        clampWpAreaToImage(spec.wp_area_bytes, group[i]->imageFor(spec.layout));
+  // Per machine: each member's WP limit clamped to *its* code pages,
+  // and the machine. The configured area is the primary's clamped one:
+  // a fault injector restores it after a resize storm, and a co-run's
+  // first switch installs every member's own limit anyway.
+  std::vector<std::vector<u32>> wp_limits(machines.size());
+  std::vector<sim::MachineConfig> configs;
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    const SchemeSpec& spec = machines[m].spec;
+    for (const PreparedWorkload* pw : group) {
+      wp_limits[m].push_back(
+          clampWpAreaToImage(spec.wp_area_bytes, pw->imageFor(spec.layout)));
+    }
+    configs.push_back(machineFor(machines[m].icache, spec));
+    configs.back().fetch.wp_area_bytes = wp_limits[m].front();
   }
-
-  sim::MachineConfig machine = machineFor(icache, spec);
-  if (budget_hook != nullptr) machine.budget_hook = *budget_hook;
-  // The configured area is the primary's clamped one: a fault injector
-  // restores it after a resize storm, and a co-run's first switch
-  // installs every member's own limit anyway.
-  machine.fetch.wp_area_bytes = wp_limits.front();
+  if (budget_hook != nullptr) configs.front().budget_hook = *budget_hook;
 
   // A solo cell is one slice as long as the instruction budget; only a
   // co-run spec's quantum and TLB policy reach the scheduler.
+  const auto tlbPolicy = [](const SchemeSpec& spec) {
+    return spec.corunEnabled() ? spec.corun_tlb
+                               : cache::TlbSwitchPolicy::kFlush;
+  };
   sim::SchedulerConfig sched_config;
-  sched_config.quantum = machine.max_instructions;
-  if (spec.corunEnabled()) {
-    sched_config.quantum = spec.corun_quantum;
-    sched_config.tlb_policy = spec.corun_tlb;
-  }
-  auto sched = std::make_unique<sim::GuestScheduler>(machine, sched_config);
+  sched_config.quantum = first.corunEnabled()
+                             ? first.corun_quantum
+                             : configs.front().max_instructions;
+  sched_config.tlb_policy = tlbPolicy(first);
+  auto sched = std::make_unique<sim::GuestScheduler>(configs.front(),
+                                                     sched_config);
   for (std::size_t i = 0; i < group.size(); ++i) {
     const u32 asid = sched->addProcess(
-        group[i]->name, group[i]->imageFor(spec.layout), wp_limits[i]);
+        group[i]->name, group[i]->imageFor(first.layout),
+        wp_limits.front()[i]);
     group[i]->workload->prepare(sched->memoryOf(asid), input);
   }
-
-  std::optional<fault::FaultInjector> injector;
-  if (spec.fault.runtimeEnabled()) {
-    injector.emplace(spec.fault, seed_);
-    injector->attach(sched->fetchPath());
+  for (std::size_t m = 1; m < machines.size(); ++m) {
+    sched->addMachine(configs[m], tlbPolicy(machines[m].spec), wp_limits[m]);
   }
 
-  sim::CoRunStats co = sched->run();
+  // One injector per faulted machine, on that machine's fetch path.
+  std::vector<std::unique_ptr<fault::FaultInjector>> injectors(
+      machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    if (!machines[m].spec.fault.runtimeEnabled()) continue;
+    injectors[m] =
+        std::make_unique<fault::FaultInjector>(machines[m].spec.fault, seed_);
+    injectors[m]->attach(sched->fetchPath(static_cast<u32>(m)));
+  }
 
-  RunResult result;
-  stampLayout(result, *group.front(), spec);
-  result.stats = co.combined;
-  result.simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
+  std::vector<sim::CoRunStats> co = sched->runMachines();
+  const double simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
 
-  const Stopwatch pricing;
-  result.energy = sim::Processor::price(model_, machine, result.stats);
-  // The cell's output is every member's output, concatenated in group
-  // order: the stats digest (and so the store's verification) covers
-  // each process's result bytes, not just the primary's.
+  // The members' outputs, read once and concatenated in group order:
+  // the stats digest (and so the store's verification) covers each
+  // process's result bytes, not just the primary's.
+  const Stopwatch reading;
+  std::vector<std::vector<u8>> outputs;
+  std::vector<u8> output;
   for (u32 i = 0; i < group.size(); ++i) {
-    std::vector<u8> out = group[i]->workload->output(sched->memoryOf(i));
-    result.output.insert(result.output.end(), out.begin(), out.end());
-    if (extra != nullptr) {
-      extra->processes.push_back({std::move(co.processes[i]), std::move(out)});
+    outputs.push_back(group[i]->workload->output(sched->memoryOf(i)));
+    output.insert(output.end(), outputs.back().begin(), outputs.back().end());
+  }
+  const double read_seconds = reading.seconds();
+
+  // Each machine's own replay, plus an equal share of everything else
+  // the unit spent: setup and the functional pass.
+  double replays = 0.0;
+  for (u32 m = 0; m < machines.size(); ++m) replays += sched->replaySeconds(m);
+  const double n = static_cast<double>(machines.size());
+  const double shared = (simulate_seconds - replays) / n;
+  if (shared_seconds != nullptr) *shared_seconds = simulate_seconds - replays;
+
+  std::vector<RunResult> results(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    RunResult& result = results[m];
+    stampLayout(result, *group.front(), machines[m].spec);
+    result.stats = co[m].combined;
+    result.simulate_seconds =
+        sched->replaySeconds(static_cast<u32>(m)) + shared;
+    const Stopwatch pricing;
+    result.energy = sim::Processor::price(model_, configs[m], result.stats);
+    result.output = output;
+    result.price_seconds = pricing.seconds() + read_seconds / n;
+    if (injectors[m]) result.injected = injectors[m]->stats();
+    if (extras != nullptr) {
+      CoRunExtra extra;
+      for (u32 i = 0; i < group.size(); ++i) {
+        extra.processes.push_back({std::move(co[m].processes[i]), outputs[i]});
+      }
+      extra.context_switches = co[m].context_switches;
+      extra.slices = co[m].slices;
+      extras->push_back(std::move(extra));
     }
   }
-  result.price_seconds = pricing.seconds();
-  if (injector.has_value()) result.injected = injector->stats();
-  if (extra != nullptr) {
-    extra->context_switches = co.context_switches;
-    extra->slices = co.slices;
-  }
-  return result;
+  return results;
 }
 
 }  // namespace wp::driver

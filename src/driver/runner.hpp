@@ -295,13 +295,41 @@ class Runner {
   /// layout fields and WP coverage are the primary's. @p extra, when
   /// non-null, receives the per-process results and switch counts.
   /// Runtime fault injection attaches to the scheduler's fetch path and
-  /// is rejected for co-run specs.
+  /// is rejected for co-run specs. runUnit of one machine.
   [[nodiscard]] RunResult runGroup(
       const std::vector<const PreparedWorkload*>& group,
       const cache::CacheGeometry& icache, const SchemeSpec& spec,
       workloads::InputSize input = workloads::InputSize::kLarge,
       const sim::BudgetHook* budget_hook = nullptr,
       CoRunExtra* extra = nullptr) const;
+
+  /// One machine of a unit: an I-cache geometry and a scheme.
+  struct UnitMachine {
+    cache::CacheGeometry icache;
+    SchemeSpec spec;
+  };
+
+  /// Steps 4-5 for a *unit*: machines that run @p group's one
+  /// instruction stream — byte-identical images under every machine's
+  /// layout and, for co-runs, one quantum — and so differ only in
+  /// fetch-side fields (I-cache geometry, scheme, WP areas, intra-line
+  /// skip, precise invalidation, drowsy window, co-run TLB policy).
+  /// One functional pass feeds every machine's fetch path and
+  /// scoreboards (GuestScheduler::addMachine), so each result equals
+  /// that machine's runGroup. The guest output is read once. A
+  /// machine's simulate_seconds is the thread CPU of its own replay
+  /// plus an equal share of the rest of the unit's simulate span, so
+  /// the results sum to the unit's cost; @p shared_seconds, when
+  /// non-null, receives that rest. @p budget_hook rides the shared
+  /// pass; @p extras, when non-null, receives one CoRunExtra per
+  /// machine. Throws SimError when any machine's spec is invalid.
+  [[nodiscard]] std::vector<RunResult> runUnit(
+      const std::vector<const PreparedWorkload*>& group,
+      const std::vector<UnitMachine>& machines,
+      workloads::InputSize input = workloads::InputSize::kLarge,
+      const sim::BudgetHook* budget_hook = nullptr,
+      std::vector<CoRunExtra>* extras = nullptr,
+      double* shared_seconds = nullptr) const;
 
   /// The machine configuration of a cell before runGroup installs the
   /// clamped WP area and the budget hook (exposed so benches can print

@@ -29,9 +29,13 @@ struct SweepExecutor::CellEntry {
   std::string workload;
   cache::CacheGeometry icache;
   SchemeSpec spec;
-  std::once_flag once;
-  /// Set after the once-body produced a usable result (from the store
-  /// or from the cell's machine); writeJsonReport and aggregation skip
+  /// Settled exactly once: claimCell hands the claim to one thread, and
+  /// requesters of a claimed cell wait on cell_cv_. Guarded by
+  /// memo_mutex_.
+  enum class State { kEmpty, kClaimed, kSettled };
+  State state = State::kEmpty;
+  /// Set after settling produced a usable result (from the store or
+  /// from the cell's machine); writeJsonReport and aggregation skip
   /// entries without it. Mutually exclusive with `quarantined`.
   std::atomic<bool> ready{false};
   /// Set when the cell's machine exhausted its attempts. The entry then
@@ -53,11 +57,11 @@ struct SweepExecutor::CellEntry {
   /// Quarantined-without-running because the shutdown latch fired.
   bool interrupted = false;
   bool from_store = false;  ///< served from the WP_STORE result store
-  /// Host wall-clock this request spent getting its result (the
-  /// simulation for the cell that ran its machine, a lookup for the
-  /// cells sharing it) and the pool worker that settled it (-1: an
-  /// external thread; -3: served from the result store — wall_seconds
-  /// is then the original compute's).
+  /// Host wall-clock this request spent getting its result (for the
+  /// cell that ran its machine, the simulation, or its machine's equal
+  /// share of a unit's; a lookup for the cells sharing it) and the pool
+  /// worker that settled it (-1: an external thread; -3: served from the
+  /// result store — wall_seconds is then the original compute's).
   double wall_seconds = 0.0;
   int worker = -1;
 };
@@ -76,6 +80,9 @@ struct SweepExecutor::Machine {
   unsigned attempts = 0;    ///< attempts spent (0 = filled from the store)
   /// What the final failed attempt threw, once quarantined.
   std::string error;
+  /// Wall-clock of its simulation: the ladder's, or an equal share of
+  /// the unit's. The cell that settles the machine is charged this.
+  double wall_seconds = 0.0;
 };
 
 struct SweepExecutor::MachineId {
@@ -87,6 +94,26 @@ struct SweepExecutor::MachineId {
   /// Names the cell's store record: the primary's image digest for a
   /// solo cell, the fold over every member's for a co-run.
   u64 image_digest = 0;
+  /// The unit a runAll batch runs the machine in: the machine key
+  /// without its fetch-side fields, or the machine key itself for a
+  /// machine that runs alone.
+  std::string unit;
+};
+
+/// One request of a runAll batch.
+struct SweepExecutor::Request {
+  const PreparedWorkload* p;
+  cache::CacheGeometry icache;
+  SchemeSpec spec;
+};
+
+/// A machine a unit job claimed, with the first of its cells the job
+/// settles (whose key names its trace events and watchdog errors).
+struct SweepExecutor::UnitSlot {
+  Machine* machine;
+  const MachineId* id;
+  const std::string* key;
+  const Request* request;
 };
 
 SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
@@ -211,6 +238,35 @@ bool sameLayout(const RunResult& a, const RunResult& b) {
          a.wp_area_coverage == b.wp_area_coverage;
 }
 
+/// Most machines one runAll job prices. A unit of more splits into
+/// several jobs (each its own functional pass), so the largest streams
+/// cannot leave one worker running alone at the end of a batch. Chosen
+/// on the full fig6 grid at four jobs (DESIGN.md §11).
+constexpr std::size_t kUnitMachines = 27;
+
+/// The cell_end event of attempt @p attempt of machine-settling cell
+/// @p key, which produced @p r in @p wall_seconds.
+void traceCellEnd(TraceWriter& trace, const std::string& key,
+                  unsigned attempt, int worker, double wall_seconds,
+                  const RunResult& r) {
+  TraceEvent ev("cell_end");
+  ev.str("key", key)
+      .num("attempt", attempt)
+      .num("worker", worker)
+      .num("wall_seconds", wall_seconds)
+      .num("simulate_seconds", r.simulate_seconds)
+      .num("price_seconds", r.price_seconds);
+  // Omitted (not 0) when the simulate span rounded to 0 s.
+  if (const auto mips = r.guestMips()) ev.num("guest_mips", *mips);
+  ev.num("instructions", r.stats.instructions)
+      .num("cycles", r.stats.cycles)
+      .str("layout", r.layout_strategy)
+      .num("layout_chains", r.layout_chains)
+      .num("layout_repairs", r.layout_repairs)
+      .num("wp_area_coverage", r.wp_area_coverage);
+  trace.write(ev);
+}
+
 }  // namespace
 
 std::string SweepExecutor::keyOf(const std::string& workload,
@@ -295,6 +351,24 @@ SweepExecutor::MachineId SweepExecutor::machineOf(
   id.key = id.group_error.empty()
                ? keyWith(p.name, icache, spec, areas, digests)
                : cell_key;
+  // The unit key keeps what the functional pass depends on: the group
+  // and its images, and the co-run quantum. A machine with a runtime or
+  // cell fault, or any machine while the watchdog or the harness cell
+  // fault is armed, runs alone, so its attempts and deadlines are its
+  // own.
+  const bool alone = !id.group_error.empty() || spec.fault.runtimeEnabled() ||
+                     spec.fault.cellFaultEnabled() ||
+                     supervisor_.cell_fault != fault::CellFault::kNone ||
+                     supervisor_.cell_timeout_ms > 0;
+  if (alone) {
+    id.unit = id.key;
+  } else {
+    id.unit = p.name + '/' + digests;
+    if (spec.corunEnabled()) {
+      id.unit += "/m" + std::to_string(spec.corun_quantum) + ':' +
+                 spec.corun_partners;
+    }
+  }
   return id;
 }
 
@@ -338,23 +412,8 @@ bool SweepExecutor::simulate(Machine& machine, const MachineId& id,
       metrics_.counter("machines.simulated").add();
       if (attempt > 1) metrics_.counter("cells.healed").add();
       if (trace_) {
-        const RunResult& r = machine.simulated;
-        TraceEvent ev("cell_end");
-        ev.str("key", key)
-            .num("attempt", attempt)
-            .num("worker", worker)
-            .num("wall_seconds", wall.seconds())
-            .num("simulate_seconds", r.simulate_seconds)
-            .num("price_seconds", r.price_seconds);
-        // Omitted (not 0) when the simulate span rounded to 0 s.
-        if (const auto mips = r.guestMips()) ev.num("guest_mips", *mips);
-        ev.num("instructions", r.stats.instructions)
-            .num("cycles", r.stats.cycles)
-            .str("layout", r.layout_strategy)
-            .num("layout_chains", r.layout_chains)
-            .num("layout_repairs", r.layout_repairs)
-            .num("wp_area_coverage", r.wp_area_coverage);
-        trace_->write(ev);
+        traceCellEnd(*trace_, key, attempt, worker, wall.seconds(),
+                     machine.simulated);
       }
       return true;
     } catch (const SimError& e) {
@@ -374,6 +433,43 @@ bool SweepExecutor::simulate(Machine& machine, const MachineId& id,
     }
   }
   return false;
+}
+
+namespace {
+
+/// Moves @p machine to @p state under @p mutex and wakes its waiters.
+template <typename MachineT, typename StateT>
+void settleMachineState(MachineT& machine, StateT state, std::mutex& mutex,
+                        std::condition_variable& cv) {
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    machine.state = state;
+  }
+  cv.notify_all();
+}
+
+}  // namespace
+
+void SweepExecutor::simulateAlone(Machine& machine, const MachineId& id,
+                                  const std::string& key,
+                                  const cache::CacheGeometry& icache,
+                                  const SchemeSpec& spec) {
+  const Stopwatch wall;
+  bool ready = false;
+  try {
+    ready = simulate(machine, id, key, icache, spec);
+  } catch (...) {
+    // Not a cell failure (those are SimErrors, settled by the ladder):
+    // give the claim back so no requester waits forever, and rethrow.
+    settleMachineState(machine, Machine::State::kEmpty, memo_mutex_,
+                       machine_cv_);
+    throw;
+  }
+  machine.wall_seconds = wall.seconds();
+  if (ready) metrics_.counter("units.simulated").add();
+  settleMachineState(
+      machine, ready ? Machine::State::kReady : Machine::State::kQuarantined,
+      memo_mutex_, machine_cv_);
 }
 
 SweepExecutor::Machine& SweepExecutor::ensureMachine(
@@ -401,31 +497,102 @@ SweepExecutor::Machine& SweepExecutor::ensureMachine(
     }
     return *machine;
   }
-
-  const auto settle = [&](Machine::State state) {
-    {
-      std::lock_guard<std::mutex> lock(memo_mutex_);
-      machine->state = state;
-    }
-    machine_cv_.notify_all();
-  };
-  try {
-    settle(simulate(*machine, id, key, icache, spec)
-               ? Machine::State::kReady
-               : Machine::State::kQuarantined);
-  } catch (...) {
-    // Not a cell failure (those are SimErrors, settled by the ladder):
-    // give the claim back so no requester waits forever, and rethrow.
-    settle(Machine::State::kEmpty);
-    throw;
-  }
+  simulateAlone(*machine, id, key, icache, spec);
   return *machine;
 }
 
-void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
+void SweepExecutor::simulateUnit(const std::vector<UnitSlot>& slots) {
+  if (slots.empty()) return;
+  const auto alone = [this](const UnitSlot& u) {
+    simulateAlone(*u.machine, *u.id, *u.key, u.request->icache,
+                  u.request->spec);
+  };
+  if (slots.size() == 1) {
+    alone(slots.front());
+    return;
+  }
+
+  const int worker = ThreadPool::currentWorkerIndex();
+  const u64 n = slots.size();
+  if (trace_) {
+    trace_->write(TraceEvent("unit_start")
+                      .str("key", *slots.front().key)
+                      .num("machines", n)
+                      .num("worker", worker));
+  }
+  const Stopwatch wall;
+  std::vector<Runner::UnitMachine> machines;
+  for (const UnitSlot& u : slots) {
+    machines.push_back({u.request->icache, u.request->spec});
+  }
+  std::vector<RunResult> results;
+  double shared_seconds = 0.0;
+  try {
+    results = runner_.runUnit(slots.front().id->group, machines,
+                              workloads::InputSize::kLarge, nullptr, nullptr,
+                              &shared_seconds);
+  } catch (const SimError& e) {
+    // A unit's failure is not a cell attempt: it dissolves, and each of
+    // its machines runs alone through the ladder, so attempts, retries
+    // and quarantine are exactly a lone machine's.
+    metrics_.counter("units.dissolved").add();
+    if (trace_) {
+      trace_->write(TraceEvent("unit_end")
+                        .str("key", *slots.front().key)
+                        .num("machines", n)
+                        .num("worker", worker)
+                        .boolean("dissolved", true)
+                        .str("error", e.what()));
+    }
+    for (const UnitSlot& u : slots) alone(u);
+    return;
+  } catch (...) {
+    for (const UnitSlot& u : slots) {
+      settleMachineState(*u.machine, Machine::State::kEmpty, memo_mutex_,
+                         machine_cv_);
+    }
+    throw;
+  }
+  // Each machine is charged an equal share of the unit's wall; the
+  // first cell settling it reports that share.
+  const double share = wall.seconds() / static_cast<double>(n);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    Machine& machine = *slots[i].machine;
+    machine.simulated = std::move(results[i]);
+    machine.result = &machine.simulated;
+    machine.attempts = 1;
+    machine.wall_seconds = share;
+    metrics_.counter("machines.simulated").add();
+    if (trace_) {
+      trace_->write(TraceEvent("cell_start")
+                        .str("key", *slots[i].key)
+                        .num("attempt", 1)
+                        .num("worker", worker));
+      traceCellEnd(*trace_, *slots[i].key, 1, worker, share,
+                   machine.simulated);
+    }
+  }
+  metrics_.counter("units.simulated").add();
+  if (trace_) {
+    trace_->write(TraceEvent("unit_end")
+                      .str("key", *slots.front().key)
+                      .num("machines", n)
+                      .num("worker", worker)
+                      .boolean("dissolved", false)
+                      .num("wall_seconds", wall.seconds())
+                      .num("producer_seconds", shared_seconds));
+  }
+  for (const UnitSlot& u : slots) {
+    settleMachineState(*u.machine, Machine::State::kReady, memo_mutex_,
+                       machine_cv_);
+  }
+}
+
+bool SweepExecutor::settleEarly(CellEntry& entry, const std::string& key,
                                 const PreparedWorkload& p,
                                 const cache::CacheGeometry& icache,
-                                const SchemeSpec& spec, bool batched) {
+                                const SchemeSpec& spec, bool batched,
+                                MachineId& id) {
   const int worker = ThreadPool::currentWorkerIndex();
 
   // Interrupt check before any work, the store read included: a latched
@@ -440,57 +607,55 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
     if (trace_) {
       trace_->write(TraceEvent("cell_interrupted").str("key", key));
     }
-    return;
+    return true;
   }
 
-  MachineId id = machineOf(key, p, icache, spec);
+  id = machineOf(key, p, icache, spec);
   // Only a runAll batch shares machines: it plans them from its cell
-  // list, one job per machine, so within a batch which cell simulates
-  // and which look it up is fixed before any thread runs. A lone
-  // request keys its machine on its own cell, so its cost never hangs
-  // on whether another request (a store read, or a compute on another
+  // list, one job per unit, so within a batch which cell simulates and
+  // which look it up is fixed before any thread runs. A lone request
+  // keys its machine on its own cell, so its cost never hangs on
+  // whether another request (a store read, or a compute on another
   // thread) reached the machine first.
   if (!batched) id.key = key;
 
-  // The cell's own store record first.
-  if (store_) {
-    ResultStore::Outcome outcome = store_->open(key, id.image_digest);
-    if (outcome.record) {
-      entry.own = std::move(outcome.record->result);
-      entry.result = &entry.own;
-      entry.wall_seconds = outcome.record->wall_seconds;
-      entry.worker = -3;
-      entry.from_store = true;
-      entry.attempts = 0;
-      metrics_.counter("cells.from_store").add();
-      if (trace_) {
-        trace_->write(TraceEvent("cell_from_store")
-                          .str("key", key)
-                          .num("worker", worker));
-      }
-      {
-        // The record fills its machine too, unless the machine is
-        // already claimed, so the cells sharing it need no simulation.
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        std::unique_ptr<Machine>& slot = machines_[id.key];
-        if (!slot) slot = std::make_unique<Machine>();
-        if (slot->state == Machine::State::kEmpty) {
-          slot->result = &entry.own;
-          slot->from_store = true;
-          slot->state = Machine::State::kReady;
-        }
-      }
-      entry.ready.store(true, std::memory_order_release);
-      return;
+  // The cell's own store record.
+  if (!store_) return false;
+  ResultStore::Outcome outcome = store_->open(key, id.image_digest);
+  if (!outcome.record) return false;
+  entry.own = std::move(outcome.record->result);
+  entry.result = &entry.own;
+  entry.wall_seconds = outcome.record->wall_seconds;
+  entry.worker = -3;
+  entry.from_store = true;
+  entry.attempts = 0;
+  metrics_.counter("cells.from_store").add();
+  if (trace_) {
+    trace_->write(
+        TraceEvent("cell_from_store").str("key", key).num("worker", worker));
+  }
+  {
+    // The record fills its machine too, unless the machine is already
+    // claimed, so the cells sharing it need no simulation.
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    std::unique_ptr<Machine>& slot = machines_[id.key];
+    if (!slot) slot = std::make_unique<Machine>();
+    if (slot->state == Machine::State::kEmpty) {
+      slot->result = &entry.own;
+      slot->from_store = true;
+      slot->state = Machine::State::kReady;
     }
   }
+  entry.ready.store(true, std::memory_order_release);
+  return true;
+}
 
-  // Then the machine table, which simulates the machine if no other
-  // cell has. Its result carries the layout fields of the cell that
-  // produced it; a cell whose layout differs (but whose image bytes do
-  // not) gets a copy stamped with its own.
-  const Stopwatch wall;
-  const Machine& machine = ensureMachine(id, key, icache, spec);
+void SweepExecutor::settleFromMachine(CellEntry& entry, const std::string& key,
+                                      const PreparedWorkload& p,
+                                      const SchemeSpec& spec,
+                                      const MachineId& id,
+                                      const Machine& machine,
+                                      double wall_seconds) {
   entry.attempts = machine.attempts;
   if (machine.result == nullptr) {
     // Quarantine publishes nothing, so a re-run gets fresh attempts.
@@ -513,6 +678,9 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
     }
     return;
   }
+  // The machine's result carries the layout fields of the cell that
+  // produced it; a cell whose layout differs (but whose image bytes do
+  // not) gets a copy stamped with its own.
   RunResult fields;
   stampLayout(fields, p, spec);
   if (sameLayout(fields, *machine.result)) {
@@ -522,8 +690,8 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
     stampLayout(entry.own, p, spec);
     entry.result = &entry.own;
   }
-  entry.wall_seconds = wall.seconds();
-  entry.worker = worker;
+  entry.wall_seconds = wall_seconds;
+  entry.worker = ThreadPool::currentWorkerIndex();
   metrics_.counter("cells.computed").add();
   if (store_) {
     store_->put({}, key, id.image_digest, *entry.result, entry.wall_seconds);
@@ -531,79 +699,216 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
   entry.ready.store(true, std::memory_order_release);
 }
 
+void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
+                                const PreparedWorkload& p,
+                                const cache::CacheGeometry& icache,
+                                const SchemeSpec& spec, bool batched) {
+  MachineId id;
+  if (settleEarly(entry, key, p, icache, spec, batched, id)) return;
+  const Stopwatch wall;
+  const Machine& machine = ensureMachine(id, key, icache, spec);
+  settleFromMachine(entry, key, p, spec, id, machine, wall.seconds());
+}
+
+SweepExecutor::Claim SweepExecutor::claimCell(
+    const std::string& key, const PreparedWorkload& p,
+    const cache::CacheGeometry& icache, const SchemeSpec& spec, bool wait,
+    CellEntry*& entry) {
+  std::unique_lock<std::mutex> lock(memo_mutex_);
+  std::unique_ptr<CellEntry>& slot = memo_[key];
+  if (!slot) {
+    slot = std::make_unique<CellEntry>();
+    slot->workload = p.name;
+    slot->icache = icache;
+    slot->spec = spec;
+  }
+  entry = slot.get();
+  CellEntry* e = entry;
+  if (wait) {
+    cell_cv_.wait(lock,
+                  [e] { return e->state != CellEntry::State::kClaimed; });
+  }
+  switch (e->state) {
+    case CellEntry::State::kSettled:
+      return Claim::kSettled;
+    case CellEntry::State::kClaimed:
+      return Claim::kBusy;
+    case CellEntry::State::kEmpty:
+      break;
+  }
+  e->state = CellEntry::State::kClaimed;
+  return Claim::kClaimed;
+}
+
+void SweepExecutor::releaseCell(CellEntry& entry, bool settled) {
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    entry.state =
+        settled ? CellEntry::State::kSettled : CellEntry::State::kEmpty;
+  }
+  cell_cv_.notify_all();
+}
+
+void SweepExecutor::memoHit(const std::string& key) {
+  // Either a true memo hit or a wait on another thread's compute — both
+  // mean this request cost (almost) nothing.
+  metrics_.counter("memo.hits").add();
+  if (trace_) {
+    trace_->write(TraceEvent("memo_hit").str("key", key).num(
+        "worker", ThreadPool::currentWorkerIndex()));
+  }
+}
+
 SweepExecutor::CellEntry& SweepExecutor::ensureCell(
     const PreparedWorkload& p, const cache::CacheGeometry& icache,
     const SchemeSpec& spec, bool batched) {
   const std::string key = keyOf(p.name, icache, spec);
   CellEntry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    std::unique_ptr<CellEntry>& slot = memo_[key];
-    if (!slot) {
-      slot = std::make_unique<CellEntry>();
-      slot->workload = p.name;
-      slot->icache = icache;
-      slot->spec = spec;
-    }
-    entry = slot.get();
+  if (claimCell(key, p, icache, spec, /*wait=*/true, entry) ==
+      Claim::kSettled) {
+    memoHit(key);
+    return *entry;
   }
-  // Exactly-once settle; a second thread asking for the same cell
-  // blocks here until the first settles the cell's fate (ready or
-  // quarantined — the once-body never throws for a cell failure).
-  bool settled_here = false;
-  std::call_once(entry->once, [&] {
+  // Exactly-once settle: the once-body never throws for a cell failure;
+  // anything else gives the claim back before it propagates.
+  try {
     computeCell(*entry, key, p, icache, spec, batched);
-    settled_here = true;
-  });
-  if (!settled_here) {
-    // Either a true memo hit or a wait on another thread's compute —
-    // both mean this request cost (almost) nothing.
-    metrics_.counter("memo.hits").add();
-    if (trace_) {
-      trace_->write(TraceEvent("memo_hit").str("key", key).num(
-          "worker", ThreadPool::currentWorkerIndex()));
-    }
+  } catch (...) {
+    releaseCell(*entry, false);
+    throw;
   }
+  releaseCell(*entry, true);
   return *entry;
 }
 
+void SweepExecutor::settleUnit(const std::vector<Request>& requests) {
+  struct Pending {
+    CellEntry* entry;
+    const Request* request;
+    std::string key;
+    MachineId id;
+  };
+  std::vector<Pending> pending;
+  std::vector<const Request*> deferred;
+  std::vector<UnitSlot> slots;
+  try {
+    // Claim the unit's cells in request order and settle those that
+    // need no simulation. A cell another thread is settling is waited
+    // for only at the end, holding no claim, so two jobs can never wait
+    // on each other's cells.
+    pending.reserve(requests.size());
+    for (const Request& r : requests) {
+      std::string key = keyOf(r.p->name, r.icache, r.spec);
+      CellEntry* entry = nullptr;
+      const Claim claim =
+          claimCell(key, *r.p, r.icache, r.spec, /*wait=*/false, entry);
+      if (claim == Claim::kSettled) {
+        memoHit(key);
+        continue;
+      }
+      if (claim == Claim::kBusy) {
+        deferred.push_back(&r);
+        continue;
+      }
+      pending.push_back({entry, &r, std::move(key), MachineId{}});
+      Pending& c = pending.back();
+      if (settleEarly(*c.entry, c.key, *r.p, r.icache, r.spec,
+                      /*batched=*/true, c.id)) {
+        releaseCell(*c.entry, true);
+        pending.pop_back();
+      }
+    }
+
+    // Claim the unsettled machines, each for its first pending cell.
+    {
+      std::lock_guard<std::mutex> lock(memo_mutex_);
+      for (const Pending& c : pending) {
+        std::unique_ptr<Machine>& slot = machines_[c.id.key];
+        if (!slot) slot = std::make_unique<Machine>();
+        if (slot->state != Machine::State::kEmpty) continue;
+        slot->state = Machine::State::kRunning;
+        slots.push_back({slot.get(), &c.id, &c.key, c.request});
+      }
+    }
+    simulateUnit(slots);
+
+    // Settle the claimed cells in request order. The first cell of each
+    // machine the unit ran reports the machine's wall; the rest looked
+    // it up.
+    for (Pending& c : pending) {
+      const auto ran = std::find_if(
+          slots.begin(), slots.end(),
+          [&c](const UnitSlot& u) { return u.key == &c.key; });
+      if (ran != slots.end()) {
+        settleFromMachine(*c.entry, c.key, *c.request->p, c.request->spec,
+                          c.id, *ran->machine, ran->machine->wall_seconds);
+      } else {
+        const Stopwatch wall;
+        const Machine& machine =
+            ensureMachine(c.id, c.key, c.request->icache, c.request->spec);
+        settleFromMachine(*c.entry, c.key, *c.request->p, c.request->spec,
+                          c.id, machine, wall.seconds());
+      }
+      releaseCell(*c.entry, true);
+      c.entry = nullptr;
+    }
+  } catch (...) {
+    for (const Pending& c : pending) {
+      if (c.entry != nullptr) releaseCell(*c.entry, false);
+    }
+    throw;
+  }
+
+  for (const Request* r : deferred) {
+    ensureCell(*r->p, r->icache, r->spec, /*batched=*/true);
+  }
+}
+
 void SweepExecutor::runAll(const std::vector<Cell>& cells) {
-  // One job per distinct machine, settling that machine's requested
-  // cells in grid order, so no pool thread waits on a sibling computing
-  // the same machine. The baseline is requested before each cell:
-  // normalize() needs it for every cell of its geometry, and the memo
-  // dedups it across schemes. A co-run cell normalizes against the
-  // *co-run* baseline (same quantum/policy/partners, baseline scheme),
-  // so the comparison isolates the scheme, not the multiprogramming.
-  struct Request {
-    const PreparedWorkload* p;
-    cache::CacheGeometry icache;
-    SchemeSpec spec;
+  // One job per unit, settling that unit's requested cells in grid
+  // order, so no pool thread waits on a sibling computing the same
+  // machine, and a unit's machines share one functional pass. The
+  // baseline is requested before each cell: normalize() needs it for
+  // every cell of its geometry, and the memo dedups it across schemes.
+  // A co-run cell normalizes against the *co-run* baseline (same
+  // quantum/policy/partners, baseline scheme), so the comparison
+  // isolates the scheme, not the multiprogramming. Jobs go to the pool
+  // in first-request order; a unit of more than kUnitMachines machines
+  // splits into several jobs, so one long stream cannot serialize the
+  // batch's tail.
+  struct Planned {
+    std::size_t job;
+    std::size_t machines;
   };
   std::vector<std::vector<Request>> jobs;
+  std::map<std::string, Planned> unit_jobs;
   std::map<std::string, std::size_t> job_of_machine;
   for (const PreparedWorkload& p : prepared_) {
     for (const Cell& cell : cells) {
       for (const SchemeSpec& spec :
            {SchemeSpec::baselineFor(cell.spec), cell.spec}) {
-        const std::string machine =
-            machineOf(keyOf(p.name, cell.icache, spec), p, cell.icache, spec)
-                .key;
-        const auto [job, fresh] =
-            job_of_machine.try_emplace(machine, jobs.size());
-        if (fresh) jobs.emplace_back();
-        jobs[job->second].push_back({&p, cell.icache, spec});
+        const MachineId id =
+            machineOf(keyOf(p.name, cell.icache, spec), p, cell.icache, spec);
+        const auto [machine, fresh] = job_of_machine.try_emplace(id.key, 0);
+        if (fresh) {
+          const auto [unit, first] =
+              unit_jobs.try_emplace(id.unit, Planned{jobs.size(), 0});
+          if (first || unit->second.machines == kUnitMachines) {
+            unit->second = {jobs.size(), 0};
+            jobs.emplace_back();
+          }
+          ++unit->second.machines;
+          machine->second = unit->second.job;
+        }
+        jobs[machine->second].push_back({&p, cell.icache, spec});
       }
     }
   }
   std::vector<ThreadPool::Task> tasks;
   tasks.reserve(jobs.size());
   for (std::vector<Request>& job : jobs) {
-    tasks.push_back([this, requests = std::move(job)] {
-      for (const Request& r : requests) {
-        ensureCell(*r.p, r.icache, r.spec, /*batched=*/true);
-      }
-    });
+    tasks.push_back(
+        [this, requests = std::move(job)] { settleUnit(requests); });
   }
   pool_.submitAll(std::move(tasks));
   pool_.wait();
@@ -822,6 +1127,8 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
       .num("mips_unmeasurable_cells", totals.unmeasurable_cells)
       .num("cells_computed", count("cells.computed"))
       .num("machines_simulated", count("machines.simulated"))
+      .num("units_simulated", count("units.simulated"))
+      .num("units_dissolved", count("units.dissolved"))
       .num("cells_from_store", count("cells.from_store"))
       .num("cells_healed", count("cells.healed"))
       .num("cells_quarantined", count("cells.quarantined"))
@@ -917,13 +1224,16 @@ void SweepExecutor::printSummary(std::ostream& os) const {
   char line[640];
   std::snprintf(line, sizeof line,
                 "[wayplace] sweep: %zu workloads, %llu cells priced on "
-                "%llu machines simulated (+%llu memo hits%s), %.1fM guest "
-                "insts, simulate %.2fs host (%s), wall %.2fs, jobs %u%s\n",
+                "%llu machines simulated in %llu units (+%llu memo hits%s), "
+                "%.1fM guest insts, simulate %.2fs host (%s), wall %.2fs, "
+                "jobs %u%s\n",
                 prepared_.size(),
                 static_cast<unsigned long long>(
                     metrics_.counter("cells.computed").value()),
                 static_cast<unsigned long long>(
                     metrics_.counter("machines.simulated").value()),
+                static_cast<unsigned long long>(
+                    metrics_.counter("units.simulated").value()),
                 static_cast<unsigned long long>(
                     metrics_.counter("memo.hits").value()),
                 extras, static_cast<double>(totals.instructions) / 1e6,

@@ -19,7 +19,11 @@
 // gets the machine's result re-stamped with its own layout fields
 // (stampLayout). A lone run/tryRun of a cell no batch priced is a
 // machine of its own, so what one request costs never depends on which
-// other request reached a machine first. See DESIGN.md §10.
+// other request reached a machine first. Within a batch, the machines
+// that run one instruction stream (same workload group, image digests
+// and co-run quantum) form a *unit*: one pool job, one functional pass
+// feeding every machine's fetch path and scoreboards (Runner::runUnit).
+// See DESIGN.md §10 and §11.
 //
 // Every cell runs *supervised* (see driver/supervisor.hpp): a cell that
 // throws SimError is retried at once, and a cell that exhausts its
@@ -164,12 +168,14 @@ class SweepExecutor {
   }
 
   /// Prices every (prepared workload × cell) plus the implied baselines
-  /// across the pool, one job per distinct machine; a machine an earlier
-  /// batch settled is shared, not simulated again. Already-memoized
-  /// cells cost nothing; benches call this up front with their whole
-  /// grid so the pool stays saturated instead of draining at each table
-  /// cell. Never throws for a failing cell: failures retry and then
-  /// quarantine (inspect via tryRun / quarantined()).
+  /// across the pool, one job per unit: the batch's machines that run
+  /// one instruction stream share one functional pass. A machine an
+  /// earlier batch settled is shared, not simulated again.
+  /// Already-memoized cells cost nothing; benches call this up front
+  /// with their whole grid so the pool stays saturated instead of
+  /// draining at each table cell. Never throws for a failing cell:
+  /// failures retry and then quarantine (inspect via tryRun /
+  /// quarantined()).
   void runAll(const std::vector<Cell>& cells);
 
   /// Memoized result of one simulation; computed on the calling thread
@@ -242,9 +248,12 @@ class SweepExecutor {
 
   /// Host-side event counters: "cells.computed" (requested cells priced
   /// without their own store record) / "machines.simulated" /
-  /// "memo.hits" / "cells.from_store" / "cells.quarantined" /
-  /// "cells.failed_attempts" (machine attempts), the store's and (under
-  /// wp_serve) the service's.
+  /// "units.simulated" (functional passes that produced results: a
+  /// shared unit, or one machine alone) / "units.dissolved" (shared
+  /// units that threw, whose machines then ran alone) / "memo.hits" /
+  /// "cells.from_store" / "cells.quarantined" / "cells.failed_attempts"
+  /// (machine attempts), the store's and (under wp_serve) the
+  /// service's.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
   /// True when WP_TRACE requested a JSONL event log.
   [[nodiscard]] bool tracing() const { return trace_ != nullptr; }
@@ -255,6 +264,29 @@ class SweepExecutor {
   struct CellEntry;
   struct Machine;
   struct MachineId;
+  struct Request;
+  struct UnitSlot;
+
+  /// How claimCell found the memo entry.
+  enum class Claim {
+    kClaimed,  ///< unsettled: this thread now settles it
+    kSettled,  ///< already settled (a memo hit)
+    kBusy,     ///< another thread is settling it (only when not waiting)
+  };
+
+  /// Finds-or-creates @p key's memo entry into @p entry and claims it
+  /// if unsettled. With @p wait, a cell another thread is settling is
+  /// waited for (never kBusy).
+  Claim claimCell(const std::string& key, const PreparedWorkload& p,
+                  const cache::CacheGeometry& icache, const SchemeSpec& spec,
+                  bool wait, CellEntry*& entry);
+
+  /// Marks a claimed cell settled (@p settled) or gives the claim back,
+  /// and wakes its waiters.
+  void releaseCell(CellEntry& entry, bool settled);
+
+  /// Counts and traces a request answered by an already-settled cell.
+  void memoHit(const std::string& key);
 
   /// Finds-or-creates the memo entry and settles it exactly once
   /// (concurrent callers for the same key block until it is settled).
@@ -265,13 +297,41 @@ class SweepExecutor {
                         const cache::CacheGeometry& icache,
                         const SchemeSpec& spec, bool batched);
 
-  /// The once-body of ensureCell: the cell's own store record, else its
-  /// machine (simulated here if nobody has yet), published under the
-  /// cell's own key.
+  /// The settling body of ensureCell: the cell's own store record, else
+  /// its machine (simulated here, alone, if nobody has yet), published
+  /// under the cell's own key.
   void computeCell(CellEntry& entry, const std::string& key,
                    const PreparedWorkload& p,
                    const cache::CacheGeometry& icache,
                    const SchemeSpec& spec, bool batched);
+
+  /// What settles a claimed cell without its machine: a latched
+  /// shutdown (quarantined as interrupted) or the cell's own store
+  /// record (which also fills its machine). Otherwise fills @p id with
+  /// the cell's machine and returns false. @p batched as in ensureCell.
+  bool settleEarly(CellEntry& entry, const std::string& key,
+                   const PreparedWorkload& p,
+                   const cache::CacheGeometry& icache, const SchemeSpec& spec,
+                   bool batched, MachineId& id);
+
+  /// Settles a claimed cell from its settled @p machine: quarantined
+  /// with the machine's error, or its result (re-stamped when the
+  /// cell's layout fields differ), published to the store.
+  /// @p wall_seconds is what getting the result cost this request.
+  void settleFromMachine(CellEntry& entry, const std::string& key,
+                         const PreparedWorkload& p, const SchemeSpec& spec,
+                         const MachineId& id, const Machine& machine,
+                         double wall_seconds);
+
+  /// A runAll job: settles @p requests, the batch's requests of one
+  /// unit, in order. Cells that need no simulation settle first; the
+  /// unsettled machines of the rest then share one functional pass.
+  void settleUnit(const std::vector<Request>& requests);
+
+  /// Runs the machines of @p slots, which this thread claimed: together
+  /// when there are several (dissolving into lone runs if the unit
+  /// throws), else alone. Settles every one of them.
+  void simulateUnit(const std::vector<UnitSlot>& slots);
 
   /// The machine the requested cell @p cell_key runs: its process group,
   /// machine key and store image digest. Throws SimError when the
@@ -287,11 +347,18 @@ class SweepExecutor {
 
   /// Finds-or-creates @p id's machine and returns it settled (ready or
   /// quarantined): a machine another thread is simulating is waited
-  /// for, and an unsettled one is simulated here on behalf of the
-  /// requested cell @p key.
+  /// for, and an unsettled one is simulated here, alone, on behalf of
+  /// the requested cell @p key.
   Machine& ensureMachine(const MachineId& id, const std::string& key,
                          const cache::CacheGeometry& icache,
                          const SchemeSpec& spec);
+
+  /// Runs @p machine, claimed by this thread, alone through the ladder
+  /// (a unit of one) and settles it.
+  void simulateAlone(Machine& machine, const MachineId& id,
+                     const std::string& key,
+                     const cache::CacheGeometry& icache,
+                     const SchemeSpec& spec);
 
   /// The supervised simulation of one machine: up to maxAttempts()
   /// tries. True once an attempt produced the machine's result.
@@ -319,15 +386,16 @@ class SweepExecutor {
   ThreadPool pool_;
   std::vector<PreparedWorkload> prepared_;
   mutable std::mutex memo_mutex_;  ///< also guards const report reads
-  /// Requested cells, keyed by keyOf(); entries hold a once_flag, so
-  /// they live behind a unique_ptr (once_flag is neither movable nor
-  /// copyable).
+  /// Requested cells, keyed by keyOf(); entries hold atomics, so they
+  /// live behind a unique_ptr.
   std::map<std::string, std::unique_ptr<CellEntry>> memo_;
   /// Distinct simulated machines, keyed by machine key; each requested
   /// cell points at one. Guarded by memo_mutex_, like their states.
   std::map<std::string, std::unique_ptr<Machine>> machines_;
   /// Wakes requesters waiting on a machine another thread simulates.
   std::condition_variable machine_cv_;
+  /// Wakes requesters waiting on a cell another thread settles.
+  std::condition_variable cell_cv_;
   std::mutex digest_mutex_;
   /// imageDigest per prepared image, filled on first use (digestOf).
   std::map<const mem::Image*, u64> digests_;

@@ -12,6 +12,13 @@ using isa::Opcode;
 
 RegUse regUsesOf(const Instruction& inst) {
   RegUse u;
+  if (isa::isMultiply(inst.op)) {
+    u.op_class = OpClass::kMultiply;
+  } else if (isa::isLoad(inst.op)) {
+    u.op_class = OpClass::kLoad;
+  } else if (isa::isStore(inst.op)) {
+    u.op_class = OpClass::kStore;
+  }
   const auto addSrc = [&u](u8 r) { u.srcs[u.num_srcs++] = r; };
   switch (isa::formatOf(inst.op)) {
     case Format::kRType:
@@ -104,12 +111,11 @@ RegUse regUsesOf(const Instruction& inst) {
   return u;
 }
 
-TimingModel::TimingModel(const TimingConfig& config)
-    : config_(config), btb_(config.btb_entries) {
-  WP_ENSURE(isPow2(config.btb_entries), "BTB entries must be a power of two");
+BranchPredictor::BranchPredictor(u32 entries) : btb_(entries) {
+  WP_ENSURE(isPow2(entries), "BTB entries must be a power of two");
 }
 
-bool TimingModel::predictAndUpdate(u32 pc, bool taken, u32 target) {
+bool BranchPredictor::predictAndUpdate(u32 pc, bool taken, u32 target) {
   const u32 index = (pc >> 2) & (static_cast<u32>(btb_.size()) - 1);
   BtbEntry& e = btb_[index];
   const bool entry_matches = e.valid && e.tag == pc;
@@ -138,12 +144,23 @@ bool TimingModel::predictAndUpdate(u32 pc, bool taken, u32 target) {
   return correct;
 }
 
-void TimingModel::reset() {
+void BranchPredictor::reset() {
+  std::fill(btb_.begin(), btb_.end(), BtbEntry{});
+  stats_.reset();
+}
+
+void Scoreboard::reset() {
   cycle_ = 0;
   reg_ready_.fill(0);
   flags_ready_ = 0;
-  std::fill(btb_.begin(), btb_.end(), BtbEntry{});
-  branches_.reset();
+}
+
+TimingModel::TimingModel(const TimingConfig& config)
+    : btb_(config.btb_entries), scoreboard_(config) {}
+
+void TimingModel::reset() {
+  btb_.reset();
+  scoreboard_.reset();
 }
 
 }  // namespace wp::pipeline

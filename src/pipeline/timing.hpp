@@ -8,6 +8,13 @@
 // cycle and its source-ready cycles, matching a scoreboard stall. Fetch
 // and data-cache penalties are supplied per instruction by the caller
 // (the retire loop in sim::GuestScheduler), which owns the cache models.
+//
+// The model is two parts with different inputs. The branch predictor
+// (BTB) reads only the pc, the outcome and the target, so it belongs to
+// the architectural half of the retire loop, which runs once per
+// instruction stream. The scoreboard also reads the fetch-path cycles,
+// so every simulated machine keeps its own. TimingModel is their
+// composition for callers that drive one machine by hand.
 #pragma once
 
 #include <algorithm>
@@ -32,34 +39,75 @@ struct BranchStats {
   void reset() { *this = BranchStats{}; }
 };
 
-/// Source/destination registers of an instruction, plus flag use/def.
+/// Issue class of an instruction: which completion rule the scoreboard
+/// applies to it.
+enum class OpClass : u8 { kOther, kMultiply, kLoad, kStore };
+
+/// Source/destination registers of an instruction, plus flag use/def
+/// and its issue class: everything the scoreboard reads.
 struct RegUse {
   std::array<u8, 3> srcs{};
-  u32 num_srcs = 0;
+  u8 num_srcs = 0;
   bool has_dst = false;
   u8 dst = 0;
   bool reads_flags = false;
   bool writes_flags = false;
+  OpClass op_class = OpClass::kOther;
 };
 
 [[nodiscard]] RegUse regUsesOf(const isa::Instruction& inst);
 
-class TimingModel {
+/// The branch target buffer: 2-bit counters with full-pc tags, trained
+/// on every control transfer.
+class BranchPredictor {
  public:
-  explicit TimingModel(const TimingConfig& config);
+  explicit BranchPredictor(u32 entries);
+
+  /// Predicts direction+target for the control transfer at @p pc,
+  /// updates the BTB with the outcome, and counts the branch. Returns
+  /// true on a mispredict.
+  bool mispredicts(u32 pc, bool taken, u32 target) {
+    ++stats_.branches;
+    const bool correct = predictAndUpdate(pc, taken, target);
+    if (!correct) ++stats_.mispredicts;
+    return !correct;
+  }
+
+  [[nodiscard]] const BranchStats& stats() const { return stats_; }
+  void reset();
+
+ private:
+  struct BtbEntry {
+    bool valid = false;
+    u32 tag = 0;
+    u32 target = 0;
+    u8 counter = 0;  // 2-bit saturating, taken if >= 2
+  };
+
+  /// Returns true if the prediction for the branch at @p pc matches
+  /// (@p taken, @p target). Updates the BTB.
+  bool predictAndUpdate(u32 pc, bool taken, u32 target);
+
+  std::vector<BtbEntry> btb_;
+  BranchStats stats_;
+};
+
+/// In-order issue over a register scoreboard: the per-machine part of
+/// the timing model.
+class Scoreboard {
+ public:
+  explicit Scoreboard(const TimingConfig& config) : config_(config) {}
 
   /// Advances time over one committed instruction. Runs once per
-  /// committed instruction — defined inline so the retire loop can
-  /// absorb it.
+  /// committed instruction on every machine — defined inline so the
+  /// retire loop can absorb it.
   /// @param use           regUsesOf(inst); the BlockCache precomputes it
-  ///                      per static instruction, so the hot loop skips
-  ///                      the format/opcode switch
+  ///                      per static instruction
   /// @param fetch_cycles  cycles the fetch path reported (>= 1)
   /// @param mem_cycles    D-cache cycles for loads/stores (0 otherwise)
-  /// @param taken         branch outcome (control transfers only)
-  /// @param target        branch target (control transfers only)
-  void onInstruction(const isa::Instruction& inst, const RegUse& use, u32 pc,
-                     u32 fetch_cycles, u32 mem_cycles, bool taken, u32 target) {
+  /// @param mispredict    the branch predictor missed this transfer
+  void onInstruction(const RegUse& use, u32 fetch_cycles, u32 mem_cycles,
+                     bool mispredict) {
     WP_ENSURE(fetch_cycles >= 1, "fetch must take at least one cycle");
 
     // Fetch stalls (cache miss, TLB walk, way-hint second access) delay
@@ -77,52 +125,67 @@ class TimingModel {
     // Completion latency (out-of-order completion: later independent
     // instructions are not delayed, so only the scoreboard entry moves).
     u64 result_ready = issue + 1;
-    if (isa::isMultiply(inst.op)) {
-      result_ready = issue + config_.mul_latency;
-    } else if (isa::isLoad(inst.op)) {
-      // mem_cycles covers the D-cache access (1 on a hit); the load-use
-      // latency covers the remaining pipeline distance.
-      result_ready = issue + mem_cycles + config_.load_use_latency - 1;
-    } else if (isa::isStore(inst.op)) {
-      // Stores retire through the write buffer; a miss stalls the unit.
-      if (mem_cycles > 1) cycle_ += mem_cycles - 1;
+    switch (use.op_class) {
+      case OpClass::kMultiply:
+        result_ready = issue + config_.mul_latency;
+        break;
+      case OpClass::kLoad:
+        // mem_cycles covers the D-cache access (1 on a hit); the
+        // load-use latency covers the remaining pipeline distance.
+        result_ready = issue + mem_cycles + config_.load_use_latency - 1;
+        break;
+      case OpClass::kStore:
+        // Stores retire through the write buffer; a miss stalls the unit.
+        if (mem_cycles > 1) cycle_ += mem_cycles - 1;
+        break;
+      case OpClass::kOther:
+        break;
     }
     if (use.has_dst) reg_ready_[use.dst] = result_ready;
     if (use.writes_flags) flags_ready_ = issue + 1;
 
-    if (isa::isControlTransfer(inst.op)) {
-      ++branches_.branches;
-      const bool correct = predictAndUpdate(pc, taken, target);
-      if (!correct) {
-        ++branches_.mispredicts;
-        cycle_ += config_.branch_mispredict_penalty;
-      }
-    }
+    if (mispredict) cycle_ += config_.branch_mispredict_penalty;
   }
 
   [[nodiscard]] u64 cycles() const { return cycle_; }
-  [[nodiscard]] const BranchStats& branchStats() const { return branches_; }
-
   void reset();
 
  private:
-  struct BtbEntry {
-    bool valid = false;
-    u32 tag = 0;
-    u32 target = 0;
-    u8 counter = 0;  // 2-bit saturating, taken if >= 2
-  };
-
-  /// Predicts direction+target for the branch at @p pc; returns true if
-  /// the prediction matches (@p taken, @p target). Updates the BTB.
-  bool predictAndUpdate(u32 pc, bool taken, u32 target);
-
   TimingConfig config_;
   u64 cycle_ = 0;
   std::array<u64, isa::kNumRegisters> reg_ready_{};
   u64 flags_ready_ = 0;
-  std::vector<BtbEntry> btb_;
-  BranchStats branches_;
+};
+
+/// The whole timing model of one machine: the branch predictor and the
+/// scoreboard, fed one committed instruction at a time.
+class TimingModel {
+ public:
+  explicit TimingModel(const TimingConfig& config);
+
+  /// Advances time over one committed instruction.
+  /// @param use           regUsesOf(inst); the BlockCache precomputes it
+  ///                      per static instruction, so the hot loop skips
+  ///                      the format/opcode switch
+  /// @param fetch_cycles  cycles the fetch path reported (>= 1)
+  /// @param mem_cycles    D-cache cycles for loads/stores (0 otherwise)
+  /// @param taken         branch outcome (control transfers only)
+  /// @param target        branch target (control transfers only)
+  void onInstruction(const isa::Instruction& inst, const RegUse& use, u32 pc,
+                     u32 fetch_cycles, u32 mem_cycles, bool taken, u32 target) {
+    const bool mispredict = isa::isControlTransfer(inst.op) &&
+                            btb_.mispredicts(pc, taken, target);
+    scoreboard_.onInstruction(use, fetch_cycles, mem_cycles, mispredict);
+  }
+
+  [[nodiscard]] u64 cycles() const { return scoreboard_.cycles(); }
+  [[nodiscard]] const BranchStats& branchStats() const { return btb_.stats(); }
+
+  void reset();
+
+ private:
+  BranchPredictor btb_;
+  Scoreboard scoreboard_;
 };
 
 }  // namespace wp::pipeline

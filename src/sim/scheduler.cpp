@@ -4,8 +4,30 @@
 
 #include "support/ensure.hpp"
 #include "support/fnv.hpp"
+#include "support/metrics.hpp"
 
 namespace wp::sim {
+
+/// One attached machine: the per-machine half of the retire loop.
+struct GuestScheduler::Machine {
+  Machine(const MachineConfig& config_in, cache::TlbSwitchPolicy policy)
+      : config(config_in), tlb_policy(policy), fetch(config_in.fetch) {}
+
+  MachineConfig config;
+  cache::TlbSwitchPolicy tlb_policy;
+  cache::FetchPath fetch;
+  /// Each process's WP limit on this machine, by ASID.
+  std::vector<u32> wp_area;
+  /// Each process's scoreboard on this machine, built when the run
+  /// starts.
+  std::vector<pipeline::Scoreboard> scoreboards;
+  /// fetchLine's closed form is exact here (checked once per run).
+  bool batched = true;
+  /// The process whose fetch context is installed, or -1 before the
+  /// first batch.
+  int installed = -1;
+  double replay_seconds = 0.0;
+};
 
 ProcessContext::ProcessContext(u32 asid_in, std::string name_in,
                                const mem::Image& image,
@@ -16,16 +38,18 @@ ProcessContext::ProcessContext(u32 asid_in, std::string name_in,
       memory(memory_in),
       core(image, memory),
       state(core.initialState()),
-      blocks(core, config.fetch.icache.line_bytes),
       dcache(config.dcache),
-      timing(config.timing) {}
+      btb(config.timing.btb_entries) {}
 
 GuestScheduler::GuestScheduler(const MachineConfig& machine,
                                const SchedulerConfig& sched)
-    : machine_(machine), sched_(sched), fetch_(machine.fetch) {
+    : sched_(sched) {
   WP_ENSURE(sched_.quantum > 0,
             "SchedulerConfig.quantum must be at least one instruction");
+  machines_.push_back(std::make_unique<Machine>(machine, sched.tlb_policy));
 }
+
+GuestScheduler::~GuestScheduler() = default;
 
 u32 GuestScheduler::addProcess(const std::string& name,
                                const mem::Image& image, u32 wp_area_bytes) {
@@ -39,16 +63,56 @@ u32 GuestScheduler::addProcessOn(const std::string& name,
                                  const mem::Image& image, mem::Memory& memory,
                                  u32 wp_area_bytes) {
   WP_ENSURE(!ran_, "addProcess after run()");
+  WP_ENSURE(machines_.size() == 1, "addProcess after addMachine");
+  WP_ENSURE(procs_.size() < 256, "a scheduler runs at most 256 processes");
   const u32 asid = static_cast<u32>(procs_.size());
-  procs_.push_back(
-      std::make_unique<ProcessContext>(asid, name, image, memory, machine_));
-  procs_.back()->wp_area_bytes = wp_area_bytes;
+  procs_.push_back(std::make_unique<ProcessContext>(
+      asid, name, image, memory, machines_.front()->config));
+  machines_.front()->wp_area.push_back(wp_area_bytes);
   return asid;
+}
+
+u32 GuestScheduler::addMachine(const MachineConfig& machine,
+                               cache::TlbSwitchPolicy tlb_policy,
+                               std::vector<u32> wp_area_bytes) {
+  WP_ENSURE(!ran_, "addMachine after run()");
+  WP_ENSURE(wp_area_bytes.size() == procs_.size(),
+            "addMachine needs one WP limit per registered process");
+  const MachineConfig& arch = machines_.front()->config;
+  const cache::CacheGeometry& d = machine.dcache.geometry;
+  const cache::CacheGeometry& ad = arch.dcache.geometry;
+  WP_ENSURE(d.size_bytes == ad.size_bytes && d.line_bytes == ad.line_bytes &&
+                d.ways == ad.ways &&
+                machine.dcache.mem_latency_cycles ==
+                    arch.dcache.mem_latency_cycles &&
+                machine.timing.btb_entries == arch.timing.btb_entries &&
+                machine.max_instructions == arch.max_instructions,
+            "addMachine: the D-cache, BTB and instruction budget belong to "
+            "the shared half and must equal the first machine's");
+  WP_ENSURE(!machine.budget_hook.check,
+            "addMachine: the budget hook belongs to the shared half");
+  machines_.push_back(std::make_unique<Machine>(machine, tlb_policy));
+  machines_.back()->wp_area = std::move(wp_area_bytes);
+  return static_cast<u32>(machines_.size() - 1);
 }
 
 mem::Memory& GuestScheduler::memoryOf(u32 asid) {
   WP_ENSURE(asid < procs_.size(), "memoryOf: unknown ASID");
   return procs_[asid]->memory;
+}
+
+cache::FetchPath& GuestScheduler::fetchPath(u32 machine) {
+  WP_ENSURE(machine < machines_.size(), "fetchPath: unknown machine");
+  return machines_[machine]->fetch;
+}
+
+const MachineConfig& GuestScheduler::machine() const {
+  return machines_.front()->config;
+}
+
+double GuestScheduler::replaySeconds(u32 machine) const {
+  WP_ENSURE(machine < machines_.size(), "replaySeconds: unknown machine");
+  return machines_[machine]->replay_seconds;
 }
 
 int GuestScheduler::nextRunnable(u32 from) const {
@@ -60,134 +124,215 @@ int GuestScheduler::nextRunnable(u32 from) const {
   return -1;
 }
 
+void GuestScheduler::replay(Machine& m, const RetireChunk& chunk) {
+  const u32* inst = chunk.insts.data();
+  for (const RetireChunk::Batch& b : chunk.batches) {
+    if (b.asid != m.installed) {
+      m.fetch.switchProcess(b.asid, m.wp_area[b.asid], m.tlb_policy);
+      m.installed = b.asid;
+    }
+    pipeline::Scoreboard& sb = m.scoreboards[b.asid];
+    // A batch is consecutive slots, so its operand decodes are too.
+    const pipeline::RegUse* use = &procs_[b.asid]->blocks->regUseAt(b.pc);
+    if (m.batched) {
+      // Follow-up fetches within the batch cost exactly one cycle (the
+      // fetchLine contract); only the first carries miss/walk penalties.
+      u32 fetch_cycles = m.fetch.fetchLine(b.pc, b.flow, b.n);
+      for (u32 i = 0; i < b.n; ++i) {
+        sb.onInstruction(use[i], fetch_cycles, inst[i] >> 1,
+                         (inst[i] & 1u) != 0);
+        fetch_cycles = 1;
+      }
+    } else {
+      // By fetchLine's contract, n one-instruction fetches are the same
+      // fetch sequence as the batch.
+      for (u32 i = 0; i < b.n; ++i) {
+        const u32 fetch_cycles = m.fetch.fetchLine(
+            b.pc + 4 * i, i == 0 ? b.flow : cache::FetchFlow::kSequential, 1);
+        sb.onInstruction(use[i], fetch_cycles, inst[i] >> 1,
+                         (inst[i] & 1u) != 0);
+      }
+    }
+    inst += b.n;
+  }
+}
+
 CoRunStats GuestScheduler::run() {
+  WP_ENSURE(machines_.size() == 1,
+            "GuestScheduler::run with several machines: use runMachines");
+  return std::move(runMachines().front());
+}
+
+std::vector<CoRunStats> GuestScheduler::runMachines() {
   WP_ENSURE(!procs_.empty(), "GuestScheduler::run with no processes");
   WP_ENSURE(!ran_, "GuestScheduler::run called twice");
   ran_ = true;
 
-  CoRunStats out;
-  RunStats& c = out.combined;
-
-  const bool hooked = static_cast<bool>(machine_.budget_hook.check);
+  const MachineConfig& arch = machines_.front()->config;
+  const bool hooked = static_cast<bool>(arch.budget_hook.check);
   if (hooked) {
-    WP_ENSURE(machine_.budget_hook.interval > 0,
+    WP_ENSURE(arch.budget_hook.interval > 0,
               "BudgetHook.interval must be non-zero when a check is set");
   }
-  u64 until_check = hooked ? machine_.budget_hook.interval : 0;
+  u64 until_check = hooked ? arch.budget_hook.interval : 0;
 
-  // The batched fetchLine accounting is only exact without a fault hook
-  // and without drowsy lines; otherwise every batch is one instruction,
-  // and fetchLine(pc, flow, 1) is exactly fetch(pc, flow).
-  const bool batched = fetch_.batchedLineFetchExact();
+  // A batch stays inside one line of every machine, so the smallest
+  // line sets the BlockCache extents. Each machine checks once whether
+  // its closed-form line fetch is exact (no fault hook, no drowsy lines).
+  u32 line_bytes = arch.fetch.icache.line_bytes;
+  for (const auto& m : machines_) {
+    line_bytes = std::min(line_bytes, m->config.fetch.icache.line_bytes);
+    m->scoreboards.assign(procs_.size(),
+                          pipeline::Scoreboard(m->config.timing));
+    m->batched = m->fetch.batchedLineFetchExact();
+  }
+  WP_ENSURE(line_bytes / 4 <= 0xffff, "I-cache lines hold too many slots");
+  for (const auto& p : procs_) p->blocks.emplace(p->core, line_bytes);
 
-  // Retires one instruction of @p p: hashes (per-process and the
-  // interleaved combined ones), D-cache, timing, flow.
-  const auto retire = [&](ProcessContext& p, u32 pc, const StepInfo& info,
-                          u32 fetch_cycles) {
-    ++c.instructions;
-    ++p.instructions;
-    c.retired_pc_hash = fnv1aWord(c.retired_pc_hash, pc);
-    p.retired_pc_hash = fnv1aWord(p.retired_pc_hash, pc);
+  // Only a shared pass splits its host cost between its machines.
+  const bool timed = machines_.size() > 1;
 
-    u32 mem_cycles = 0;
-    if (info.mem_addr.has_value()) {
-      const bool is_store = isa::isStore(info.inst.op);
-      const u64 v =
-          (static_cast<u64>(*info.mem_addr) << 1) | (is_store ? 1u : 0u);
-      c.dataflow_hash = fnv1aWord(c.dataflow_hash, v);
-      p.dataflow_hash = fnv1aWord(p.dataflow_hash, v);
-      mem_cycles = is_store ? p.dcache.store(*info.mem_addr)
-                            : p.dcache.load(*info.mem_addr);
-    }
+  u64 instructions = 0;
+  u64 retired_pc_hash = kFnvOffset;
+  u64 dataflow_hash = kFnvOffset;
+  u64 context_switches = 0;
+  u64 slices = 0;
 
-    p.timing.onInstruction(info.inst, p.blocks.regUseAt(pc), pc, fetch_cycles,
-                           mem_cycles, info.taken, info.next_pc);
+  RetireChunk chunk;
+  chunk.batches.reserve(RetireChunk::kBatches);
+  chunk.insts.reserve(RetireChunk::kBatches * (line_bytes / 4));
 
-    if (info.control_transfer && info.taken) {
-      p.flow = info.indirect ? cache::FetchFlow::kTakenIndirect
-                             : cache::FetchFlow::kTakenDirect;
-    } else {
-      p.flow = cache::FetchFlow::kSequential;
-    }
-  };
-
-  int installed = -1;
   int cur = nextRunnable(0);
+  int last = -1;
+  u64 slice_remaining = 0;
   while (cur >= 0) {
-    ProcessContext& p = *procs_[static_cast<u32>(cur)];
-    if (installed != cur) {
-      fetch_.switchProcess(p.asid, p.wp_area_bytes, sched_.tlb_policy);
-      if (installed >= 0) ++out.context_switches;
-      installed = cur;
-    }
-    ++out.slices;
-
-    u64 slice_remaining = sched_.quantum;
-    while (!p.state.halted && slice_remaining > 0) {
-      WP_ENSURE(c.instructions < machine_.max_instructions,
+    // The architectural half: one chunk of batches.
+    chunk.batches.clear();
+    chunk.insts.clear();
+    do {
+      ProcessContext& p = *procs_[static_cast<u32>(cur)];
+      if (slice_remaining == 0) {
+        if (last != cur) {
+          if (last >= 0) ++context_switches;
+          last = cur;
+        }
+        ++slices;
+        slice_remaining = sched_.quantum;
+      }
+      WP_ENSURE(instructions < arch.max_instructions,
                 "instruction budget exhausted (runaway guest?)");
 
       // Batch: the basic block, clipped at the slice boundary (so a
       // batch never spans a context switch), the instruction budget and
       // the watchdog interval. A clipped batch resumes mid-line on this
       // process's next batch; re-entering the line sequentially takes
-      // the same fetch paths per-instruction fetches would.
-      u64 n64 = batched ? p.blocks.blockLenAt(p.state.pc) : 1;
+      // the same fetch paths per-instruction fetches would. An
+      // out-of-code or misaligned pc gets a batch of one, and its step
+      // raises the fault before any machine fetches it.
+      u64 n64 = p.blocks->blockLenAt(p.state.pc);
       n64 = std::min(n64, slice_remaining);
-      n64 = std::min(n64, machine_.max_instructions - c.instructions);
+      n64 = std::min(n64, arch.max_instructions - instructions);
       if (hooked) n64 = std::min(n64, until_check);
       const u32 n = static_cast<u32>(n64);
 
-      // Follow-up fetches within the batch cost exactly one cycle (the
-      // fetchLine contract); only the first carries miss/walk penalties.
-      const u32 first_cycles = fetch_.fetchLine(p.state.pc, p.flow, n);
+      chunk.batches.push_back({p.state.pc, static_cast<u16>(n),
+                               static_cast<u8>(p.asid), p.flow});
       for (u32 i = 0; i < n; ++i) {
         const u32 pc = p.state.pc;
         const StepInfo info = p.core.step(p.state);
-        retire(p, pc, info, i == 0 ? first_cycles : 1);
+        ++p.instructions;
+        retired_pc_hash = fnv1aWord(retired_pc_hash, pc);
+        p.retired_pc_hash = fnv1aWord(p.retired_pc_hash, pc);
+
+        u32 word = 0;
+        if (info.mem_addr.has_value()) {
+          const bool is_store = isa::isStore(info.inst.op);
+          const u64 v =
+              (static_cast<u64>(*info.mem_addr) << 1) | (is_store ? 1u : 0u);
+          dataflow_hash = fnv1aWord(dataflow_hash, v);
+          p.dataflow_hash = fnv1aWord(p.dataflow_hash, v);
+          word = (is_store ? p.dcache.store(*info.mem_addr)
+                           : p.dcache.load(*info.mem_addr))
+                 << 1;
+        }
+        if (info.control_transfer) {
+          if (p.btb.mispredicts(pc, info.taken, info.next_pc)) word |= 1u;
+          p.flow = !info.taken     ? cache::FetchFlow::kSequential
+                   : info.indirect ? cache::FetchFlow::kTakenIndirect
+                                   : cache::FetchFlow::kTakenDirect;
+        } else {
+          p.flow = cache::FetchFlow::kSequential;
+        }
+        chunk.insts.push_back(word);
       }
+      instructions += n;
       slice_remaining -= n;
       // The check runs after the batch retires, so the hook sees the
       // exact retired count (k * interval on the k-th call).
       if (hooked && (until_check -= n) == 0) {
-        machine_.budget_hook.check(c.instructions);
-        until_check = machine_.budget_hook.interval;
+        arch.budget_hook.check(instructions);
+        until_check = arch.budget_hook.interval;
       }
-    }
+      if (p.state.halted || slice_remaining == 0) {
+        slice_remaining = 0;
+        cur = nextRunnable(static_cast<u32>(cur) + 1);
+      }
+    } while (cur >= 0 && chunk.batches.size() < RetireChunk::kBatches);
 
-    cur = nextRunnable(static_cast<u32>(cur) + 1);
+    // Every machine's half consumes the chunk.
+    for (const auto& m : machines_) {
+      if (!timed) {
+        replay(*m, chunk);
+        continue;
+      }
+      const double start = threadCpuSeconds();
+      replay(*m, chunk);
+      m->replay_seconds += threadCpuSeconds() - start;
+    }
   }
 
-  // Shared fetch-path counters come out exactly like a solo run's.
-  c.icache = fetch_.cacheStats();
-  c.itlb = fetch_.tlbStats();
-  c.fetch = fetch_.fetchStats();
-  c.squashed_probes = fetch_.squashedProbes();
-  c.link_flash_clears = fetch_.linkFlashClears();
-  c.icache_data_area_factor = fetch_.dataAreaFactor();
-  c.drowsy = fetch_.drowsyStats();
-  c.icache_lines = fetch_.icacheLines();
+  std::vector<CoRunStats> out(machines_.size());
+  for (std::size_t mi = 0; mi < machines_.size(); ++mi) {
+    const Machine& m = *machines_[mi];
+    CoRunStats& co = out[mi];
+    RunStats& c = co.combined;
+    c.instructions = instructions;
+    c.retired_pc_hash = retired_pc_hash;
+    c.dataflow_hash = dataflow_hash;
+    // Shared fetch-path counters come out exactly like a solo run's.
+    c.icache = m.fetch.cacheStats();
+    c.itlb = m.fetch.tlbStats();
+    c.fetch = m.fetch.fetchStats();
+    c.squashed_probes = m.fetch.squashedProbes();
+    c.link_flash_clears = m.fetch.linkFlashClears();
+    c.icache_data_area_factor = m.fetch.dataAreaFactor();
+    c.drowsy = m.fetch.drowsyStats();
+    c.icache_lines = m.fetch.icacheLines();
 
-  // Private per-process activity sums into the combined totals (the
-  // serialized-execution model: one core, N time-sliced guests).
-  out.processes.reserve(procs_.size());
-  for (const auto& pp : procs_) {
-    const ProcessContext& p = *pp;
-    c.cycles += p.timing.cycles();
-    c.dcache += p.dcache.stats();
-    c.branches.branches += p.timing.branchStats().branches;
-    c.branches.mispredicts += p.timing.branchStats().mispredicts;
+    // Private per-process activity sums into the combined totals (the
+    // serialized-execution model: one core, N time-sliced guests).
+    co.processes.reserve(procs_.size());
+    for (const auto& pp : procs_) {
+      const ProcessContext& p = *pp;
+      const u64 cycles = m.scoreboards[p.asid].cycles();
+      c.cycles += cycles;
+      c.dcache += p.dcache.stats();
+      c.branches.branches += p.btb.stats().branches;
+      c.branches.mispredicts += p.btb.stats().mispredicts;
 
-    ProcessRunStats ps;
-    ps.name = p.name;
-    ps.asid = p.asid;
-    ps.instructions = p.instructions;
-    ps.retired_pc_hash = p.retired_pc_hash;
-    ps.dataflow_hash = p.dataflow_hash;
-    ps.cycles = p.timing.cycles();
-    ps.dcache = p.dcache.stats();
-    ps.branches = p.timing.branchStats();
-    out.processes.push_back(std::move(ps));
+      ProcessRunStats ps;
+      ps.name = p.name;
+      ps.asid = p.asid;
+      ps.instructions = p.instructions;
+      ps.retired_pc_hash = p.retired_pc_hash;
+      ps.dataflow_hash = p.dataflow_hash;
+      ps.cycles = cycles;
+      ps.dcache = p.dcache.stats();
+      ps.branches = p.btb.stats();
+      co.processes.push_back(std::move(ps));
+    }
+    co.context_switches = context_switches;
+    co.slices = slices;
   }
   return out;
 }

@@ -5,27 +5,33 @@
 //
 // This is the multiprogramming fix for the model's original
 // flat-address-space assumption: each guest owns a ProcessContext — its
-// own Memory, functional core, D-cache and timing model, its own
-// per-process way-placement limit (its page table's view of the WP
-// area) and its own equivalence-hash accumulators — while the
-// *instruction* side (way-hint bit, I-TLB, I-cache, memo links,
-// drowsy state) is the one shared FetchPath all processes contend on.
-// A context switch pays the real switch-time costs (Tlb::switchContext
-// per policy, VIVT I-cache flush, memo flash-clear, hint/MRU reset,
-// drowsy onCacheFlush — see FetchPath::switchProcess), so the sharing
-// can perturb energy and timing but never architecture: each process's
+// own Memory, functional core, D-cache and branch predictor, and its
+// own equivalence-hash accumulators — while the *instruction* side
+// (way-hint bit, I-TLB, I-cache, memo links, drowsy state) is the one
+// shared FetchPath all processes contend on. A context switch pays the
+// real switch-time costs (Tlb::switchContext per policy, VIVT I-cache
+// flush, memo flash-clear, hint/MRU reset, drowsy onCacheFlush — see
+// FetchPath::switchProcess), so the sharing can perturb energy and
+// timing but never architecture: each process's
 // retired_pc_hash/dataflow_hash must equal its solo run for any switch
 // quantum, which the multiprog bench and test_multiprog enforce.
 //
-// The loop dispatches one FetchPath::fetchLine per batch: the
-// BlockCache run at the pc, clipped at the slice boundary (so a batch
-// never spans a context switch), the instruction budget and the
-// budget-hook countdown. When the closed-form line fetch is inexact
-// (fault hook attached, drowsy lines on) every batch is one
-// instruction, which is a plain FetchPath::fetch per retirement.
+// The retire loop has two halves. The architectural half runs
+// Core::step, the hashes, each process's D-cache and each process's
+// branch predictor — none of which reads the I-cache — over a bounded
+// chunk of BlockCache batches, and records the chunk as a RetireChunk.
+// Each attached machine's half then consumes the chunk: its own
+// FetchPath (one fetchLine per batch, switchProcess when the batch's
+// process changes) and one scoreboard per process. So machines that
+// differ only in fetch-side fields share one functional pass
+// (addMachine); a lone run is a scheduler with one machine. When a
+// machine's closed-form line fetch is inexact (fault hook attached,
+// drowsy lines on) it replays each batch as one-instruction fetches,
+// which is a plain FetchPath::fetch per retirement.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,13 +46,41 @@ struct SchedulerConfig {
   /// this many instructions (or until HALT), then the next runnable
   /// process is switched in.
   u64 quantum = 10'000;
-  /// What a switch does to the I-TLB (flush vs ASID tags).
+  /// What a switch does to the first machine's I-TLB (flush vs ASID
+  /// tags); every machine added later names its own.
   cache::TlbSwitchPolicy tlb_policy = cache::TlbSwitchPolicy::kFlush;
 };
 
+/// One bounded chunk of the architectural stream: everything a
+/// machine's half needs besides its own fetch path and scoreboards.
+/// A plain record, so any consumer of the retired stream can read it.
+struct RetireChunk {
+  /// Batches per chunk. The chunk is the lockstep bound between the
+  /// functional pass and its machines: large enough that switching
+  /// between the halves is rare, small enough (about 100 KB) to stay
+  /// in cache. A prototype of this split measured sizes from 512 to
+  /// 32768 batches alike.
+  static constexpr std::size_t kBatches = 8192;
+
+  /// One BlockCache batch: @p n straight-line instructions from @p pc,
+  /// inside one cache line of the smallest line size in the run, clipped
+  /// at slice, budget and hook boundaries.
+  struct Batch {
+    u32 pc;
+    u16 n;
+    u8 asid;               ///< the process that retired it
+    cache::FetchFlow flow;  ///< how control reached pc
+  };
+  std::vector<Batch> batches;
+  /// One word per retired instruction, in retirement order: the D-cache
+  /// cycles of its data access (0 without one) shifted left by one, or'ed
+  /// with 1 when the branch predictor missed it.
+  std::vector<u32> insts;
+};
+
 /// One guest process: private architectural state plus per-process
-/// accounting. The instruction side lives in the scheduler's shared
-/// FetchPath; the data side (Memory, D-cache) is private — modelled as
+/// accounting. The instruction side lives in each machine's FetchPath;
+/// the data side (Memory, D-cache) is private — modelled as
 /// interference-free so the co-run isolates the *fetch-path* switch
 /// costs the paper's mechanism is sensitive to (DESIGN.md §12).
 struct ProcessContext {
@@ -55,17 +89,15 @@ struct ProcessContext {
 
   u32 asid;
   std::string name;
-  /// Per-process way-placement area (clamped to this process's image by
-  /// the driver); 0 for non-way-placement schemes.
-  u32 wp_area_bytes = 0;
   /// Private memory, holding the loaded image: the scheduler's own
   /// (addProcess) or the caller's (addProcessOn).
   mem::Memory& memory;
   Core core;
   CoreState state;
-  BlockCache blocks;
+  /// Built when the run starts, for the smallest line of its machines.
+  std::optional<BlockCache> blocks;
   cache::DataCache dcache;
-  pipeline::TimingModel timing;
+  pipeline::BranchPredictor btb;
   /// Flow into this process's next fetch, preserved across slices.
   cache::FetchFlow flow = cache::FetchFlow::kSequential;
   // Per-process accounting: must equal the same workload's solo run.
@@ -86,12 +118,12 @@ struct ProcessRunStats {
   pipeline::BranchStats branches;
 };
 
-/// Everything a finished co-run produced. `combined` is shaped exactly
-/// like a solo RunStats so the energy model prices it unchanged: the
-/// shared fetch-path counters, summed per-process D-cache/branch/cycle
-/// activity, and *interleaved* global hashes over every retirement in
-/// execution order — a one-process co-run therefore reproduces its solo
-/// RunStats bit for bit.
+/// Everything a finished co-run produced on one machine. `combined` is
+/// shaped exactly like a solo RunStats so the energy model prices it
+/// unchanged: the shared fetch-path counters, summed per-process
+/// D-cache/branch/cycle activity, and *interleaved* global hashes over
+/// every retirement in execution order — a one-process co-run therefore
+/// reproduces its solo RunStats bit for bit.
 struct CoRunStats {
   RunStats combined;
   std::vector<ProcessRunStats> processes;
@@ -101,14 +133,19 @@ struct CoRunStats {
 
 class GuestScheduler {
  public:
-  /// @p machine configures the shared fetch path and the per-process
-  /// D-caches/timing models; @p sched the quantum and TLB policy.
+  /// @p machine configures the first machine's fetch path and
+  /// scoreboards, and the architectural half every machine shares: the
+  /// per-process D-caches and branch predictors, the instruction budget
+  /// and the budget hook. @p sched sets the quantum and the first
+  /// machine's TLB policy.
   GuestScheduler(const MachineConfig& machine, const SchedulerConfig& sched);
+  ~GuestScheduler();
 
   /// Registers a guest (every driver cell's members): loads @p image
   /// into a private Memory the scheduler owns and returns the process's
-  /// ASID (its index, from 0). @p wp_area_bytes is the per-process WP
-  /// limit (page-aligned, clamped to the image; 0 unless way-placement).
+  /// ASID (its index, from 0). @p wp_area_bytes is the process's WP
+  /// limit on the first machine (page-aligned, clamped to the image; 0
+  /// unless way-placement).
   u32 addProcess(const std::string& name, const mem::Image& image,
                  u32 wp_area_bytes = 0);
 
@@ -118,33 +155,62 @@ class GuestScheduler {
   u32 addProcessOn(const std::string& name, const mem::Image& image,
                    mem::Memory& memory, u32 wp_area_bytes = 0);
 
+  /// Attaches another machine to the run, after every addProcess: it
+  /// consumes the same architectural stream through its own fetch path
+  /// (@p machine's fetch config, switched under @p tlb_policy, with one
+  /// WP limit per process in @p wp_area_bytes) and its own scoreboards
+  /// (@p machine's timing latencies). Its D-cache, BTB size and
+  /// instruction budget must equal the first machine's, and it carries
+  /// no budget hook: those belong to the shared half. Returns the
+  /// machine's index (from 1).
+  u32 addMachine(const MachineConfig& machine,
+                 cache::TlbSwitchPolicy tlb_policy,
+                 std::vector<u32> wp_area_bytes);
+
   /// The process's private memory — callers of addProcess write
   /// workload inputs here and read outputs back after run().
   [[nodiscard]] mem::Memory& memoryOf(u32 asid);
 
   /// Runs every registered process to HALT under round-robin
-  /// time-slicing. Call once.
+  /// time-slicing, streaming the architectural half to every machine
+  /// in RetireChunk-sized lockstep; returns one CoRunStats per machine,
+  /// in machine order. Call once.
+  std::vector<CoRunStats> runMachines();
+
+  /// runMachines() for the first machine's stats.
   CoRunStats run();
 
-  [[nodiscard]] cache::FetchPath& fetchPath() { return fetch_; }
-  [[nodiscard]] const MachineConfig& machine() const { return machine_; }
+  /// Machine @p machine's fetch path (0 = the constructor's).
+  [[nodiscard]] cache::FetchPath& fetchPath(u32 machine = 0);
+  [[nodiscard]] const MachineConfig& machine() const;
   [[nodiscard]] const SchedulerConfig& schedulerConfig() const {
     return sched_;
   }
 
+  /// Host thread CPU machine @p machine's half spent replaying the
+  /// stream. Measured only when more than one machine is attached
+  /// (0 otherwise): observability, never fed back.
+  [[nodiscard]] double replaySeconds(u32 machine) const;
+
  private:
+  struct Machine;
+
   /// First runnable process at or after @p from (round-robin order), or
   /// -1 when every process has halted.
   [[nodiscard]] int nextRunnable(u32 from) const;
 
-  MachineConfig machine_;
+  /// Machine @p m's half: replays @p chunk through its fetch path and
+  /// scoreboards.
+  void replay(Machine& m, const RetireChunk& chunk);
+
   SchedulerConfig sched_;
-  cache::FetchPath fetch_;
   /// Memories addProcess allocated; declared before procs_ so they
   /// outlive the contexts that reference them.
   std::vector<std::unique_ptr<mem::Memory>> owned_memory_;
   /// The registered guests, indexed by ASID.
   std::vector<std::unique_ptr<ProcessContext>> procs_;
+  /// The attached machines; the first is the constructor's.
+  std::vector<std::unique_ptr<Machine>> machines_;
   bool ran_ = false;
 };
 

@@ -1,17 +1,24 @@
-// One-loop equivalence: batching is a host optimisation, never a model
-// change. The retire loop dispatches whole BlockCache runs through
-// FetchPath::fetchLine, or one instruction per fetch when the closed
-// form is inexact — and an attached fault hook is what makes it
+// One-loop equivalence: batching and sharing are host optimisations,
+// never a model change. The retire loop dispatches whole BlockCache runs
+// through FetchPath::fetchLine, or one instruction per fetch when the
+// closed form is inexact — and an attached fault hook is what makes it
 // inexact. So the same machine runs twice here: with a no-op
 // FetchFaultHook (the per-instruction reference, every retirement one
 // FetchPath::fetch) and without (batched). Over the full workload suite
 // the two must agree on the retired instruction stream, the data flow,
 // the workload output and every RunStats counter (statsDigest also
-// folds in the priced energy). The differential fuzz slice at the end
-// repeats the comparison on tiny, miss-heavy machines.
+// folds in the priced energy). The differential fuzz slice repeats the
+// comparison on tiny, miss-heavy machines. The unit slice at the end
+// checks the other sharing: machines that run one instruction stream
+// share one functional pass (Runner::runUnit, GuestScheduler::addMachine),
+// and each must still equal its own lone run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <map>
+#include <thread>
 
 #include "driver/checkpoint.hpp"
 #include "driver/runner.hpp"
@@ -332,6 +339,290 @@ TEST(EngineFuzz, CoRunsIdenticalOnMissHeavyMachines) {
             group, kind);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Unit equivalence: one functional pass feeding many machines. A unit's
+// machines differ only in fetch-side fields; each must produce exactly
+// what it produces alone — every RunStats counter and the priced energy
+// (statsDigest), the outputs, and each process's instructions, hashes
+// and cycles.
+
+/// The fig6 machines of one workload, plus a way-prediction, a no-skip
+/// WP and a drowsy WP consumer.
+std::vector<driver::Runner::UnitMachine> fig6Machines() {
+  std::vector<driver::Runner::UnitMachine> machines;
+  for (const u32 kb : {16u, 32u, 64u}) {
+    for (const u32 ways : {8u, 16u, 32u}) {
+      const cache::CacheGeometry g{kb * 1024, 32, ways};
+      machines.push_back({g, driver::SchemeSpec::baseline()});
+      machines.push_back({g, driver::SchemeSpec::wayMemoization()});
+      for (const u32 area_kb : {16u, 8u, 4u, 2u, 1u}) {
+        machines.push_back(
+            {g, driver::SchemeSpec::wayPlacement(area_kb * 1024)});
+      }
+    }
+  }
+  machines.push_back({kXScale, driver::SchemeSpec::wayPrediction()});
+  driver::SchemeSpec no_skip = driver::SchemeSpec::wayPlacement(16 * 1024);
+  no_skip.intraline_skip = false;
+  machines.push_back({kXScale, no_skip});
+  driver::SchemeSpec drowsy = driver::SchemeSpec::wayPlacement(4 * 1024);
+  drowsy.drowsy_window = 2048;
+  machines.push_back({kXScale, drowsy});
+  return machines;
+}
+
+/// "<size>/<ways>/<scheme>/<area>/<skip>/<drowsy>" of a unit machine.
+std::string machineName(const driver::Runner::UnitMachine& m) {
+  return std::to_string(m.icache.size_bytes) + "/" +
+         std::to_string(m.icache.ways) + "/" +
+         cache::schemeName(m.spec.scheme) + "/" +
+         std::to_string(m.spec.wp_area_bytes) + "/" +
+         std::to_string(m.spec.intraline_skip) + "/" +
+         std::to_string(m.spec.drowsy_window);
+}
+
+TEST(UnitEquivalence, Fig6MachinesMatchTheirLoneRuns) {
+  driver::Runner runner;
+  std::vector<driver::PreparedWorkload> prepared;
+  for (const char* name : {"crc", "bitcount", "sha"}) {
+    prepared.push_back(runner.prepare(name));
+  }
+  // One unit per instruction stream: a workload's machines whose
+  // layouts emit byte-identical images.
+  struct Unit {
+    const driver::PreparedWorkload* p;
+    std::vector<driver::Runner::UnitMachine> machines;
+    std::vector<driver::RunResult> shared;
+    std::vector<driver::Runner::CoRunExtra> extras;
+    std::vector<driver::RunResult> lone;
+    std::vector<driver::Runner::CoRunExtra> lone_extras;
+  };
+  std::vector<Unit> units;
+  for (const driver::PreparedWorkload& p : prepared) {
+    std::map<u64, std::vector<driver::Runner::UnitMachine>> streams;
+    for (const driver::Runner::UnitMachine& m : fig6Machines()) {
+      streams[driver::imageDigest(p.imageFor(m.spec.layout))].push_back(m);
+    }
+    for (auto& [digest, machines] : streams) {
+      const std::size_t n = machines.size();
+      units.push_back({&p, std::move(machines), {}, {},
+                       std::vector<driver::RunResult>(n),
+                       std::vector<driver::Runner::CoRunExtra>(n)});
+    }
+  }
+  // Every unit, then every machine's lone run, over a few threads.
+  std::vector<std::function<void()>> tasks;
+  for (Unit& u : units) {
+    tasks.push_back([&runner, &u] {
+      u.shared = runner.runUnit({u.p}, u.machines,
+                                workloads::InputSize::kLarge, nullptr,
+                                &u.extras);
+    });
+  }
+  for (Unit& u : units) {
+    for (std::size_t i = 0; i < u.machines.size(); ++i) {
+      tasks.push_back([&runner, &u, i] {
+        u.lone[i] = runner.runGroup({u.p}, u.machines[i].icache,
+                                    u.machines[i].spec,
+                                    workloads::InputSize::kLarge, nullptr,
+                                    &u.lone_extras[i]);
+      });
+    }
+  }
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t k; (k = next++) < tasks.size();) tasks[k]();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (const Unit& u : units) {
+    SCOPED_TRACE(u.p->name);
+    ASSERT_EQ(u.shared.size(), u.machines.size());
+    ASSERT_EQ(u.extras.size(), u.machines.size());
+    for (std::size_t i = 0; i < u.machines.size(); ++i) {
+      SCOPED_TRACE(machineName(u.machines[i]));
+      EXPECT_EQ(driver::statsDigest(u.shared[i]),
+                driver::statsDigest(u.lone[i]));
+      EXPECT_EQ(u.shared[i].output, u.lone[i].output);
+      const auto& a = u.extras[i].processes.at(0);
+      const auto& b = u.lone_extras[i].processes.at(0);
+      EXPECT_EQ(a.instructions, b.instructions);
+      EXPECT_EQ(a.retired_pc_hash, b.retired_pc_hash);
+      EXPECT_EQ(a.dataflow_hash, b.dataflow_hash);
+      EXPECT_EQ(a.cycles, b.cycles);
+      EXPECT_EQ(a.output, b.output);
+    }
+  }
+}
+
+/// One machine of a fuzz unit.
+struct FuzzMachine {
+  sim::MachineConfig config;
+  cache::TlbSwitchPolicy policy = cache::TlbSwitchPolicy::kFlush;
+  bool hooked = false;  ///< a no-op fault hook: one fetch per retirement
+};
+
+/// Runs @p machines on @p group as one unit: every member runs its
+/// image for @p image_scheme, with its WP area of @p area_kind on the
+/// way-placement machines. One FuzzRun per machine.
+std::vector<FuzzRun> runFuzzUnit(const driver::Runner& runner,
+                                 std::vector<FuzzMachine> machines,
+                                 u64 quantum,
+                                 const std::vector<const FuzzGuest*>& group,
+                                 cache::Scheme image_scheme, int area_kind) {
+  std::vector<std::vector<u32>> areas(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    const bool wp =
+        machines[m].config.fetch.scheme == cache::Scheme::kWayPlacement;
+    for (const FuzzGuest* g : group) {
+      areas[m].push_back(wp ? fuzzWpArea(area_kind, g->image(image_scheme))
+                            : 0);
+    }
+    machines[m].config.fetch.wp_area_bytes = areas[m].front();
+  }
+  sim::SchedulerConfig sched;
+  sched.quantum = quantum;
+  sched.tlb_policy = machines.front().policy;
+  sim::GuestScheduler s(machines.front().config, sched);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const u32 asid = s.addProcess(group[i]->name,
+                                  group[i]->image(image_scheme), areas[0][i]);
+    if (group[i]->workload != nullptr) {
+      group[i]->workload->prepare(s.memoryOf(asid),
+                                  workloads::InputSize::kSmall);
+    }
+  }
+  for (std::size_t m = 1; m < machines.size(); ++m) {
+    s.addMachine(machines[m].config, machines[m].policy, areas[m]);
+  }
+  std::vector<NoOpHook> hooks(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    if (machines[m].hooked) {
+      s.fetchPath(static_cast<u32>(m)).attachFaultHook(&hooks[m]);
+    }
+  }
+  std::vector<sim::CoRunStats> co = s.runMachines();
+  std::vector<u8> output;
+  for (u32 i = 0; i < group.size(); ++i) {
+    const std::vector<u8> out = group[i]->output(s.memoryOf(i));
+    output.insert(output.end(), out.begin(), out.end());
+  }
+  std::vector<FuzzRun> runs;
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    driver::RunResult r;
+    r.stats = co[m].combined;
+    r.energy = sim::Processor::price(runner.energyModel(),
+                                     machines[m].config, r.stats);
+    r.output = output;
+    runs.push_back({driver::statsDigest(r), output,
+                    std::move(co[m].processes), r.stats.icache.misses});
+  }
+  return runs;
+}
+
+/// Every machine of the unit must equal its own lone run.
+void expectUnitMatchesLoneRuns(const driver::Runner& runner,
+                               const std::vector<FuzzMachine>& machines,
+                               u64 quantum,
+                               const std::vector<const FuzzGuest*>& group,
+                               cache::Scheme image_scheme, int area_kind) {
+  const std::vector<FuzzRun> unit =
+      runFuzzUnit(runner, machines, quantum, group, image_scheme, area_kind);
+  ASSERT_EQ(unit.size(), machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    SCOPED_TRACE("machine " + std::to_string(m) + " (" +
+                 cache::schemeName(machines[m].config.fetch.scheme) + ")");
+    const FuzzRun lone = runFuzzUnit(runner, {machines[m]}, quantum, group,
+                                     image_scheme, area_kind)
+                             .front();
+    EXPECT_EQ(unit[m].digest, lone.digest);
+    EXPECT_EQ(unit[m].output, lone.output);
+    ASSERT_EQ(unit[m].processes.size(), lone.processes.size());
+    for (std::size_t i = 0; i < lone.processes.size(); ++i) {
+      SCOPED_TRACE(lone.processes[i].name);
+      EXPECT_EQ(unit[m].processes[i].instructions,
+                lone.processes[i].instructions);
+      EXPECT_EQ(unit[m].processes[i].retired_pc_hash,
+                lone.processes[i].retired_pc_hash);
+      EXPECT_EQ(unit[m].processes[i].dataflow_hash,
+                lone.processes[i].dataflow_hash);
+      EXPECT_EQ(unit[m].processes[i].cycles, lone.processes[i].cycles);
+    }
+  }
+}
+
+TEST(UnitEquivalence, FuzzSoloUnitsMatchLoneRuns) {
+  const FuzzSuite& suite = fuzzSuite();
+  Rng rng(0x0417);
+  for (const cache::CacheGeometry& g : fuzzGeometries(0x5eed, 4)) {
+    SCOPED_TRACE(std::to_string(g.size_bytes) + " B/" +
+                 std::to_string(g.ways) + "-way/" +
+                 std::to_string(g.line_bytes) + " B lines");
+    for (const FuzzGuest& guest : suite.guests) {
+      SCOPED_TRACE(guest.name);
+      // All four schemes with and without the skip, plus a machine with
+      // another line size (the batches follow the smallest line) and a
+      // hooked one (one fetch per retirement) on the same pass.
+      std::vector<FuzzMachine> machines;
+      for (const cache::Scheme scheme : kFuzzSchemes) {
+        for (const bool skip : {true, false}) {
+          machines.push_back({fuzzMachine(suite.runner, g, scheme, skip)});
+        }
+      }
+      cache::CacheGeometry other = g;
+      other.line_bytes = g.line_bytes == 16 ? 64 : 16;
+      machines.push_back(
+          {fuzzMachine(suite.runner, other, cache::Scheme::kWayMemoization,
+                       true)});
+      machines.push_back(
+          {fuzzMachine(suite.runner, g, cache::Scheme::kWayPlacement, true),
+           cache::TlbSwitchPolicy::kFlush, true});
+      const int kind = static_cast<int>(rng.below(3));
+      SCOPED_TRACE("area kind " + std::to_string(kind));
+      expectUnitMatchesLoneRuns(suite.runner, machines,
+                                machines.front().config.max_instructions,
+                                {&guest}, cache::Scheme::kWayPlacement, kind);
+    }
+  }
+}
+
+TEST(UnitEquivalence, FuzzCoRunUnitsMatchLoneRuns) {
+  const FuzzSuite& suite = fuzzSuite();
+  Rng rng(0xc1);
+  for (const cache::CacheGeometry& g : fuzzGeometries(0xc0de, 6)) {
+    SCOPED_TRACE(std::to_string(g.size_bytes) + " B/" +
+                 std::to_string(g.ways) + "-way/" +
+                 std::to_string(g.line_bytes) + " B lines");
+    const std::size_t a = rng.below(suite.guests.size());
+    const std::size_t b = (a + 1 + rng.below(suite.guests.size() - 1)) %
+                          suite.guests.size();
+    const std::vector<const FuzzGuest*> group = {&suite.guests[a],
+                                                 &suite.guests[b]};
+    const u64 quantum = 1 + rng.below(4000);
+    SCOPED_TRACE(group[0]->name + "+" + group[1]->name + " quantum " +
+                 std::to_string(quantum));
+    // A flush consumer and an ASID consumer side by side, per scheme.
+    std::vector<FuzzMachine> machines;
+    for (const cache::Scheme scheme : kFuzzSchemes) {
+      for (const cache::TlbSwitchPolicy policy :
+           {cache::TlbSwitchPolicy::kFlush,
+            cache::TlbSwitchPolicy::kAsidTagged}) {
+        machines.push_back(
+            {fuzzMachine(suite.runner, g, scheme, true), policy});
+      }
+    }
+    const cache::Scheme image = rng.below(2) == 0
+                                    ? cache::Scheme::kBaseline
+                                    : cache::Scheme::kWayPlacement;
+    const int kind = static_cast<int>(rng.below(3));
+    expectUnitMatchesLoneRuns(suite.runner, machines, quantum, group, image,
+                              kind);
   }
 }
 

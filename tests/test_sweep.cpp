@@ -531,6 +531,90 @@ TEST(SweepExecutor, StatsReplyCountsCellsAndMachines) {
 }
 
 // ---------------------------------------------------------------------
+// Units: a batch's machines that run one instruction stream share one
+// functional pass, and a failing unit dissolves into lone ladders.
+
+TEST(UnitSweep, BadCellsFailAloneAndCleanCellsMatchTheirLoneRuns) {
+  driver::SupervisorConfig cfg;
+  cfg.retries = 1;
+  driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 2, &cfg);
+  const driver::PreparedWorkload& p = suite.prepared().at(0);
+  // A WP area that is not a page multiple: runGroup rejects it, so its
+  // unit (crc's one stream) throws and dissolves.
+  const driver::SchemeSpec bad_area = driver::SchemeSpec::wayPlacement(1000);
+  driver::SchemeSpec transient = driver::SchemeSpec::wayMemoization();
+  transient.fault.cell_fault = fault::CellFault::kTransient;
+  const std::vector<driver::SchemeSpec> clean = {
+      driver::SchemeSpec::wayMemoization(),
+      driver::SchemeSpec::wayPlacement(16 * 1024),
+      driver::SchemeSpec::wayPrediction(),
+      driver::SchemeSpec::wayPlacement(2 * 1024)};
+  std::vector<driver::SweepExecutor::Cell> grid = {
+      {kXScale, clean[0]}, {kXScale, bad_area}, {kXScale, clean[1]},
+      {kXScale, transient}, {kXScale, clean[2]}, {kXScale, clean[3]}};
+  suite.runAll(grid);
+
+  const std::string bad_key =
+      driver::SweepExecutor::keyOf(p.name, kXScale, bad_area);
+  const auto bad = suite.tryRun(p, kXScale, bad_area);
+  ASSERT_TRUE(bad.quarantined);
+  EXPECT_EQ(bad.attempts, 2u);
+  EXPECT_EQ(bad.error->rfind("cell '" + bad_key + "' (attempt 2/2): ", 0), 0u)
+      << *bad.error;
+  const auto healed = suite.tryRun(p, kXScale, transient);
+  ASSERT_FALSE(healed.quarantined);
+  EXPECT_EQ(healed.attempts, 2u);
+
+  std::vector<driver::SchemeSpec> lone = clean;
+  lone.push_back(driver::SchemeSpec::baseline());
+  for (const driver::SchemeSpec& spec : lone) {
+    SCOPED_TRACE(driver::SweepExecutor::keyOf(p.name, kXScale, spec));
+    const auto view = suite.tryRun(p, kXScale, spec);
+    ASSERT_FALSE(view.quarantined);
+    EXPECT_EQ(view.attempts, 1u);
+    EXPECT_EQ(driver::statsDigest(*view.result),
+              driver::statsDigest(suite.runner().run(p, kXScale, spec)));
+  }
+  // As when every machine ran alone: the bad area's two attempts and
+  // the transient fault's first.
+  EXPECT_EQ(suite.metrics().counter("cells.failed_attempts").value(), 3u);
+  EXPECT_EQ(suite.metrics().counter("cells.quarantined").value(), 1u);
+  EXPECT_EQ(suite.metrics().counter("units.dissolved").value(), 1u);
+  const auto q = suite.quarantined();
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q[0].key, bad_key);
+}
+
+TEST(UnitSweep, ConcurrentBatchesSharingCellsSettleEachOnce) {
+  // Two batches on two threads request the same cells in opposite
+  // orders: every cell settles once, neither batch waits on the other
+  // forever, and the results are the lone runs'.
+  driver::SweepExecutor suite({"crc", "bitcount"}, energy::EnergyParams{}, 0,
+                              4);
+  std::vector<driver::SweepExecutor::Cell> grid;
+  for (const u32 kb : {1u, 2u, 4u, 8u}) {
+    grid.push_back({kXScale, driver::SchemeSpec::wayPlacement(kb * 1024)});
+  }
+  grid.push_back({kXScale, driver::SchemeSpec::wayMemoization()});
+  grid.push_back({kXScale, driver::SchemeSpec::wayPrediction()});
+  std::vector<driver::SweepExecutor::Cell> reversed(grid.rbegin(),
+                                                    grid.rend());
+  std::thread other([&] { suite.runAll(reversed); });
+  suite.runAll(grid);
+  other.join();
+  ASSERT_TRUE(suite.quarantined().empty());
+  // 2 workloads x (baseline + 6 cells), each priced once.
+  EXPECT_EQ(suite.metrics().counter("cells.computed").value(), 14u);
+  for (const driver::PreparedWorkload& p : suite.prepared()) {
+    for (const driver::SweepExecutor::Cell& c : grid) {
+      EXPECT_EQ(driver::statsDigest(suite.run(p, kXScale, c.spec)),
+                driver::statsDigest(suite.runner().run(p, kXScale, c.spec)))
+          << driver::SweepExecutor::keyOf(p.name, kXScale, c.spec);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // WP_TRACE: the JSONL event log records the sweep without changing it.
 
 TEST(SweepTrace, WritesEventsAndDoesNotPerturbResults) {
