@@ -44,7 +44,7 @@ FetchPath::FetchPath(const FetchPathConfig& config)
       drowsy_(config.icache.sets(), config.icache.ways,
               config.drowsy_window) {
   if (config_.scheme == Scheme::kWayMemoization) {
-    memo_.emplace(icache_);
+    memo_.emplace(icache_, config_.wm_precise_invalidation);
   }
   if (config_.scheme == Scheme::kWayPlacement) {
     itlb_.setWayPlacementLimit(config_.wp_area_bytes);
@@ -192,20 +192,33 @@ u32 FetchPath::fetch(u32 addr, FetchFlow flow) {
 
 u32 FetchPath::fetchLine(u32 addr, FetchFlow flow, u32 n_instructions) {
   WP_ENSURE(n_instructions >= 1, "fetchLine needs at least one instruction");
-  const u32 cycles = fetch(addr, flow);
-  if (n_instructions == 1) return cycles;
-
-  WP_ENSURE(batchedLineFetchExact(),
-            "fetchLine batching requires no fault hook and no drowsy lines");
+  const CacheGeometry& g = config_.icache;
+  // A batch that re-enters the line the previous fetch left (a loop
+  // back, or a batch resumed after a slice) needs no first fetch: that
+  // fetch left the line resident, its page in the I-TLB MRU slot, the
+  // way hint holding the page's bit and the way-prediction MRU on the
+  // line, and a switch or resize clears last_valid_. So all n fetches
+  // are same-line follow-ups.
+  const bool reentry = last_valid_ && (addr & 3u) == 0 &&
+                       batchedLineFetchExact() &&
+                       g.lineAddrOf(addr) == g.lineAddrOf(last_addr_);
+  u32 cycles = 1;
+  u64 k = n_instructions;
+  if (!reentry) {
+    cycles = fetch(addr, flow);
+    if (n_instructions == 1) return cycles;
+    WP_ENSURE(batchedLineFetchExact(),
+              "fetchLine batching requires no fault hook and no drowsy lines");
+    k = n_instructions - 1;
+  }
   const u32 last = addr + 4 * (n_instructions - 1);
-  WP_ENSURE(config_.icache.lineAddrOf(addr) == config_.icache.lineAddrOf(last),
+  WP_ENSURE(g.lineAddrOf(addr) == g.lineAddrOf(last),
             "fetchLine span crosses a cache-line boundary");
 
-  // The remaining n-1 fetches are sequential, same-line and same-page:
-  // the first fetch above left the line resident and its page in the
+  // The remaining k fetches are sequential, same-line and same-page:
+  // the fetch before them left the line resident and its page in the
   // I-TLB MRU slot, so each follow-up is a one-cycle hit whose counter
   // deltas are known in closed form. Apply them k-fold.
-  const u64 k = n_instructions - 1;
   fetch_stats_.fetches += k;
   const Tlb::Result tr = itlb_.accessRepeat(addr, k);
   CacheStats& cs = icache_.mutableStats();
@@ -289,7 +302,7 @@ u32 FetchPath::fetchLine(u32 addr, FetchFlow flow, u32 n_instructions) {
       break;
   }
 
-  last_addr_ = last;  // last_valid_ already set by the first fetch
+  last_addr_ = last;  // last_valid_ already set by an earlier fetch
   return cycles;
 }
 

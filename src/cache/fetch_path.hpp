@@ -97,9 +97,13 @@ class FetchPath {
   /// fetch(addr, flow) followed by n-1 sequential fetch() calls — every
   /// counter in CacheStats/TlbStats/FetchStats moves by exactly the
   /// same amount — but the n-1 follow-ups are applied in closed form.
-  /// Returns the cycles of the *first* fetch; each follow-up costs
-  /// exactly one cycle (they hit the just-fetched line on its MRU TLB
-  /// page). Only valid when batchedLineFetchExact() holds.
+  /// When the batch re-enters the line the previous fetch left (and the
+  /// closed form is exact), all n fetches are such follow-ups, because
+  /// that fetch already made the line a one-cycle hit. Returns the
+  /// cycles of the *first* fetch; each follow-up costs exactly one cycle
+  /// (they hit the just-fetched line on its MRU TLB page). Batches of
+  /// more than one instruction are only valid when
+  /// batchedLineFetchExact() holds; otherwise this is a plain fetch.
   u32 fetchLine(u32 addr, FetchFlow flow, u32 n_instructions);
 
   /// True when fetchLine's closed form is exact: no fault hook (hooks

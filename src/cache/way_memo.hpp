@@ -34,7 +34,13 @@ namespace wp::cache {
 class WayMemoizer final : public CamCache::EvictionListener {
  public:
   /// Attaches to @p cache and registers for eviction notifications.
-  explicit WayMemoizer(CamCache& cache);
+  /// With @p track_targets each link keeps its target line and that
+  /// line's generation, so it dies when the target is evicted (the
+  /// precise variant). Without, the owner flash-clears every link after
+  /// any eviction and before the next followLink, as the conservative
+  /// variant does on every refill and switch, so no generation it could
+  /// compare would ever be stale.
+  explicit WayMemoizer(CamCache& cache, bool track_targets = true);
 
   enum class CrossKind : u8 {
     kSequential,   ///< fell off the end of the line
@@ -78,26 +84,41 @@ class WayMemoizer final : public CamCache::EvictionListener {
   void reset();
 
  private:
+  /// One link: a way pointer, valid while its stamp equals the current
+  /// epoch, so a flash clear only starts a new epoch.
   struct Link {
-    bool valid = false;
-    u32 way = 0;
-    LineId target{};
-    u64 target_generation = 0;
+    u16 way = 0;
+    u16 stamp = 0;  ///< 0: never valid
   };
 
-  struct LineLinks {
-    Link sequential;
-    std::vector<Link> branch;  // one per instruction slot
-  };
-
-  [[nodiscard]] Link& linkFor(u32 from_addr, CrossKind kind);
-  [[nodiscard]] u64& generationOf(LineId line);
-  [[nodiscard]] LineLinks& linksOf(LineId line);
+  [[nodiscard]] bool valid(const Link& link) const {
+    return link.stamp == epoch_;
+  }
+  [[nodiscard]] bool tracksTargets() const { return !target_lines_.empty(); }
+  [[nodiscard]] u32 lineIndex(LineId line) const {
+    return line.set * ways_ + line.way;
+  }
+  /// Index in links_ of the link a fetch leaving @p from_addr's line
+  /// reads. Each line holds its sequential link, then one branch link
+  /// per instruction slot.
+  [[nodiscard]] std::size_t linkFor(u32 from_addr, CrossKind kind) const;
+  /// Marks @p link valid in the current epoch.
+  void validate(Link& link);
+  /// Points link @p i at line @p target as it is now.
+  void setTarget(std::size_t i, u32 target);
 
   CamCache& cache_;
   u32 num_sets_;
-  std::vector<LineLinks> links_;      // sets * ways
-  std::vector<u64> generations_;      // sets * ways
+  u32 ways_;
+  u32 links_per_line_;            ///< wordsPerLine + 1
+  std::vector<Link> links_;       ///< lines * links_per_line_, flat
+  /// Each link's target line (set * ways + way) and its generation when
+  /// the link was written; empty unless tracking targets.
+  std::vector<u32> target_lines_;
+  std::vector<u64> target_generations_;
+  std::vector<u64> generations_;  ///< one per line
+  u16 epoch_ = 1;
+  u64 valid_links_ = 0;           ///< links valid in the current epoch
   u64 flash_clears_ = 0;
 };
 

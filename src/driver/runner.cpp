@@ -224,7 +224,7 @@ std::vector<RunResult> Runner::runUnit(
     const std::vector<const PreparedWorkload*>& group,
     const std::vector<UnitMachine>& machines, workloads::InputSize input,
     const sim::BudgetHook* budget_hook, std::vector<CoRunExtra>* extras,
-    double* shared_seconds) const {
+    UnitCosts* costs) const {
   WP_ENSURE(!group.empty(), "a cell needs at least one workload");
   for (const PreparedWorkload* pw : group) {
     WP_ENSURE(pw != nullptr, "null workload in a cell's group");
@@ -321,7 +321,14 @@ std::vector<RunResult> Runner::runUnit(
   for (u32 m = 0; m < machines.size(); ++m) replays += sched->replaySeconds(m);
   const double n = static_cast<double>(machines.size());
   const double shared = (simulate_seconds - replays) / n;
-  if (shared_seconds != nullptr) *shared_seconds = simulate_seconds - replays;
+  if (costs != nullptr) {
+    costs->shared_seconds = simulate_seconds - replays;
+    costs->instructions = co.front().combined.instructions;
+    for (u32 m = 0; m < machines.size(); ++m) {
+      costs->stall_windows += sched->windowStats(m).windows;
+      costs->window_instructions += sched->windowStats(m).instructions;
+    }
+  }
 
   std::vector<RunResult> results(machines.size());
   for (std::size_t m = 0; m < machines.size(); ++m) {

@@ -314,14 +314,27 @@ class Runner {
   /// layout and, for co-runs, one quantum — and so differ only in
   /// fetch-side fields (I-cache geometry, scheme, WP areas, intra-line
   /// skip, precise invalidation, drowsy window, co-run TLB policy).
-  /// One functional pass feeds every machine's fetch path and
-  /// scoreboards (GuestScheduler::addMachine), so each result equals
-  /// that machine's runGroup. The guest output is read once. A
-  /// machine's simulate_seconds is the thread CPU of its own replay
-  /// plus an equal share of the rest of the unit's simulate span, so
-  /// the results sum to the unit's cost; @p shared_seconds, when
-  /// non-null, receives that rest. @p budget_hook rides the shared
-  /// pass; @p extras, when non-null, receives one CoRunExtra per
+  /// Host-side figures of one unit's pass, for its trace event; no
+  /// result depends on them.
+  struct UnitCosts {
+    /// The unit's simulate CPU outside its machines' replays.
+    double shared_seconds = 0.0;
+    /// Instructions the stream retired.
+    u64 instructions = 0;
+    /// Stall windows, and the instructions timed in them, summed over
+    /// the machines (GuestScheduler::windowStats).
+    u64 stall_windows = 0;
+    u64 window_instructions = 0;
+  };
+
+  /// One functional pass feeds every machine's fetch path and timing
+  /// (GuestScheduler::addMachine), so each result equals that
+  /// machine's runGroup. The guest output is read once. A machine's
+  /// simulate_seconds is the thread CPU of its own replay plus an equal
+  /// share of the rest of the unit's simulate span, so the results sum
+  /// to the unit's cost; @p costs, when non-null, receives that rest
+  /// and the unit's stall-window counts. @p budget_hook rides the
+  /// shared pass; @p extras, when non-null, receives one CoRunExtra per
   /// machine. Throws SimError when any machine's spec is invalid.
   [[nodiscard]] std::vector<RunResult> runUnit(
       const std::vector<const PreparedWorkload*>& group,
@@ -329,7 +342,7 @@ class Runner {
       workloads::InputSize input = workloads::InputSize::kLarge,
       const sim::BudgetHook* budget_hook = nullptr,
       std::vector<CoRunExtra>* extras = nullptr,
-      double* shared_seconds = nullptr) const;
+      UnitCosts* costs = nullptr) const;
 
   /// The machine configuration of a cell before runGroup installs the
   /// clamped WP area and the budget hook (exposed so benches can print

@@ -526,11 +526,11 @@ void SweepExecutor::simulateUnit(const std::vector<UnitSlot>& slots) {
     machines.push_back({u.request->icache, u.request->spec});
   }
   std::vector<RunResult> results;
-  double shared_seconds = 0.0;
+  Runner::UnitCosts costs;
   try {
     results = runner_.runUnit(slots.front().id->group, machines,
                               workloads::InputSize::kLarge, nullptr, nullptr,
-                              &shared_seconds);
+                              &costs);
   } catch (const SimError& e) {
     // A unit's failure is not a cell attempt: it dissolves, and each of
     // its machines runs alone through the ladder, so attempts, retries
@@ -580,7 +580,10 @@ void SweepExecutor::simulateUnit(const std::vector<UnitSlot>& slots) {
                       .num("worker", worker)
                       .boolean("dissolved", false)
                       .num("wall_seconds", wall.seconds())
-                      .num("producer_seconds", shared_seconds));
+                      .num("producer_seconds", costs.shared_seconds)
+                      .num("instructions", costs.instructions)
+                      .num("stall_windows", costs.stall_windows)
+                      .num("window_instructions", costs.window_instructions));
   }
   for (const UnitSlot& u : slots) {
     settleMachineState(*u.machine, Machine::State::kReady, memo_mutex_,

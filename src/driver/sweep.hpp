@@ -22,7 +22,7 @@
 // other request reached a machine first. Within a batch, the machines
 // that run one instruction stream (same workload group, image digests
 // and co-run quantum) form a *unit*: one pool job, one functional pass
-// feeding every machine's fetch path and scoreboards (Runner::runUnit).
+// feeding every machine's fetch path and timing (Runner::runUnit).
 // See DESIGN.md §10 and §11.
 //
 // Every cell runs *supervised* (see driver/supervisor.hpp): a cell that

@@ -13,8 +13,16 @@
 // (BTB) reads only the pc, the outcome and the target, so it belongs to
 // the architectural half of the retire loop, which runs once per
 // instruction stream. The scoreboard also reads the fetch-path cycles,
-// so every simulated machine keeps its own. TimingModel is their
+// so every simulated machine has its own. TimingModel is their
 // composition for callers that drive one machine by hand.
+//
+// A scoreboard's future depends only on its cycle and on each source's
+// *slack* (how far its ready time lies beyond the next issue slot), and
+// every update is a max or an added constant. So two scoreboards with
+// equal slacks stay a fixed number of cycles apart under equal inputs.
+// StallWindow uses that to time a machine against a shared reference
+// whose every fetch costs one cycle: only after a fetch stall does the
+// machine step a scoreboard of its own, until the two agree again.
 #pragma once
 
 #include <algorithm>
@@ -92,6 +100,16 @@ class BranchPredictor {
   BranchStats stats_;
 };
 
+/// A scoreboard's state up to a shift of time: its cycle and, per
+/// register and then for the flags, the slack max(ready - cycle - 1, 0).
+/// A ready time at or below cycle + 1 can never delay an issue again,
+/// since the cycle never falls, so the cycle and the slacks are all the
+/// scoreboard's future depends on.
+struct ScoreboardState {
+  u64 cycle = 0;
+  std::array<u8, isa::kNumRegisters + 1> slack{};
+};
+
 /// In-order issue over a register scoreboard: the per-machine part of
 /// the timing model.
 class Scoreboard {
@@ -150,11 +168,107 @@ class Scoreboard {
   [[nodiscard]] u64 cycles() const { return cycle_; }
   void reset();
 
+  /// This scoreboard's state. Throws SimError when a slack does not fit
+  /// its byte (a D-cache miss of more than about 250 cycles).
+  [[nodiscard]] ScoreboardState state() const {
+    ScoreboardState s;
+    s.cycle = cycle_;
+    u64 widest = 0;
+    for (u32 r = 0; r < isa::kNumRegisters; ++r) {
+      const u64 slack = slackOf(reg_ready_[r]);
+      widest |= slack;
+      s.slack[r] = static_cast<u8>(slack);
+    }
+    const u64 flags = slackOf(flags_ready_);
+    widest |= flags;
+    s.slack[isa::kNumRegisters] = static_cast<u8>(flags);
+    WP_ENSURE(widest <= 0xff, "scoreboard slack does not fit its byte");
+    return s;
+  }
+
+  /// Becomes @p s shifted @p shift cycles later.
+  void restore(const ScoreboardState& s, u64 shift) {
+    cycle_ = s.cycle + shift;
+    for (u32 r = 0; r < isa::kNumRegisters; ++r) {
+      reg_ready_[r] = cycle_ + 1 + s.slack[r];
+    }
+    flags_ready_ = cycle_ + 1 + s.slack[isa::kNumRegisters];
+  }
+
+  /// True when both scoreboards have the same slacks: fed the same
+  /// instructions from here on, their cycles keep their difference.
+  [[nodiscard]] bool sameSlack(const Scoreboard& other) const {
+    for (u32 r = 0; r < isa::kNumRegisters; ++r) {
+      if (slackOf(reg_ready_[r]) != other.slackOf(other.reg_ready_[r])) {
+        return false;
+      }
+    }
+    return slackOf(flags_ready_) == other.slackOf(other.flags_ready_);
+  }
+
  private:
+  [[nodiscard]] u64 slackOf(u64 ready) const {
+    return ready > cycle_ + 1 ? ready - cycle_ - 1 : 0;
+  }
+
   TimingConfig config_;
   u64 cycle_ = 0;
   std::array<u64, isa::kNumRegisters> reg_ready_{};
   u64 flags_ready_ = 0;
+};
+
+/// One machine's timing of one process against a shared reference
+/// scoreboard, which is fed the same instructions with every fetch
+/// costing one cycle. While the window is closed the machine's
+/// scoreboard is the reference's shifted by a fixed delta of cycles, so
+/// the machine steps nothing. A fetch stall opens the window: the machine
+/// restores the reference's state at the stalled batch's start, steps
+/// its own scoreboard and a copy of the reference over the batch, and
+/// closes the window as soon as the two have equal slacks. Stalls only
+/// add cycles, so the delta never falls.
+class StallWindow {
+ public:
+  explicit StallWindow(const TimingConfig& config)
+      : own_(config), reference_(config) {}
+
+  [[nodiscard]] bool isOpen() const { return open_; }
+
+  /// Opens the window at a batch start where the reference was in
+  /// @p reference_state.
+  void open(const ScoreboardState& reference_state) {
+    own_.restore(reference_state, delta_);
+    reference_.restore(reference_state, 0);
+    open_ = true;
+  }
+
+  /// Times one instruction of an open window: the machine's scoreboard
+  /// with its own @p fetch_cycles, the reference copy with one.
+  void onInstruction(const RegUse& use, u32 fetch_cycles, u32 mem_cycles,
+                     bool mispredict) {
+    own_.onInstruction(use, fetch_cycles, mem_cycles, mispredict);
+    reference_.onInstruction(use, 1, mem_cycles, mispredict);
+  }
+
+  /// Closes an open window when the machine's scoreboard has the
+  /// reference copy's slacks again, carrying their cycle difference as
+  /// the new delta.
+  void tryClose() {
+    if (!own_.sameSlack(reference_)) return;
+    delta_ = own_.cycles() - reference_.cycles();
+    open_ = false;
+  }
+
+  /// The cycles the machine's scoreboard has counted, given the
+  /// reference's count at the same point of the stream.
+  [[nodiscard]] u64 cycles(u64 reference_cycles) const {
+    return open_ ? own_.cycles() : reference_cycles + delta_;
+  }
+
+ private:
+  Scoreboard own_;
+  Scoreboard reference_;
+  u64 delta_ = 0;
+  bool open_ = false;
 };
 
 /// The whole timing model of one machine: the branch predictor and the

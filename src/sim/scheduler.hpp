@@ -22,12 +22,21 @@
 // chunk of BlockCache batches, and records the chunk as a RetireChunk.
 // Each attached machine's half then consumes the chunk: its own
 // FetchPath (one fetchLine per batch, switchProcess when the batch's
-// process changes) and one scoreboard per process. So machines that
+// process changes) and its timing of each process. So machines that
 // differ only in fetch-side fields share one functional pass
 // (addMachine); a lone run is a scheduler with one machine. When a
 // machine's closed-form line fetch is inexact (fault hook attached,
 // drowsy lines on) it replays each batch as one-instruction fetches,
 // which is a plain FetchPath::fetch per retirement.
+//
+// How a machine times a process depends on how many machines share the
+// pass. A lone machine steps one scoreboard per process on every
+// instruction. With several machines, the architectural half also
+// steps one reference scoreboard per process whose every fetch costs
+// one cycle, and records its state at each batch start; a machine then
+// steps scoreboards only in the stall windows after its fetches that
+// cost more than one cycle (pipeline::StallWindow), and is otherwise a
+// fixed number of cycles behind the reference.
 #pragma once
 
 #include <memory>
@@ -52,8 +61,8 @@ struct SchedulerConfig {
 };
 
 /// One bounded chunk of the architectural stream: everything a
-/// machine's half needs besides its own fetch path and scoreboards.
-/// A plain record, so any consumer of the retired stream can read it.
+/// machine's half needs besides its own fetch path and timing. A plain
+/// record, so any consumer of the retired stream can read it.
 struct RetireChunk {
   /// Batches per chunk. The chunk is the lockstep bound between the
   /// functional pass and its machines: large enough that switching
@@ -76,6 +85,10 @@ struct RetireChunk {
   /// cycles of its data access (0 without one) shifted left by one, or'ed
   /// with 1 when the branch predictor missed it.
   std::vector<u32> insts;
+  /// With more than one machine attached, one entry per batch: the
+  /// state of the batch's process's reference scoreboard (every fetch
+  /// one cycle) before the batch. Empty for a lone machine.
+  std::vector<pipeline::ScoreboardState> references;
 };
 
 /// One guest process: private architectural state plus per-process
@@ -104,6 +117,9 @@ struct ProcessContext {
   u64 instructions = 0;
   u64 retired_pc_hash = kFnvOffset;
   u64 dataflow_hash = kFnvOffset;
+  /// Timed with every fetch costing one cycle, only while more than one
+  /// machine is attached: what each machine's StallWindow follows.
+  pipeline::Scoreboard reference;
 };
 
 /// Per-process slice of a finished co-run.
@@ -158,11 +174,10 @@ class GuestScheduler {
   /// Attaches another machine to the run, after every addProcess: it
   /// consumes the same architectural stream through its own fetch path
   /// (@p machine's fetch config, switched under @p tlb_policy, with one
-  /// WP limit per process in @p wp_area_bytes) and its own scoreboards
-  /// (@p machine's timing latencies). Its D-cache, BTB size and
-  /// instruction budget must equal the first machine's, and it carries
-  /// no budget hook: those belong to the shared half. Returns the
-  /// machine's index (from 1).
+  /// WP limit per process in @p wp_area_bytes) and its own timing. Its
+  /// D-cache, timing latencies, BTB size and instruction budget must
+  /// equal the first machine's, and it carries no budget hook: those
+  /// belong to the shared half. Returns the machine's index (from 1).
   u32 addMachine(const MachineConfig& machine,
                  cache::TlbSwitchPolicy tlb_policy,
                  std::vector<u32> wp_area_bytes);
@@ -192,16 +207,37 @@ class GuestScheduler {
   /// (0 otherwise): observability, never fed back.
   [[nodiscard]] double replaySeconds(u32 machine) const;
 
+  /// How much of the stream machine @p machine timed itself: its stall
+  /// windows and the instructions inside them. Both stay 0 for a lone
+  /// machine, which times every instruction. Observability, never fed
+  /// back.
+  struct WindowStats {
+    u64 windows = 0;
+    u64 instructions = 0;
+  };
+  [[nodiscard]] WindowStats windowStats(u32 machine) const;
+
  private:
   struct Machine;
+  struct StreamTotals;
 
   /// First runnable process at or after @p from (round-robin order), or
   /// -1 when every process has halted.
   [[nodiscard]] int nextRunnable(u32 from) const;
 
-  /// Machine @p m's half: replays @p chunk through its fetch path and
-  /// scoreboards.
+  /// The retire loop: the architectural half fills each chunk (stepping
+  /// the reference scoreboards when @p kShared) and every machine's half
+  /// consumes it.
+  template <bool kShared>
+  StreamTotals retire(u32 line_bytes);
+
+  /// A lone machine's half: replays @p chunk through its fetch path and
+  /// one scoreboard per process.
   void replay(Machine& m, const RetireChunk& chunk);
+
+  /// A shared machine's half: replays @p chunk through its fetch path
+  /// and times only its stall windows.
+  void replayShared(Machine& m, const RetireChunk& chunk);
 
   SchedulerConfig sched_;
   /// Memories addProcess allocated; declared before procs_ so they

@@ -186,6 +186,8 @@ struct FuzzRun {
   std::vector<u8> output;
   std::vector<sim::ProcessRunStats> processes;
   u64 icache_misses = 0;
+  /// The machine's stall windows (zero unless it shared its pass).
+  sim::GuestScheduler::WindowStats windows;
 };
 
 /// Runs @p group on one GuestScheduler over @p machine, each member with
@@ -225,7 +227,7 @@ FuzzRun runFuzz(const driver::Runner& runner, sim::MachineConfig machine,
     r.output.insert(r.output.end(), out.begin(), out.end());
   }
   return {driver::statsDigest(r), r.output, std::move(co.processes),
-          r.stats.icache.misses};
+          r.stats.icache.misses, {}};
 }
 
 /// The batched run and the per-instruction reference must agree on the
@@ -521,18 +523,21 @@ std::vector<FuzzRun> runFuzzUnit(const driver::Runner& runner,
                                      machines[m].config, r.stats);
     r.output = output;
     runs.push_back({driver::statsDigest(r), output,
-                    std::move(co[m].processes), r.stats.icache.misses});
+                    std::move(co[m].processes), r.stats.icache.misses,
+                    s.windowStats(static_cast<u32>(m))});
   }
   return runs;
 }
 
-/// Every machine of the unit must equal its own lone run.
+/// Every machine of the unit must equal its own lone run. @p unit_runs,
+/// when non-null, receives the unit's runs.
 void expectUnitMatchesLoneRuns(const driver::Runner& runner,
                                const std::vector<FuzzMachine>& machines,
                                u64 quantum,
                                const std::vector<const FuzzGuest*>& group,
-                               cache::Scheme image_scheme, int area_kind) {
-  const std::vector<FuzzRun> unit =
+                               cache::Scheme image_scheme, int area_kind,
+                               std::vector<FuzzRun>* unit_runs = nullptr) {
+  std::vector<FuzzRun> unit =
       runFuzzUnit(runner, machines, quantum, group, image_scheme, area_kind);
   ASSERT_EQ(unit.size(), machines.size());
   for (std::size_t m = 0; m < machines.size(); ++m) {
@@ -555,6 +560,7 @@ void expectUnitMatchesLoneRuns(const driver::Runner& runner,
       EXPECT_EQ(unit[m].processes[i].cycles, lone.processes[i].cycles);
     }
   }
+  if (unit_runs != nullptr) *unit_runs = std::move(unit);
 }
 
 TEST(UnitEquivalence, FuzzSoloUnitsMatchLoneRuns) {
@@ -623,6 +629,107 @@ TEST(UnitEquivalence, FuzzCoRunUnitsMatchLoneRuns) {
     const int kind = static_cast<int>(rng.below(3));
     expectUnitMatchesLoneRuns(suite.runner, machines, quantum, group, image,
                               kind);
+  }
+}
+
+TEST(UnitEquivalence, MachinesOfOtherTimingLatenciesCannotSharePasses) {
+  const FuzzSuite& suite = fuzzSuite();
+  const FuzzGuest& guest = suite.guests.front();
+  const sim::MachineConfig first = fuzzMachine(
+      suite.runner, {2048, 32, 4}, cache::Scheme::kBaseline, true);
+  // The shared half's reference scoreboards run on the first machine's
+  // latencies, so every other machine must time with the same ones.
+  const std::vector<u32 pipeline::TimingConfig::*> latencies = {
+      &pipeline::TimingConfig::branch_mispredict_penalty,
+      &pipeline::TimingConfig::load_use_latency,
+      &pipeline::TimingConfig::mul_latency,
+      &pipeline::TimingConfig::btb_entries};
+  for (const auto field : latencies) {
+    sim::SchedulerConfig sched;
+    sched.quantum = first.max_instructions;
+    sim::GuestScheduler s(first, sched);
+    s.addProcess(guest.name, guest.original);
+    sim::MachineConfig other = first;
+    other.timing.*field *= 2;
+    EXPECT_THROW(s.addMachine(other, cache::TlbSwitchPolicy::kFlush, {0}),
+                 SimError);
+    EXPECT_NO_THROW(s.addMachine(first, cache::TlbSwitchPolicy::kFlush, {0}));
+  }
+}
+
+// Stall-dense units: a shared machine times only the windows after its
+// fetch stalls, so these cases make stalls nearly as common as batches.
+
+TEST(UnitEquivalence, SwitchEveryFewInstructionsCoRunUnitsMatchLoneRuns) {
+  const FuzzSuite& suite = fuzzSuite();
+  const std::vector<const FuzzGuest*> group = {&suite.guests[0],
+                                               &suite.guests[4]};
+  const cache::CacheGeometry g{2048, 32, 4};
+  // Flush consumers of every scheme at quanta 1-16: a switch lands on
+  // almost every batch and flushes the I-cache, so most batches start
+  // with a miss. Plus a hooked consumer (one fetch per retirement, any
+  // of which may stall) and a drowsy one (one-cycle wake-ups).
+  std::vector<FuzzMachine> machines;
+  for (const cache::Scheme scheme : kFuzzSchemes) {
+    machines.push_back({fuzzMachine(suite.runner, g, scheme, true)});
+  }
+  machines.push_back(
+      {fuzzMachine(suite.runner, g, cache::Scheme::kWayMemoization, true),
+       cache::TlbSwitchPolicy::kFlush, true});
+  FuzzMachine drowsy{
+      fuzzMachine(suite.runner, g, cache::Scheme::kWayPlacement, true)};
+  drowsy.config.fetch.drowsy_window = 32;
+  machines.push_back(drowsy);
+  for (u64 quantum = 1; quantum <= 16; ++quantum) {
+    SCOPED_TRACE(group[0]->name + "+" + group[1]->name + " quantum " +
+                 std::to_string(quantum));
+    std::vector<FuzzRun> unit;
+    expectUnitMatchesLoneRuns(suite.runner, machines, quantum, group,
+                              cache::Scheme::kWayPlacement,
+                              static_cast<int>(quantum % 3), &unit);
+    if (quantum != 1 || unit.empty()) continue;
+    // At quantum 1 every batch is a slice of its own, so a window that
+    // timed more instructions than it had openings stayed open across
+    // a slice, and the stream spans several RetireChunks, so windows
+    // are timed on both sides of chunk boundaries.
+    u64 instructions = 0;
+    for (const sim::ProcessRunStats& p : unit.front().processes) {
+      instructions += p.instructions;
+    }
+    EXPECT_GT(instructions, 4 * sim::RetireChunk::kBatches);
+    for (std::size_t m = 0; m < unit.size(); ++m) {
+      SCOPED_TRACE("machine " + std::to_string(m));
+      EXPECT_GT(unit[m].windows.instructions, unit[m].windows.windows);
+    }
+  }
+}
+
+TEST(UnitEquivalence, SoloUnitOnTheSmallestMachineMatchesLoneRuns) {
+  const FuzzSuite& suite = fuzzSuite();
+  // 1 KB, 2 ways, 16 B lines: a miss every few batches, all four
+  // schemes with and without the skip, a hooked and a drowsy machine.
+  const cache::CacheGeometry g{1024, 16, 2};
+  std::vector<FuzzMachine> machines;
+  for (const cache::Scheme scheme : kFuzzSchemes) {
+    for (const bool skip : {true, false}) {
+      machines.push_back({fuzzMachine(suite.runner, g, scheme, skip)});
+    }
+  }
+  machines.push_back(
+      {fuzzMachine(suite.runner, g, cache::Scheme::kBaseline, true),
+       cache::TlbSwitchPolicy::kFlush, true});
+  FuzzMachine drowsy{
+      fuzzMachine(suite.runner, g, cache::Scheme::kWayMemoization, true)};
+  drowsy.config.fetch.drowsy_window = 16;
+  machines.push_back(drowsy);
+  for (const FuzzGuest& guest : suite.guests) {
+    SCOPED_TRACE(guest.name);
+    std::vector<FuzzRun> unit;
+    expectUnitMatchesLoneRuns(suite.runner, machines,
+                              machines.front().config.max_instructions,
+                              {&guest}, cache::Scheme::kWayPlacement, 1,
+                              &unit);
+    for (const FuzzRun& run : unit) EXPECT_GT(run.windows.windows, 0u);
   }
 }
 

@@ -196,6 +196,105 @@ TEST(FetchWayPlacement, SquashedProbeCountedOncePerMispredict) {
   EXPECT_EQ(fp.fetchStats().hint_miss_second_access, fp.squashedProbes());
 }
 
+/// Every CacheStats, TlbStats and FetchStats counter of @p a equals
+/// @p b's, and so do the squashed probes and link flash-clears.
+void expectSameCounters(const FetchPath& a, const FetchPath& b) {
+  const CacheStats& x = a.cacheStats();
+  const CacheStats& y = b.cacheStats();
+  EXPECT_EQ(x.accesses, y.accesses);
+  EXPECT_EQ(x.hits, y.hits);
+  EXPECT_EQ(x.misses, y.misses);
+  EXPECT_EQ(x.tag_compares, y.tag_compares);
+  EXPECT_EQ(x.matchline_precharges, y.matchline_precharges);
+  EXPECT_EQ(x.full_lookups, y.full_lookups);
+  EXPECT_EQ(x.single_way_lookups, y.single_way_lookups);
+  EXPECT_EQ(x.partial_lookups, y.partial_lookups);
+  EXPECT_EQ(x.no_tag_lookups, y.no_tag_lookups);
+  EXPECT_EQ(x.data_word_reads, y.data_word_reads);
+  EXPECT_EQ(x.data_word_writes, y.data_word_writes);
+  EXPECT_EQ(x.line_fills, y.line_fills);
+  EXPECT_EQ(x.writebacks, y.writebacks);
+  EXPECT_EQ(x.link_reads, y.link_reads);
+  EXPECT_EQ(x.link_writes, y.link_writes);
+  EXPECT_EQ(x.link_invalidations, y.link_invalidations);
+  EXPECT_EQ(x.linked_accesses, y.linked_accesses);
+  EXPECT_EQ(x.duplicate_invalidations, y.duplicate_invalidations);
+  EXPECT_EQ(a.tlbStats().accesses, b.tlbStats().accesses);
+  EXPECT_EQ(a.tlbStats().misses, b.tlbStats().misses);
+  EXPECT_EQ(a.tlbStats().walks, b.tlbStats().walks);
+  const FetchStats& f = a.fetchStats();
+  const FetchStats& g = b.fetchStats();
+  EXPECT_EQ(f.fetches, g.fetches);
+  EXPECT_EQ(f.sameline_skips, g.sameline_skips);
+  EXPECT_EQ(f.wp_single_way, g.wp_single_way);
+  EXPECT_EQ(f.hint_correct, g.hint_correct);
+  EXPECT_EQ(f.hint_miss_lost_saving, g.hint_miss_lost_saving);
+  EXPECT_EQ(f.hint_miss_second_access, g.hint_miss_second_access);
+  EXPECT_EQ(f.waypred_correct, g.waypred_correct);
+  EXPECT_EQ(f.waypred_mispredict, g.waypred_mispredict);
+  EXPECT_EQ(f.extra_cycles, g.extra_cycles);
+  EXPECT_EQ(f.link_faults_dropped, g.link_faults_dropped);
+  EXPECT_EQ(a.squashedProbes(), b.squashedProbes());
+  EXPECT_EQ(a.linkFlashClears(), b.linkFlashClears());
+}
+
+TEST(FetchLine, LoopingBackWithinALineMatchesOneFetchPerInstruction) {
+  class NoOpHook : public FetchFaultHook {
+   public:
+    void onFetch(FetchPath&) override {}
+  } hook;
+  struct Batch {
+    u32 addr;
+    FetchFlow flow;
+    u32 n;
+  };
+  // One page of WP area: the 0x0000 lines are way-placed, the 0x6000
+  // ones are not. Most batches re-enter the line the previous batch
+  // left: a loop back, a resumed batch, an indirect jump.
+  const Batch kBatches[] = {
+      {0x0000, FetchFlow::kTakenDirect, 8},
+      {0x0008, FetchFlow::kTakenDirect, 6},
+      {0x0008, FetchFlow::kTakenDirect, 6},
+      {0x0020, FetchFlow::kSequential, 3},
+      {0x002c, FetchFlow::kSequential, 2},
+      {0x0020, FetchFlow::kTakenIndirect, 1},
+      {0x0024, FetchFlow::kSequential, 7},
+      {0x0000, FetchFlow::kTakenDirect, 4},
+      {0x0004, FetchFlow::kTakenDirect, 3},
+      {0x6000, FetchFlow::kTakenIndirect, 5},
+      {0x6004, FetchFlow::kTakenDirect, 4},
+      {0x6000, FetchFlow::kTakenDirect, 8},
+      {0x0010, FetchFlow::kTakenDirect, 2},
+      {0x0010, FetchFlow::kTakenDirect, 1},
+      {0x0014, FetchFlow::kSequential, 3},
+  };
+  for (const Scheme scheme :
+       {Scheme::kBaseline, Scheme::kWayPlacement, Scheme::kWayMemoization,
+        Scheme::kWayPrediction}) {
+    for (const bool skip : {true, false}) {
+      SCOPED_TRACE(std::string(schemeName(scheme)) +
+                   (skip ? " skip" : " no-skip"));
+      FetchPathConfig cfg = configFor(scheme, mem::kPageBytes);
+      cfg.intraline_skip = skip;
+      FetchPath batched(cfg);
+      FetchPath single(cfg);
+      single.attachFaultHook(&hook);
+      for (const Batch& b : kBatches) {
+        SCOPED_TRACE("batch at " + std::to_string(b.addr));
+        const u32 first = batched.fetchLine(b.addr, b.flow, b.n);
+        const u32 batched_cycles = first + (b.n - 1);
+        u32 single_cycles = 0;
+        for (u32 i = 0; i < b.n; ++i) {
+          single_cycles += single.fetchLine(
+              b.addr + 4 * i, i == 0 ? b.flow : FetchFlow::kSequential, 1);
+        }
+        EXPECT_EQ(batched_cycles, single_cycles);
+        expectSameCounters(batched, single);
+      }
+    }
+  }
+}
+
 TEST(FetchPath, RejectsUnalignedFetch) {
   FetchPath fp(configFor(Scheme::kBaseline));
   EXPECT_THROW(fp.fetch(0x2, FetchFlow::kSequential), SimError);

@@ -94,6 +94,46 @@ TEST_F(WayMemoTest, LinkReadsAndWritesAreCounted) {
   EXPECT_EQ(cache_.stats().linked_accesses, 1u);
 }
 
+TEST_F(WayMemoTest, InvalidationsCountEachValidLinkOnce) {
+  const CacheGeometry g = cache_.geometry();
+  const u32 set_stride = g.line_bytes * g.sets();
+  cache_.fill(0x000, false);  // source A, set 0
+  cache_.fill(0x020, false);  // source B, set 1
+  const u32 w = cache_.fill(0x040, false);
+  memo_.recordLink(0x000, WayMemoizer::CrossKind::kSequential, 0x040, w);
+  memo_.recordLink(0x004, WayMemoizer::CrossKind::kBranchTaken, 0x040, w);
+  memo_.recordLink(0x020, WayMemoizer::CrossKind::kSequential, 0x040, w);
+  // Rewriting a valid link leaves one valid link.
+  memo_.recordLink(0x020, WayMemoizer::CrossKind::kSequential, 0x040, w);
+  EXPECT_EQ(cache_.stats().link_writes, 4u);
+  // Refilling A's way clears A's two links.
+  for (u32 i = 1; i <= 4; ++i) cache_.fill(i * set_stride, false);
+  EXPECT_EQ(cache_.stats().link_invalidations, 2u);
+  // A flash clear finds only B's link still valid, the next one none.
+  memo_.flashClearLinks();
+  EXPECT_EQ(cache_.stats().link_invalidations, 3u);
+  memo_.flashClearLinks();
+  EXPECT_EQ(cache_.stats().link_invalidations, 3u);
+  EXPECT_EQ(memo_.flashClears(), 2u);
+}
+
+TEST_F(WayMemoTest, LinksStayExactAcrossManyFlashClears) {
+  cache_.fill(0x000, false);
+  const u32 w = cache_.fill(0x020, false);
+  memo_.recordLink(0x000, WayMemoizer::CrossKind::kSequential, 0x020, w);
+  // As many flash clears as a link's 16-bit validity stamp can count
+  // apart: the stamps wrap back to the one the link was written in.
+  for (u32 i = 0; i < 0xffff; ++i) memo_.flashClearLinks();
+  EXPECT_FALSE(memo_.followLink(0x000, WayMemoizer::CrossKind::kSequential)
+                   .has_value());
+  EXPECT_EQ(cache_.stats().link_invalidations, 1u);
+  memo_.recordLink(0x000, WayMemoizer::CrossKind::kSequential, 0x020, w);
+  EXPECT_TRUE(memo_.followLink(0x000, WayMemoizer::CrossKind::kSequential)
+                  .has_value());
+  EXPECT_FALSE(memo_.followLink(0x004, WayMemoizer::CrossKind::kBranchTaken)
+                   .has_value());
+}
+
 TEST(WayMemoOverhead, PaperNumbersFor32Way) {
   // 32 B lines, 32 ways: 9 links x 6 bits = 54 bits on 256 -> 21 %.
   CamCache cache(CacheGeometry{32 * 1024, 32, 32});
