@@ -197,11 +197,6 @@ void CamCache::markDirty(u32 addr, u32 way) {
   line.dirty = true;
 }
 
-void CamCache::reset() {
-  flush();
-  stats_.reset();
-}
-
 void CamCache::flush() {
   for (u32 set = 0; set < num_sets_; ++set) {
     for (u32 way = 0; way < geom_.ways; ++way) {

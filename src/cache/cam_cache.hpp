@@ -81,9 +81,6 @@ class CamCache {
   /// Counts a data-array word write (store hit).
   void countWordWrite() { ++stats_.data_word_writes; }
 
-  /// Invalidates the whole cache (program change between runs).
-  void reset();
-
   /// Invalidates every line but keeps the accumulated statistics — the
   /// OS cache-maintenance flush used when page attributes change.
   void flush();

@@ -32,6 +32,4 @@ u32 DataCache::store(u32 addr) {
   return cycles;
 }
 
-void DataCache::reset() { cache_.reset(); }
-
 }  // namespace wp::cache

@@ -24,8 +24,6 @@ class DataCache {
   /// through a write buffer, so a hit costs one cycle.
   u32 store(u32 addr);
 
-  void reset();
-
   [[nodiscard]] const CacheStats& stats() const { return cache_.stats(); }
   [[nodiscard]] const CamCache& cache() const { return cache_; }
 

@@ -50,11 +50,4 @@ void DrowsyCache::onCacheFlush() {
   // flush does not reset it. Stats intentionally survive.
 }
 
-void DrowsyCache::reset() {
-  std::fill(awake_.begin(), awake_.end(), false);
-  awake_count_ = 0;
-  until_sweep_ = window_;
-  stats_.reset();
-}
-
 }  // namespace wp::cache

@@ -21,7 +21,6 @@ struct DrowsyStats {
   u64 awake_line_ticks = 0;   ///< sum over ticks of awake-line count
   u64 drowsy_line_ticks = 0;  ///< sum over ticks of drowsy-line count
   u64 ticks = 0;          ///< accesses observed
-  void reset() { *this = DrowsyStats{}; }
 };
 
 class DrowsyCache {
@@ -42,13 +41,11 @@ class DrowsyCache {
 
   /// Models the drowsy side of a whole-cache invalidation (e.g. the
   /// flush an OS WP-area resize performs): every tracked line is
-  /// invalid afterwards, so none may be tracked awake. Unlike reset(),
-  /// the accumulated statistics survive — a flush changes which lines
-  /// exist, not what the run already spent on wakeups and leakage.
+  /// invalid afterwards, so none may be tracked awake. The accumulated
+  /// statistics survive: a flush changes which lines exist, not what
+  /// the run already spent on wakeups and leakage.
   /// Postcondition (checked): awakeLines() == 0.
   void onCacheFlush();
-
-  void reset();
 
  private:
   u32 ways_;

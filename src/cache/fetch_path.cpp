@@ -461,23 +461,4 @@ u64 FetchPath::linkFlashClears() const {
   return memo_.has_value() ? memo_->flashClears() : 0;
 }
 
-void FetchPath::reset() {
-  icache_.reset();
-  itlb_.reset();
-  hint_.reset();
-  if (memo_.has_value()) memo_->reset();
-  if (config_.scheme == Scheme::kWayPlacement) {
-    itlb_.setWayPlacementLimit(config_.wp_area_bytes);
-  }
-  if (config_.scheme == Scheme::kWayPrediction) {
-    mru_way_.assign(config_.icache.sets(), 0);
-  }
-  drowsy_.reset();
-  fetch_stats_.reset();
-  squashed_probes_ = 0;
-  last_valid_ = false;
-  last_addr_ = 0;
-  process_active_ = false;
-}
-
 }  // namespace wp::cache

@@ -140,9 +140,6 @@ class FetchPath {
   /// ASID whose context is installed (0 until the first switchProcess).
   [[nodiscard]] u32 currentAsid() const { return itlb_.currentAsid(); }
 
-  /// Forgets fetch history (e.g. between profiling and measurement runs).
-  void reset();
-
   [[nodiscard]] const CacheStats& cacheStats() const {
     return icache_.stats();
   }

@@ -38,8 +38,6 @@ struct CacheStats {
   // arise after way-placement-bit corruption or mid-run area changes.
   u64 duplicate_invalidations = 0;
 
-  void reset() { *this = CacheStats{}; }
-
   CacheStats& operator+=(const CacheStats& o) {
     accesses += o.accesses;
     hits += o.hits;
@@ -67,7 +65,6 @@ struct TlbStats {
   u64 accesses = 0;
   u64 misses = 0;
   u64 walks = 0;  ///< page-table walks (== misses; kept for clarity)
-  void reset() { *this = TlbStats{}; }
 };
 
 struct FetchStats {
@@ -84,7 +81,6 @@ struct FetchStats {
   /// pointer; the fetch degraded to a full search. Only non-zero under
   /// fault injection.
   u64 link_faults_dropped = 0;
-  void reset() { *this = FetchStats{}; }
 };
 
 }  // namespace wp::cache

@@ -110,12 +110,4 @@ u32 Tlb::faultClearWpBits() {
   return cleared;
 }
 
-void Tlb::reset() {
-  for (Entry& e : entries_) e = Entry{};
-  fifo_next_ = 0;
-  mru_ = kNoMru;
-  cur_asid_ = 0;
-  stats_.reset();
-}
-
 }  // namespace wp::cache

@@ -60,8 +60,6 @@ class Tlb {
   /// is what an OS updating page attributes would require.
   void setWayPlacementLimit(u32 bytes);
 
-  [[nodiscard]] u32 wayPlacementLimit() const { return wp_limit_; }
-
   /// True if @p addr lies in the way-placement area (the OS view; the
   /// hardware only sees the bit after a TLB access).
   [[nodiscard]] bool inWayPlacementArea(u32 addr) const {
@@ -77,8 +75,6 @@ class Tlb {
   void switchContext(u32 asid, u32 wp_limit_bytes, TlbSwitchPolicy policy);
 
   [[nodiscard]] u32 currentAsid() const { return cur_asid_; }
-
-  void reset();
 
   [[nodiscard]] const TlbStats& stats() const { return stats_; }
 

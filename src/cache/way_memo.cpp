@@ -124,12 +124,4 @@ double WayMemoizer::dataAreaFactor() const {
   return (line_bits + linkBitsPerLine()) / line_bits;
 }
 
-void WayMemoizer::reset() {
-  std::fill(links_.begin(), links_.end(), Link{});
-  std::fill(generations_.begin(), generations_.end(), 0u);
-  epoch_ = 1;
-  valid_links_ = 0;
-  flash_clears_ = 0;
-}
-
 }  // namespace wp::cache

@@ -81,8 +81,6 @@ class WayMemoizer final : public CamCache::EvictionListener {
   /// Data-array area scale factor, e.g. 1.21 for a 32 B/32-way line.
   [[nodiscard]] double dataAreaFactor() const;
 
-  void reset();
-
  private:
   /// One link: a way pointer, valid while its stamp equals the current
   /// epoch, so a flash clear only starts a new epoch.

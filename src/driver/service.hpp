@@ -39,8 +39,9 @@
 //                 unboundedly and never stalls its accept loop.
 //   deadlines     The request deadline is the per-cell supervisor
 //                 watchdog (WP_CELL_TIMEOUT_MS), which runs in the
-//                 daemon's own process; a cell that blows its budget
-//                 comes back as fate "deadline".
+//                 daemon's own process and spans all of a cell's
+//                 attempts; a cell that blows its budget comes back as
+//                 fate "deadline".
 //   degradation   Malformed or invalid requests get a tagged `error`
 //                 reply, quarantined cells a `quarantined` reply —
 //                 nothing a client sends can kill the daemon. A request

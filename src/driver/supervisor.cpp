@@ -45,9 +45,6 @@ sim::BudgetHook SupervisorConfig::watchdogFor(
     const std::string& cell_key) const {
   sim::BudgetHook hook;
   if (cell_timeout_ms == 0) return hook;  // disabled
-  hook.interval = timeout_check_interval;
-  WP_ENSURE(hook.interval > 0,
-            "SupervisorConfig.timeout_check_interval must be non-zero");
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(cell_timeout_ms);

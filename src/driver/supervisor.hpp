@@ -17,12 +17,15 @@
 // default; numbers go through envUnsigned, support/number.hpp):
 //   WP_RETRIES          extra attempts after a cell's first failure
 //                       (default 1; 0 = fail straight to quarantine)
-//   WP_CELL_TIMEOUT_MS  per-cell watchdog: a simulation running longer
-//                       than this wall-clock budget is aborted with a
-//                       SimError and treated like any other cell
-//                       failure (default 0 = no watchdog). It checks
-//                       its deadline from the instruction-budget hook,
-//                       so a host loop that retires no guest
+//   WP_CELL_TIMEOUT_MS  per-cell watchdog: one wall-clock deadline for
+//                       all of a cell's attempts, armed before the
+//                       first. An attempt still running at it is
+//                       aborted with a SimError and treated like any
+//                       other cell failure, and a retry gets only the
+//                       time the deadline has left (default 0 = no
+//                       watchdog). The retire loop polls it once per
+//                       RetireChunk through the instruction-budget
+//                       hook, so a host loop that retires no guest
 //                       instruction is never stopped: the sweep process
 //                       is the one crash domain (DESIGN.md §10).
 //   WP_CELL_FAULT       harness fault injection for every non-baseline
@@ -48,12 +51,9 @@ namespace wp::driver {
 struct SupervisorConfig {
   /// Extra attempts after the first failure (WP_RETRIES).
   unsigned retries = 1;
-  /// Per-cell wall-clock budget in ms; 0 disables the watchdog
-  /// (WP_CELL_TIMEOUT_MS).
+  /// Per-cell wall-clock budget in ms, across all of the cell's
+  /// attempts; 0 disables the watchdog (WP_CELL_TIMEOUT_MS).
   u64 cell_timeout_ms = 0;
-  /// Retired instructions between watchdog checks. Not an environment
-  /// knob — tests shrink it to make tiny timeouts deterministic.
-  u64 timeout_check_interval = 1u << 20;
   /// Harness-level cell fault applied to every non-baseline cell
   /// (WP_CELL_FAULT); spec-level cell faults are independent of this.
   fault::CellFault cell_fault = fault::CellFault::kNone;
@@ -67,8 +67,8 @@ struct SupervisorConfig {
   [[nodiscard]] unsigned maxAttempts() const { return 1 + retries; }
 
   /// The per-cell watchdog for @p cell_key: an instruction-budget hook
-  /// that throws SimError once the cell has run past cell_timeout_ms.
-  /// Empty (check == nullptr) when the watchdog is disabled.
+  /// that throws SimError once cell_timeout_ms have passed since this
+  /// call. Empty (check == nullptr) when the watchdog is disabled.
   [[nodiscard]] sim::BudgetHook watchdogFor(const std::string& cell_key) const;
 };
 

@@ -354,7 +354,7 @@ SweepExecutor::MachineId SweepExecutor::machineOf(
   // The unit key keeps what the functional pass depends on: the group
   // and its images, and the co-run quantum. A machine with a runtime or
   // cell fault, or any machine while the watchdog or the harness cell
-  // fault is armed, runs alone, so its attempts and deadlines are its
+  // fault is armed, runs alone, so its attempts and deadline are its
   // own.
   const bool alone = !id.group_error.empty() || spec.fault.runtimeEnabled() ||
                      spec.fault.cellFaultEnabled() ||
@@ -379,6 +379,10 @@ bool SweepExecutor::simulate(Machine& machine, const MachineId& id,
   const int worker = ThreadPool::currentWorkerIndex();
   const unsigned max_attempts = supervisor_.maxAttempts();
   const bool is_baseline = spec.scheme == cache::Scheme::kBaseline;
+  // One deadline for every attempt: a retry re-runs the same
+  // deterministic simulation, so it gets only the time left. It is
+  // armed before any fault, so a hang fault polls the cell's deadline.
+  const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
   for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
     machine.attempts = attempt;
     try {
@@ -390,12 +394,10 @@ bool SweepExecutor::simulate(Machine& machine, const MachineId& id,
       }
       const Stopwatch wall;
       if (!id.group_error.empty()) throw SimError(id.group_error);
-      // The watchdog is armed before any fault, so a hang fault polls
-      // the attempt's own deadline. Spec-scoped faults first (unit
-      // tests target one cell), then the WP_CELL_FAULT knob, which
-      // spares baselines so a persistent fault degrades cells rather
-      // than erasing every normalization denominator.
-      const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
+      // Spec-scoped faults first (unit tests target one cell), then the
+      // WP_CELL_FAULT knob, which spares baselines so a persistent
+      // fault degrades cells rather than erasing every normalization
+      // denominator.
       if (spec.fault.cellFaultEnabled()) {
         fault::injectCellFault(spec.fault, attempt - 1,  // 0-based
                                watchdog.check);

@@ -3,7 +3,7 @@
 // The figure benches all follow the same shape: prepare the suite once,
 // then price many independent simulations and average normalized
 // metrics. SweepExecutor owns that shape. Simulations fan out across a
-// work-stealing thread pool; every result is memoized under a
+// thread pool with one FIFO queue; every result is memoized under a
 // deterministic cell key, and aggregation walks the prepared workloads
 // in suite order reading from the memo — so a table's bytes are
 // identical at any job count, and the baseline for each (workload,

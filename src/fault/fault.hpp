@@ -44,7 +44,7 @@ enum class ProfileFault : u8 {
 ///
 /// kTransient/kPersistent throw SimError. kHang stands for a simulator
 /// that stops retiring instructions: the attempt retires nothing and
-/// ends only when its own watchdog (WP_CELL_TIMEOUT_MS) fires. The
+/// ends only when the cell's watchdog (WP_CELL_TIMEOUT_MS) fires. The
 /// values are explicit because sweep memo keys, quarantine errors and
 /// service replies carry them (a hang cell's key ends in "/c4:1").
 enum class CellFault : u8 {
@@ -132,9 +132,9 @@ class FaultInjector final : public cache::FetchFaultHook {
 /// to show corrupt profiles degrade energy, never correctness.
 void corruptProfile(profile::ProfileResult& prof, ProfileFault kind, Rng& rng);
 
-/// The attempt's watchdog check (sim::BudgetHook::check): throws
-/// SimError once the attempt is past its deadline. Empty when no
-/// watchdog is armed.
+/// The cell's watchdog check (sim::BudgetHook::check): throws SimError
+/// once the cell is past its deadline, which spans all of its attempts.
+/// Empty when no watchdog is armed.
 using DeadlineCheck = std::function<void(u64 instructions)>;
 
 /// Fails 0-based attempt @p attempt of a cell when @p kind says so.

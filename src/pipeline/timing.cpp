@@ -144,23 +144,7 @@ bool BranchPredictor::predictAndUpdate(u32 pc, bool taken, u32 target) {
   return correct;
 }
 
-void BranchPredictor::reset() {
-  std::fill(btb_.begin(), btb_.end(), BtbEntry{});
-  stats_.reset();
-}
-
-void Scoreboard::reset() {
-  cycle_ = 0;
-  reg_ready_.fill(0);
-  flags_ready_ = 0;
-}
-
 TimingModel::TimingModel(const TimingConfig& config)
     : btb_(config.btb_entries), scoreboard_(config) {}
-
-void TimingModel::reset() {
-  btb_.reset();
-  scoreboard_.reset();
-}
 
 }  // namespace wp::pipeline

@@ -44,7 +44,6 @@ struct TimingConfig {
 struct BranchStats {
   u64 branches = 0;
   u64 mispredicts = 0;
-  void reset() { *this = BranchStats{}; }
 };
 
 /// Issue class of an instruction: which completion rule the scoreboard
@@ -82,7 +81,6 @@ class BranchPredictor {
   }
 
   [[nodiscard]] const BranchStats& stats() const { return stats_; }
-  void reset();
 
  private:
   struct BtbEntry {
@@ -166,7 +164,6 @@ class Scoreboard {
   }
 
   [[nodiscard]] u64 cycles() const { return cycle_; }
-  void reset();
 
   /// This scoreboard's state. Throws SimError when a slack does not fit
   /// its byte (a D-cache miss of more than about 250 cycles).
@@ -294,8 +291,6 @@ class TimingModel {
 
   [[nodiscard]] u64 cycles() const { return scoreboard_.cycles(); }
   [[nodiscard]] const BranchStats& branchStats() const { return btb_.stats(); }
-
-  void reset();
 
  private:
   BranchPredictor btb_;

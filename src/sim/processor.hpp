@@ -22,16 +22,14 @@ namespace wp::sim {
 
 class GuestScheduler;
 
-/// Host-side supervision hook: check(instructions) is invoked after
-/// every `interval`-th instruction retires, with the exact retired
-/// count (k * interval on the k-th call) — the retire loop splits a
-/// batch mid-block when a boundary falls inside it. The hook observes
-/// only — it may throw SimError to abort the run (the sweep supervisor's
-/// watchdog does) but never feeds anything back into the machine, so a
-/// run that completes retires a bit-identical instruction stream with
-/// or without a hook installed.
+/// Host-side supervision hook: check(instructions) is invoked once per
+/// RetireChunk, after the chunk's architectural half, with the exact
+/// count retired so far. The hook observes only — it may throw SimError
+/// to abort the run (the sweep supervisor's watchdog does) but never
+/// feeds anything back into the machine, so a run that completes
+/// retires a bit-identical instruction stream with or without a hook
+/// installed.
 struct BudgetHook {
-  u64 interval = 1u << 20;  ///< retired instructions between checks
   std::function<void(u64 instructions)> check;
 };
 

@@ -235,12 +235,6 @@ CoRunStats GuestScheduler::run() {
 template <bool kShared>
 GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
   const MachineConfig& arch = machines_.front()->config;
-  const bool hooked = static_cast<bool>(arch.budget_hook.check);
-  if (hooked) {
-    WP_ENSURE(arch.budget_hook.interval > 0,
-              "BudgetHook.interval must be non-zero when a check is set");
-  }
-  u64 until_check = hooked ? arch.budget_hook.interval : 0;
 
   StreamTotals t;
   RetireChunk chunk;
@@ -270,16 +264,15 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
                 "instruction budget exhausted (runaway guest?)");
 
       // Batch: the basic block, clipped at the slice boundary (so a
-      // batch never spans a context switch), the instruction budget and
-      // the watchdog interval. A clipped batch resumes mid-line on this
-      // process's next batch; re-entering the line sequentially takes
-      // the same fetch paths per-instruction fetches would. An
-      // out-of-code or misaligned pc gets a batch of one, and its step
-      // raises the fault before any machine fetches it.
+      // batch never spans a context switch) and the instruction budget.
+      // A clipped batch resumes mid-line on this process's next batch;
+      // re-entering the line sequentially takes the same fetch paths
+      // per-instruction fetches would. An out-of-code or misaligned pc
+      // gets a batch of one, and its step raises the fault before any
+      // machine fetches it.
       u64 n64 = p.blocks->blockLenAt(p.state.pc);
       n64 = std::min(n64, slice_remaining);
       n64 = std::min(n64, arch.max_instructions - t.instructions);
-      if (hooked) n64 = std::min(n64, until_check);
       const u32 n = static_cast<u32>(n64);
 
       chunk.batches.push_back({p.state.pc, static_cast<u16>(n),
@@ -319,17 +312,14 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
       }
       t.instructions += n;
       slice_remaining -= n;
-      // The check runs after the batch retires, so the hook sees the
-      // exact retired count (k * interval on the k-th call).
-      if (hooked && (until_check -= n) == 0) {
-        arch.budget_hook.check(t.instructions);
-        until_check = arch.budget_hook.interval;
-      }
       if (p.state.halted || slice_remaining == 0) {
         slice_remaining = 0;
         cur = nextRunnable(static_cast<u32>(cur) + 1);
       }
     } while (cur >= 0 && chunk.batches.size() < RetireChunk::kBatches);
+    // Poll the watchdog before the machines' halves, so a run past its
+    // deadline stops without replaying the chunk.
+    if (arch.budget_hook.check) arch.budget_hook.check(t.instructions);
 
     // Every machine's half consumes the chunk; only a shared pass
     // splits its host cost between its machines.

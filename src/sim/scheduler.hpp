@@ -73,7 +73,7 @@ struct RetireChunk {
 
   /// One BlockCache batch: @p n straight-line instructions from @p pc,
   /// inside one cache line of the smallest line size in the run, clipped
-  /// at slice, budget and hook boundaries.
+  /// at slice and budget boundaries.
   struct Batch {
     u32 pc;
     u16 n;
@@ -198,9 +198,6 @@ class GuestScheduler {
   /// Machine @p machine's fetch path (0 = the constructor's).
   [[nodiscard]] cache::FetchPath& fetchPath(u32 machine = 0);
   [[nodiscard]] const MachineConfig& machine() const;
-  [[nodiscard]] const SchedulerConfig& schedulerConfig() const {
-    return sched_;
-  }
 
   /// Host thread CPU machine @p machine's half spent replaying the
   /// stream. Measured only when more than one machine is attached

@@ -1,12 +1,11 @@
-// Work-stealing thread pool for the sweep executor.
+// Thread pool for the sweep executor: one FIFO queue under one mutex.
 //
-// Each worker owns a deque: it pushes and pops its own work LIFO (hot in
-// cache) and steals FIFO from the back of a victim's deque when it runs
-// dry — the classic Blumofe/Leiserson discipline. Tasks here are whole
-// priced simulations (tens of milliseconds to seconds each), so the
-// deques share one mutex instead of lock-free CAS loops: contention on
-// coarse tasks is unmeasurable, and the single-lock design is easy to
-// reason about and clean under ThreadSanitizer.
+// Tasks here are whole priced simulations (tens of milliseconds to
+// seconds each), submitted in batches from outside the pool, so every
+// worker takes the oldest queued task and tasks start in submission
+// order at any thread count. Contention on such coarse tasks is
+// unmeasurable, and the single-lock design is easy to reason about and
+// clean under ThreadSanitizer.
 //
 // Exceptions thrown by a task are captured; wait() rethrows the first
 // one after the queue drains, so a failing simulation aborts the sweep
@@ -38,13 +37,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues a task. Callable from any thread, including from inside a
-  /// running task (the task lands on the submitting worker's own deque).
+  /// running task.
   void submit(Task task);
 
-  /// Enqueues every task of @p tasks under one lock before waking any
-  /// worker, so no worker starts while the batch is half queued. Each
-  /// worker's share is queued so that its newest-first pop takes the
-  /// share in list order: with one thread, tasks run in list order.
+  /// Enqueues every task of @p tasks, in list order, under one lock
+  /// before waking any worker, so no worker starts while the batch is
+  /// half queued.
   void submitAll(std::vector<Task> tasks);
 
   /// Blocks until every submitted task has finished, then rethrows the
@@ -66,22 +64,14 @@ class ThreadPool {
 
  private:
   void workerLoop(unsigned me);
-  /// Pops the next task for worker @p me (own deque first, then steals);
-  /// returns false when there is nothing to run right now.
-  bool popTask(unsigned me, Task& out);
-  /// The deque a submit from the calling thread lands on: a worker's
-  /// own, else the next one round-robin. Call under mutex_.
-  unsigned homeDeque();
 
   std::mutex mutex_;
   std::condition_variable work_cv_;   ///< wakes idle workers
   std::condition_variable done_cv_;   ///< wakes wait()
-  std::vector<std::deque<Task>> deques_;  ///< one per worker, under mutex_
-  std::size_t queued_ = 0;     ///< tasks sitting in deques
+  std::deque<Task> queue_;     ///< oldest first, under mutex_
   std::size_t running_ = 0;    ///< tasks currently executing
   std::exception_ptr first_error_;
   bool stopping_ = false;
-  unsigned next_victim_ = 0;   ///< round-robin home for external submits
   std::vector<std::thread> workers_;
 };
 

@@ -171,14 +171,5 @@ TEST(DataCache, LoadTiming) {
   EXPECT_EQ(d.load(0x80), 1u);
 }
 
-TEST(CamCache, ResetClearsEverything) {
-  CamCache c(CacheGeometry{1024, 32, 4});
-  c.fill(0x300, false);
-  c.lookup(0x300, LookupKind::kFull);
-  c.reset();
-  EXPECT_FALSE(c.probe(0x300).has_value());
-  EXPECT_EQ(c.stats().accesses, 0u);
-}
-
 }  // namespace
 }  // namespace wp::cache

@@ -161,19 +161,6 @@ TEST(FetchPath, WayMemoizationAreaFactor) {
   EXPECT_DOUBLE_EQ(base.dataAreaFactor(), 1.0);
 }
 
-TEST(FetchPath, ResetRestoresInitialState) {
-  FetchPath fp(configFor(Scheme::kWayPlacement));
-  fp.fetch(0x0, FetchFlow::kSequential);
-  fp.fetch(0x4, FetchFlow::kSequential);
-  fp.reset();
-  EXPECT_EQ(fp.fetchStats().fetches, 0u);
-  EXPECT_EQ(fp.cacheStats().accesses, 0u);
-  // WP limit survives the reset.
-  fp.fetch(0x0, FetchFlow::kSequential);
-  fp.fetch(0x20, FetchFlow::kSequential);
-  EXPECT_EQ(fp.fetchStats().wp_single_way, 1u);
-}
-
 TEST(FetchWayPlacement, SquashedProbeCountedOncePerMispredict) {
   // Area of one page: 0x0 is way-placed, 0x8000 is not.
   FetchPath fp(configFor(Scheme::kWayPlacement, mem::kPageBytes));
@@ -463,16 +450,6 @@ TEST(FetchSwitch, RejectsWpAreaOnNonWpScheme) {
 TEST(FetchSwitch, RejectsUnalignedWpArea) {
   FetchPath fp(configFor(Scheme::kWayPlacement));
   EXPECT_THROW(fp.switchProcess(1, 100, TlbSwitchPolicy::kFlush), SimError);
-}
-
-TEST(FetchSwitch, ResetForgetsTheInstalledContext) {
-  FetchPath fp(configFor(Scheme::kBaseline));
-  fp.switchProcess(3, 0, TlbSwitchPolicy::kFlush);
-  fp.reset();
-  EXPECT_EQ(fp.currentAsid(), 0u);
-  // After reset the next switchProcess is a first install again.
-  fp.switchProcess(1, 0, TlbSwitchPolicy::kFlush);
-  EXPECT_EQ(fp.cacheStats().accesses, 0u);
 }
 
 }  // namespace

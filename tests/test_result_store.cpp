@@ -456,7 +456,7 @@ TEST(StoreSweep, UnusableStorePathDegradesLoudlyToComputeEverything) {
 // ---------------------------------------------------------------------
 // Two processes racing one store.
 
-TEST(StoreRace, TwoProcessesShareOneStoreWithoutDoubleComputeOrLockLitter) {
+TEST(StoreRace, TwoProcessesShareOneStoreWithoutTornRecordsOrLitter) {
   const std::string dir = freshDir("store_race");
   const std::string child_out = testing::TempDir() + "store_race_child.bin";
   std::remove(child_out.c_str());

@@ -244,9 +244,8 @@ TEST(ServiceHandleLine, MalformedRequestFuzzCorpusNeverKillsTheService) {
 
 TEST(ServiceHandleLine, HangFaultBecomesDeadlineUnderIsolation) {
   driver::SupervisorConfig sup;
-  sup.retries = 0;  // one hanging attempt, not two
+  sup.retries = 0;  // a quarantine after one attempt
   sup.cell_timeout_ms = 300;
-  sup.timeout_check_interval = 1u << 12;
   TestService ts(7, 1, sup);
 
   const std::string reply = ts.service.handleLine(
@@ -361,13 +360,36 @@ u64 crcEvalMs() {
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count());
 }
 
+TEST(ServiceHandleLine, DeadlineSpansEveryAttemptOfACell) {
+  driver::SupervisorConfig sup;  // the default retries: two attempts
+  // The warm-up eval must fit the deadline on any build.
+  sup.cell_timeout_ms = std::max<u64>(400, 4 * crcEvalMs());
+  TestService ts(7, 1, sup);
+  // Warm the baseline cell, so the hang eval prices only its own cell.
+  const std::string warm =
+      ts.service.handleLine("{\"op\": \"eval\", \"workload\": \"crc\"}");
+  ASSERT_EQ(fate(warm), "served") << warm;
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string reply = ts.service.handleLine(
+      "{\"op\": \"eval\", \"workload\": \"crc\", \"fault\": \"hang\"}");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(fate(reply), "deadline") << reply;
+  EXPECT_NE(field(reply, "error").find("attempt 2/2"), std::string::npos)
+      << reply;
+  // The retry gets only what the first attempt left of the deadline,
+  // so the reply comes after one deadline, not two.
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count(),
+            static_cast<long long>(sup.cell_timeout_ms * 3 / 2));
+}
+
 TEST(ServiceServe, OverloadShedsDeadlinesFireAndDrainStillFlushes) {
   driver::SupervisorConfig sup;
   sup.retries = 0;
   // Only the hanging cell may hit the deadline, on any build: the
   // queued crc cell gets several times what one costs here.
   sup.cell_timeout_ms = std::max<u64>(400, 4 * crcEvalMs());
-  sup.timeout_check_interval = 1u << 12;
   driver::ServiceConfig config;
   config.socket_path = freshPath("svc2.sock");
   config.queue_limit = 1;  // worker + one queued slot; the rest shed
@@ -432,7 +454,6 @@ TEST(ServiceServe, DrainRefusesNewWorkButFlushesAdmittedWork) {
   driver::SupervisorConfig sup;
   sup.retries = 0;
   sup.cell_timeout_ms = 500;
-  sup.timeout_check_interval = 1u << 12;
   driver::ServiceConfig config;
   config.socket_path = freshPath("svc3.sock");
   TestService ts(7, 1, sup, config);

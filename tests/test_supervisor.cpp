@@ -123,7 +123,6 @@ TEST(CellSupervision, WatchdogQuarantinesRunawayCell) {
   driver::SupervisorConfig cfg;
   cfg.retries = 0;
   cfg.cell_timeout_ms = 1;
-  cfg.timeout_check_interval = 1;  // check every retired instruction
   driver::SweepExecutor suite({"crc"}, energy::EnergyParams{}, 0, 1, &cfg);
   const auto& p = suite.prepared().at(0);
 

@@ -124,14 +124,6 @@ TEST(Timing, MispredictPenaltyCharged) {
   EXPECT_EQ(t.cycles(), 1u + 4u);
 }
 
-TEST(Timing, ResetClearsState) {
-  TimingModel t(TimingConfig{});
-  retire(t, alu(1, 2, 3), 0, 10, 0, false, 0);
-  t.reset();
-  EXPECT_EQ(t.cycles(), 0u);
-  EXPECT_EQ(t.branchStats().branches, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Stall windows: a machine timed against a reference scoreboard whose
 // every fetch costs one cycle must count exactly the cycles of a plain

@@ -64,14 +64,6 @@ TEST(Tlb, InWayPlacementAreaIsOsView) {
   EXPECT_FALSE(tlb.inWayPlacementArea(3 * mem::kPageBytes));
 }
 
-TEST(Tlb, ResetClearsStatsAndEntries) {
-  Tlb tlb(4);
-  tlb.access(0x1000);
-  tlb.reset();
-  EXPECT_EQ(tlb.stats().accesses, 0u);
-  EXPECT_FALSE(tlb.access(0x1000).hit);
-}
-
 TEST(Tlb, EvictionAndRefillRestoreWpBit) {
   Tlb tlb(2);
   tlb.setWayPlacementLimit(mem::kPageBytes);  // page 0 is way-placement
@@ -125,13 +117,6 @@ TEST(Tlb, BatchAfterLimitChangeCannotRideADeadTranslation) {
   // A fresh access re-walks and re-arms the shortcut.
   EXPECT_FALSE(tlb.access(0x1000).hit);
   EXPECT_TRUE(tlb.accessRepeat(0x1000, 2).hit);
-}
-
-TEST(Tlb, BatchAfterResetCannotRideADeadTranslation) {
-  Tlb tlb(4);
-  tlb.access(0x1000);
-  tlb.reset();
-  EXPECT_THROW(tlb.accessRepeat(0x1000, 1), SimError);
 }
 
 TEST(Tlb, BatchAfterFlushingSwitchCannotRideADeadTranslation) {
@@ -209,13 +194,6 @@ TEST(Tlb, TaggedEntriesCarryTheirOwnersWpBit) {
 TEST(Tlb, SwitchLimitMustBePageAligned) {
   Tlb tlb(4);
   EXPECT_THROW(tlb.switchContext(1, 100, TlbSwitchPolicy::kFlush), SimError);
-}
-
-TEST(Tlb, ResetRestoresAsidZero) {
-  Tlb tlb(4);
-  tlb.switchContext(3, 0, TlbSwitchPolicy::kFlush);
-  tlb.reset();
-  EXPECT_EQ(tlb.currentAsid(), 0u);
 }
 
 }  // namespace
