@@ -64,6 +64,7 @@ void FetchPath::resizeWayPlacementArea(u32 bytes) {
                 " is not a multiple of the " +
                 std::to_string(mem::kPageBytes) + " B page size");
   config_.wp_area_bytes = bytes;
+  ++epoch_;
   itlb_.setWayPlacementLimit(bytes);
   // Lines filled under the old policy may sit in ways the new policy's
   // single-way lookups would never probe (and a way-placed refill next
@@ -94,6 +95,7 @@ void FetchPath::switchProcess(u32 asid, u32 wp_area_bytes,
             "switchProcess: WP area set but the scheme is '" +
                 std::string(schemeName(config_.scheme)) +
                 "', not way-placement");
+  ++epoch_;
   itlb_.switchContext(asid, wp_area_bytes, policy);
   if (config_.scheme == Scheme::kWayPlacement) {
     // Keep the config in step with the installed area, exactly like
@@ -154,7 +156,11 @@ u32 FetchPath::fetch(u32 addr, FetchFlow flow) {
   // The I-TLB is accessed in parallel with the cache on every fetch.
   const Tlb::Result tr = itlb_.access(addr);
   u32 cycles = 0;
-  if (!tr.hit) cycles += config_.tlb_walk_cycles;
+  if (!tr.hit) {
+    // The walk installed the translation.
+    ++epoch_;
+    cycles += config_.tlb_walk_cycles;
+  }
 
   switch (config_.scheme) {
     case Scheme::kBaseline:
@@ -306,10 +312,15 @@ u32 FetchPath::fetchLine(u32 addr, FetchFlow flow, u32 n_instructions) {
   return cycles;
 }
 
+u32 FetchPath::fill(u32 addr, bool way_placed) {
+  ++epoch_;
+  return icache_.fill(addr, way_placed);
+}
+
 u32 FetchPath::fetchBaseline(u32 addr) {
   const LookupResult r = icache_.lookup(addr, LookupKind::kFull);
   if (r.hit) return 1;
-  icache_.fill(addr, /*way_placed=*/false);
+  fill(addr, /*way_placed=*/false);
   return 1 + missPenalty();
 }
 
@@ -357,7 +368,7 @@ u32 FetchPath::fetchWayPlacement(u32 addr, bool same_line, bool actual_wp) {
   if (!hit) {
     // Way-placement pages always fill their tag-named way so single-way
     // lookups stay exact; other pages use round-robin.
-    icache_.fill(addr, /*way_placed=*/actual_wp);
+    fill(addr, /*way_placed=*/actual_wp);
     cycles += missPenalty();
   }
   return cycles;
@@ -411,13 +422,17 @@ u32 FetchPath::fetchWayMemoization(u32 addr, FetchFlow flow, bool same_line) {
   u32 cycles = 1;
   u32 way = r.way;
   if (!r.hit) {
-    way = icache_.fill(addr, /*way_placed=*/false);
-    if (!config_.wm_precise_invalidation) memo_->flashClearLinks();
+    way = fill(addr, /*way_placed=*/false);
+    if (!config_.wm_precise_invalidation) {
+      ++epoch_;
+      memo_->flashClearLinks();
+    }
     cycles += missPenalty();
   }
   if (linkable && icache_.probe(last_addr_).has_value()) {
     // The fill may have evicted the source line; only a still-resident
     // line can hold the new link.
+    ++epoch_;
     memo_->recordLink(last_addr_, kind, addr, way);
   }
   return cycles;
@@ -445,11 +460,12 @@ u32 FetchPath::fetchWayPrediction(u32 addr, bool same_line) {
   ++fetch_stats_.extra_cycles;
   cycles += 1;
   const LookupResult rest = icache_.lookupAllButOne(addr, mru);
+  ++epoch_;  // the MRU moves
   if (rest.hit) {
     mru = rest.way;
     return cycles;
   }
-  mru = icache_.fill(addr, /*way_placed=*/false);
+  mru = fill(addr, /*way_placed=*/false);
   return cycles + missPenalty();
 }
 
@@ -459,6 +475,27 @@ double FetchPath::dataAreaFactor() const {
 
 u64 FetchPath::linkFlashClears() const {
   return memo_.has_value() ? memo_->flashClears() : 0;
+}
+
+void FetchPath::addCounters(const Counters& delta) {
+  Counters sum = counters();
+  for (std::size_t i = 0; i < kCounterWords; ++i) sum[i] += delta[i];
+  const auto r = std::bit_cast<CounterRecord>(sum);
+  icache_.mutableStats() = r.cache;
+  itlb_.mutableStats() = r.tlb;
+  fetch_stats_ = r.fetch;
+  squashed_probes_ = r.squashed_probes;
+}
+
+void FetchPath::resumeAfter(u32 last_addr) {
+  const Tlb::Result tr = itlb_.touch(last_addr);
+  // Every way-placement fetch leaves the hint holding its page's bit;
+  // the other schemes never move it.
+  if (config_.scheme == Scheme::kWayPlacement) {
+    hint_.update(tr.way_placement_page);
+  }
+  last_valid_ = true;
+  last_addr_ = last_addr;
 }
 
 }  // namespace wp::cache

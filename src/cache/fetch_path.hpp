@@ -14,6 +14,8 @@
 // can be disabled for the ablation bench.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <optional>
 
 #include "cache/cam_cache.hpp"
@@ -158,6 +160,40 @@ class FetchPath {
   /// Way-memoization flash-clear events (0 for other schemes).
   [[nodiscard]] u64 linkFlashClears() const;
 
+  /// Every counter a fetch moves, flat: cacheStats(), tlbStats(),
+  /// fetchStats() and squashedProbes(), in that order.
+  static constexpr std::size_t kCounterWords = 32;
+  using Counters = std::array<u64, kCounterWords>;
+  [[nodiscard]] Counters counters() const {
+    return std::bit_cast<Counters>(CounterRecord{
+        icache_.stats(), itlb_.stats(), fetch_stats_, squashed_probes_});
+  }
+
+  /// Adds @p delta to every counter: counts that earlier fetches
+  /// produced, re-applied by a caller that skips repeating them.
+  void addCounters(const Counters& delta);
+
+  /// Bumped by every change to the state fetches accumulate: an I-cache
+  /// fill, an I-TLB install, a way-memoization link write or flash clear
+  /// (links are invalidated only inside fills and flushes), a
+  /// way-prediction MRU write, switchProcess and resizeWayPlacementArea.
+  /// When batchedLineFetchExact() holds, a fetch reads nothing else but
+  /// the previous fetch (its address, and whether there is one in this
+  /// context), the way hint (the previous page's WP bit) and host-side
+  /// search shortcuts, and hits change no replacement or TLB FIFO
+  /// state. So at one epoch, a fetchLine from the same previous fetch
+  /// with the same arguments moves every counter by the same amount and
+  /// returns the same cycles.
+  [[nodiscard]] u64 epoch() const { return epoch_; }
+
+  /// Leaves the fetch path where fetches whose last was the
+  /// instruction at @p last_addr left it, for a caller that applied
+  /// their counters with addCounters at an unchanged epoch: the previous
+  /// fetch, the way hint (that page's WP bit) and the I-TLB MRU shortcut,
+  /// which a batch re-entering the line relies on. The page must be
+  /// resident.
+  void resumeAfter(u32 last_addr);
+
   /// Drowsy-line statistics (all zero when drowsy_window == 0).
   [[nodiscard]] const DrowsyStats& drowsyStats() const {
     return drowsy_.stats();
@@ -187,7 +223,19 @@ class FetchPath {
   }
 
  private:
+  /// The counters() layout.
+  struct CounterRecord {
+    CacheStats cache;
+    TlbStats tlb;
+    FetchStats fetch;
+    u64 squashed_probes;
+  };
+  static_assert(sizeof(CounterRecord) == sizeof(Counters),
+                "kCounterWords must count every fetch counter");
+
   [[nodiscard]] u32 missPenalty() const;
+  /// icache_.fill, which changes the accumulated state (epoch()).
+  u32 fill(u32 addr, bool way_placed);
   u32 fetchBaseline(u32 addr);
   u32 fetchWayPlacement(u32 addr, bool same_line, bool actual_wp);
   u32 fetchWayMemoization(u32 addr, FetchFlow flow, bool same_line);
@@ -203,6 +251,7 @@ class FetchPath {
   FetchStats fetch_stats_;
   u64 squashed_probes_ = 0;
   FetchFaultHook* fault_hook_ = nullptr;
+  u64 epoch_ = 0;
 
   bool last_valid_ = false;
   u32 last_addr_ = 0;

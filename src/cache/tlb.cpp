@@ -64,6 +64,18 @@ Tlb::Result Tlb::accessRepeat(u32 addr, u64 count) {
   return {true, m.wp_bit};
 }
 
+Tlb::Result Tlb::touch(u32 addr) {
+  const u32 vpn = mem::pageOf(addr);
+  for (u32 i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    if (e.valid && e.vpn == vpn && e.asid == cur_asid_) {
+      mru_ = i;
+      return {true, e.wp_bit};
+    }
+  }
+  WP_UNREACHABLE("Tlb::touch of a page with no resident translation");
+}
+
 void Tlb::setWayPlacementLimit(u32 bytes) {
   WP_ENSURE(bytes % mem::kPageBytes == 0,
             "way-placement area must be a multiple of the page size");

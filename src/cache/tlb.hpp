@@ -76,7 +76,13 @@ class Tlb {
 
   [[nodiscard]] u32 currentAsid() const { return cur_asid_; }
 
+  /// Points the MRU shortcut at the resident translation of @p addr's
+  /// page, where a hit on it would leave it, without counting an access.
+  /// The page must be resident. Used by FetchPath::resumeAfter.
+  Result touch(u32 addr);
+
   [[nodiscard]] const TlbStats& stats() const { return stats_; }
+  TlbStats& mutableStats() { return stats_; }
 
   /// Number of entry slots (the fault-injection surface).
   [[nodiscard]] u32 entryCount() const {

@@ -324,9 +324,11 @@ std::vector<RunResult> Runner::runUnit(
   if (costs != nullptr) {
     costs->shared_seconds = simulate_seconds - replays;
     costs->instructions = co.front().combined.instructions;
+    costs->batches = sched->batches();
     for (u32 m = 0; m < machines.size(); ++m) {
       costs->stall_windows += sched->windowStats(m).windows;
       costs->window_instructions += sched->windowStats(m).instructions;
+      costs->priced_batches += sched->memoStats(m).priced_batches;
     }
   }
 

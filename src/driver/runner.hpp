@@ -319,12 +319,16 @@ class Runner {
   struct UnitCosts {
     /// The unit's simulate CPU outside its machines' replays.
     double shared_seconds = 0.0;
-    /// Instructions the stream retired.
+    /// Instructions and batches the stream retired.
     u64 instructions = 0;
+    u64 batches = 0;
     /// Stall windows, and the instructions timed in them, summed over
     /// the machines (GuestScheduler::windowStats).
     u64 stall_windows = 0;
     u64 window_instructions = 0;
+    /// Batches priced from chunk histograms, summed over the machines
+    /// (GuestScheduler::memoStats).
+    u64 priced_batches = 0;
   };
 
   /// One functional pass feeds every machine's fetch path and timing
@@ -332,10 +336,11 @@ class Runner {
   /// machine's runGroup. The guest output is read once. A machine's
   /// simulate_seconds is the thread CPU of its own replay plus an equal
   /// share of the rest of the unit's simulate span, so the results sum
-  /// to the unit's cost; @p costs, when non-null, receives that rest
-  /// and the unit's stall-window counts. @p budget_hook rides the
-  /// shared pass; @p extras, when non-null, receives one CoRunExtra per
-  /// machine. Throws SimError when any machine's spec is invalid.
+  /// to the unit's cost; @p costs, when non-null, receives that rest,
+  /// the unit's stall-window counts and its priced batches.
+  /// @p budget_hook rides the shared pass; @p extras, when non-null,
+  /// receives one CoRunExtra per machine. Throws SimError when any
+  /// machine's spec is invalid.
   [[nodiscard]] std::vector<RunResult> runUnit(
       const std::vector<const PreparedWorkload*>& group,
       const std::vector<UnitMachine>& machines,

@@ -238,12 +238,6 @@ bool sameLayout(const RunResult& a, const RunResult& b) {
          a.wp_area_coverage == b.wp_area_coverage;
 }
 
-/// Most machines one runAll job prices. A unit of more splits into
-/// several jobs (each its own functional pass), so the largest streams
-/// cannot leave one worker running alone at the end of a batch. Chosen
-/// on the full fig6 grid at four jobs (DESIGN.md §11).
-constexpr std::size_t kUnitMachines = 27;
-
 /// The cell_end event of attempt @p attempt of machine-settling cell
 /// @p key, which produced @p r in @p wall_seconds.
 void traceCellEnd(TraceWriter& trace, const std::string& key,
@@ -584,8 +578,10 @@ void SweepExecutor::simulateUnit(const std::vector<UnitSlot>& slots) {
                       .num("wall_seconds", wall.seconds())
                       .num("producer_seconds", costs.shared_seconds)
                       .num("instructions", costs.instructions)
+                      .num("batches", costs.batches)
                       .num("stall_windows", costs.stall_windows)
-                      .num("window_instructions", costs.window_instructions));
+                      .num("window_instructions", costs.window_instructions)
+                      .num("priced_batches", costs.priced_batches));
   }
   for (const UnitSlot& u : slots) {
     settleMachineState(*u.machine, Machine::State::kReady, memo_mutex_,
@@ -878,34 +874,18 @@ void SweepExecutor::runAll(const std::vector<Cell>& cells) {
   // A co-run cell normalizes against the *co-run* baseline (same
   // quantum/policy/partners, baseline scheme), so the comparison
   // isolates the scheme, not the multiprogramming. Jobs go to the pool
-  // in first-request order; a unit of more than kUnitMachines machines
-  // splits into several jobs, so one long stream cannot serialize the
-  // batch's tail.
-  struct Planned {
-    std::size_t job;
-    std::size_t machines;
-  };
+  // in first-request order.
   std::vector<std::vector<Request>> jobs;
-  std::map<std::string, Planned> unit_jobs;
-  std::map<std::string, std::size_t> job_of_machine;
+  std::map<std::string, std::size_t> unit_jobs;
   for (const PreparedWorkload& p : prepared_) {
     for (const Cell& cell : cells) {
       for (const SchemeSpec& spec :
            {SchemeSpec::baselineFor(cell.spec), cell.spec}) {
         const MachineId id =
             machineOf(keyOf(p.name, cell.icache, spec), p, cell.icache, spec);
-        const auto [machine, fresh] = job_of_machine.try_emplace(id.key, 0);
-        if (fresh) {
-          const auto [unit, first] =
-              unit_jobs.try_emplace(id.unit, Planned{jobs.size(), 0});
-          if (first || unit->second.machines == kUnitMachines) {
-            unit->second = {jobs.size(), 0};
-            jobs.emplace_back();
-          }
-          ++unit->second.machines;
-          machine->second = unit->second.job;
-        }
-        jobs[machine->second].push_back({&p, cell.icache, spec});
+        const auto [unit, first] = unit_jobs.try_emplace(id.unit, jobs.size());
+        if (first) jobs.emplace_back();
+        jobs[unit->second].push_back({&p, cell.icache, spec});
       }
     }
   }

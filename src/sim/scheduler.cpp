@@ -1,6 +1,8 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 
 #include "support/ensure.hpp"
 #include "support/fnv.hpp"
@@ -32,6 +34,129 @@ struct GuestScheduler::Machine {
   int installed = -1;
   double replay_seconds = 0.0;
   WindowStats window_stats;
+
+  /// The fetch-path memo of a shared, batched machine, by transition
+  /// id: the epoch at which fetchLine last served the id without
+  /// changing the fetch path's state, the counters it moved then (an
+  /// index into deltas, which holds each distinct delta once) and the
+  /// cycles it returned. Valid only at that epoch.
+  struct Learned {
+    static constexpr u64 kNever = ~u64{0};
+    u64 epoch = kNever;
+    u32 delta = 0;
+    u32 cycles = 0;
+  };
+  std::vector<Learned> learned;
+  std::vector<cache::FetchPath::Counters> deltas;
+  std::map<cache::FetchPath::Counters, u32> delta_index;
+  /// The fetch path's counters when the memo last looked.
+  cache::FetchPath::Counters seen{};
+  MemoStats memo_stats;
+
+  /// Records that transition @p id moved the counters from seen to now
+  /// and took @p cycles at @p epoch, which it left unchanged. An id
+  /// already learned at this epoch must have moved them alike.
+  void learn(u32 id, u64 epoch, u32 cycles) {
+    const cache::FetchPath::Counters now = fetch.counters();
+    cache::FetchPath::Counters delta;
+    for (std::size_t k = 0; k < delta.size(); ++k) delta[k] = now[k] - seen[k];
+    seen = now;
+    if (id >= learned.size()) learned.resize(id + 1);
+    Learned& l = learned[id];
+    if (l.epoch == epoch) {
+      WP_ENSURE(l.cycles == cycles && deltas[l.delta] == delta,
+                "a memoized fetch transition moved other counters at the "
+                "same fetch-path epoch");
+      return;
+    }
+    // Mostly the id relearns its old delta after an unrelated change.
+    if (l.epoch == Learned::kNever || deltas[l.delta] != delta) {
+      const auto [it, fresh] = delta_index.try_emplace(
+          delta, static_cast<u32>(deltas.size()));
+      if (fresh) deltas.push_back(delta);
+      l.delta = it->second;
+    }
+    l.epoch = epoch;
+    l.cycles = cycles;
+  }
+};
+
+/// The architectural half's transition interner: one dense id per
+/// distinct (process, previous pc, pc, n, flow) of the stream, where
+/// the previous pc is the last of the stream's previous batch, or none
+/// when that batch is another process's or there is none. Each process
+/// has a direct table by code slot, and each slot heads a short list of
+/// the (previous pc, n, flow) seen there, so an id costs one table read
+/// and a compare or two.
+class GuestScheduler::Transitions {
+ public:
+  explicit Transitions(
+      const std::vector<std::unique_ptr<ProcessContext>>& procs) {
+    for (const auto& p : procs) {
+      heads_.emplace_back((p->core.codeEnd() - p->core.codeBase()) / 4,
+                          kEnd);
+    }
+  }
+
+  /// True when the stream's next batch, one of @p p's, has no previous
+  /// pc: the stream starts or changes process there.
+  [[nodiscard]] bool changesProcess(const ProcessContext& p) const {
+    return static_cast<int>(p.asid) != previous_asid_;
+  }
+
+  /// Appends the id of the stream's next batch, @p n instructions from
+  /// @p pc (a valid slot of @p p's code) reached by @p flow, to
+  /// @p chunk's ids and counts it in the chunk's histogram.
+  void add(RetireChunk& chunk, const ProcessContext& p, u32 pc, u32 n,
+           cache::FetchFlow flow) {
+    const u32 previous = changesProcess(p) ? kNoPrevious : previous_pc_;
+    previous_asid_ = static_cast<int>(p.asid);
+    previous_pc_ = pc + 4 * (n - 1);
+    const u32 id = intern(heads_[p.asid][(pc - p.core.codeBase()) / 4],
+                          previous, n | static_cast<u32>(flow) << 16);
+    chunk.ids.push_back(id);
+    if (counts_[id]++ == 0) chunk.histogram.push_back({id, 0});
+  }
+
+  /// Moves the counts into @p chunk's histogram, zeroing them for the
+  /// next chunk.
+  void closeHistogram(RetireChunk& chunk) {
+    for (RetireChunk::Transition& t : chunk.histogram) {
+      t.count = counts_[t.id];
+      counts_[t.id] = 0;
+    }
+  }
+
+ private:
+  /// The previous pc of a batch that has none: never a word-aligned pc.
+  static constexpr u32 kNoPrevious = 1;
+  static constexpr u32 kEnd = ~u32{0};
+  struct Entry {
+    u32 previous;
+    u32 shape;  ///< n | flow << 16
+    u32 next;   ///< the slot's next entry, or kEnd
+  };
+
+  /// The id of (@p previous, @p shape) in the list headed by @p head,
+  /// added when new.
+  u32 intern(u32& head, u32 previous, u32 shape) {
+    for (u32 e = head; e != kEnd; e = entries_[e].next) {
+      if (entries_[e].previous == previous && entries_[e].shape == shape) {
+        return e;
+      }
+    }
+    const u32 id = static_cast<u32>(entries_.size());
+    entries_.push_back({previous, shape, head});
+    counts_.push_back(0);
+    head = id;
+    return id;
+  }
+
+  std::vector<std::vector<u32>> heads_;  ///< by process, then code slot
+  std::vector<Entry> entries_;           ///< by id
+  std::vector<u32> counts_;              ///< by id, in the chunk being filled
+  int previous_asid_ = -1;
+  u32 previous_pc_ = 0;
 };
 
 /// What the architectural half counted over the whole stream.
@@ -141,6 +266,11 @@ GuestScheduler::WindowStats GuestScheduler::windowStats(u32 machine) const {
   return machines_[machine]->window_stats;
 }
 
+GuestScheduler::MemoStats GuestScheduler::memoStats(u32 machine) const {
+  WP_ENSURE(machine < machines_.size(), "memoStats: unknown machine");
+  return machines_[machine]->memo_stats;
+}
+
 int GuestScheduler::nextRunnable(u32 from) const {
   const u32 n = static_cast<u32>(procs_.size());
   for (u32 k = 0; k < n; ++k) {
@@ -184,11 +314,16 @@ void GuestScheduler::replay(Machine& m, const RetireChunk& chunk) {
 }
 
 void GuestScheduler::replayShared(Machine& m, const RetireChunk& chunk) {
+  if (m.batched) {
+    if (priceSteady(m, chunk)) return;
+    m.seen = m.fetch.counters();
+  }
   const u32* inst = chunk.insts.data();
   u32* const cycles = m.fetch_cycles.data();
   const std::size_t batches = chunk.batches.size();
   for (std::size_t bi = 0; bi < batches; ++bi) {
     const RetireChunk::Batch& b = chunk.batches[bi];
+    const u64 epoch = m.fetch.epoch();
     if (b.asid != m.installed) {
       m.fetch.switchProcess(b.asid, m.wp_area[b.asid], m.tlb_policy);
       m.installed = b.asid;
@@ -196,9 +331,15 @@ void GuestScheduler::replayShared(Machine& m, const RetireChunk& chunk) {
     bool stalled;
     if (m.batched) {
       // Only the first fetch of a batch can stall (the fetchLine
-      // contract); the follow-ups' entries stay 1.
+      // contract); the follow-ups' entries stay 1. A batch that left
+      // the epoch alone teaches the memo.
       cycles[0] = m.fetch.fetchLine(b.pc, b.flow, b.n);
       stalled = cycles[0] != 1;
+      if (m.fetch.epoch() == epoch) {
+        m.learn(chunk.ids[bi], epoch, cycles[0]);
+      } else {
+        m.seen = m.fetch.counters();
+      }
     } else {
       stalled = false;
       for (u32 i = 0; i < b.n; ++i) {
@@ -209,21 +350,93 @@ void GuestScheduler::replayShared(Machine& m, const RetireChunk& chunk) {
     }
     // Without a stall, a closed window stays the reference shifted by
     // its delta: nothing to time.
-    pipeline::StallWindow& w = m.windows[b.asid];
-    if (stalled || w.isOpen()) {
-      if (!w.isOpen()) {
-        w.open(chunk.references[bi]);
-        ++m.window_stats.windows;
+    if (stalled || m.windows[b.asid].isOpen()) timeWindow(m, chunk, bi, inst);
+    inst += b.n;
+  }
+  if (m.batched) ++m.memo_stats.learned_chunks;
+}
+
+bool GuestScheduler::priceSteady(Machine& m, const RetireChunk& chunk) {
+  const u64 epoch = m.fetch.epoch();
+  bool stalls = false;
+  for (const RetireChunk::Transition& t : chunk.histogram) {
+    if (t.id >= m.learned.size() || m.learned[t.id].epoch != epoch) {
+      return false;
+    }
+    stalls |= m.learned[t.id].cycles != 1;
+  }
+  // Every id was learned at this epoch without changing it, so an
+  // in-order replay would stay at this epoch and move the counters by
+  // each id's delta, batch after batch.
+  cache::FetchPath::Counters sum{};
+  for (const RetireChunk::Transition& t : chunk.histogram) {
+    const cache::FetchPath::Counters& d = m.deltas[m.learned[t.id].delta];
+    for (std::size_t k = 0; k < sum.size(); ++k) sum[k] += t.count * d[k];
+  }
+  m.fetch.addCounters(sum);
+
+  // Every switch changes the epoch, so the chunk is all the installed
+  // process's.
+  const RetireChunk::Batch& last = chunk.batches.back();
+  WP_ENSURE(static_cast<int>(last.asid) == m.installed,
+            "a priced chunk must not switch processes");
+  if (stalls || m.windows[last.asid].isOpen()) {
+    const pipeline::StallWindow& w = m.windows[last.asid];
+    const u32* inst = chunk.insts.data();
+    for (std::size_t bi = 0; bi < chunk.batches.size(); ++bi) {
+      const u32 cycles = m.learned[chunk.ids[bi]].cycles;
+      if (cycles != 1 || w.isOpen()) {
+        m.fetch_cycles[0] = cycles;
+        timeWindow(m, chunk, bi, inst);
       }
-      const pipeline::RegUse* use = &procs_[b.asid]->blocks->regUseAt(b.pc);
-      for (u32 i = 0; i < b.n; ++i) {
-        w.onInstruction(use[i], cycles[i], inst[i] >> 1, (inst[i] & 1u) != 0);
-      }
-      m.window_stats.instructions += b.n;
-      w.tryClose();
+      inst += chunk.batches[bi].n;
+    }
+  }
+  m.fetch.resumeAfter(last.pc + 4 * (last.n - 1u));
+  m.memo_stats.priced_batches += chunk.batches.size();
+  return true;
+}
+
+void GuestScheduler::timeWindow(Machine& m, const RetireChunk& chunk,
+                                std::size_t bi, const u32* inst) {
+  const RetireChunk::Batch& b = chunk.batches[bi];
+  pipeline::StallWindow& w = m.windows[b.asid];
+  if (!w.isOpen()) {
+    w.open(referenceAt(chunk, bi));
+    ++m.window_stats.windows;
+  }
+  const pipeline::RegUse* use = &procs_[b.asid]->blocks->regUseAt(b.pc);
+  for (u32 i = 0; i < b.n; ++i) {
+    w.onInstruction(use[i], m.fetch_cycles[i], inst[i] >> 1,
+                    (inst[i] & 1u) != 0);
+  }
+  m.window_stats.instructions += b.n;
+  w.tryClose();
+}
+
+pipeline::ScoreboardState GuestScheduler::referenceAt(
+    const RetireChunk& chunk, std::size_t bi) const {
+  const auto after = std::upper_bound(
+      chunk.references.begin(), chunk.references.end(), bi,
+      [](std::size_t b, const RetireChunk::Reference& r) {
+        return b < r.batch;
+      });
+  const RetireChunk::Reference& r = *std::prev(after);
+  if (r.batch == bi) return r.state;
+  // Re-step the reference from the snapshot: every fetch one cycle, the
+  // same instructions, all one process's.
+  pipeline::Scoreboard reference(machines_.front()->config.timing);
+  reference.restore(r.state, 0);
+  const u32* inst = chunk.insts.data() + r.inst;
+  for (std::size_t j = r.batch; j < bi; ++j) {
+    const RetireChunk::Batch& b = chunk.batches[j];
+    const pipeline::RegUse* use = &procs_[b.asid]->blocks->regUseAt(b.pc);
+    for (u32 i = 0; i < b.n; ++i) {
+      reference.onInstruction(use[i], 1, inst[i] >> 1, (inst[i] & 1u) != 0);
     }
     inst += b.n;
   }
+  return reference.state();
 }
 
 CoRunStats GuestScheduler::run() {
@@ -240,7 +453,13 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
   RetireChunk chunk;
   chunk.batches.reserve(RetireChunk::kBatches);
   chunk.insts.reserve(RetireChunk::kBatches * (line_bytes / 4));
-  if constexpr (kShared) chunk.references.reserve(RetireChunk::kBatches);
+  std::optional<Transitions> transitions;
+  if constexpr (kShared) {
+    transitions.emplace(procs_);
+    chunk.ids.reserve(RetireChunk::kBatches);
+    chunk.references.reserve(RetireChunk::kBatches /
+                             RetireChunk::kReferenceInterval);
+  }
 
   int cur = nextRunnable(0);
   int last = -1;
@@ -249,7 +468,11 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
     // The architectural half: one chunk of batches.
     chunk.batches.clear();
     chunk.insts.clear();
-    if constexpr (kShared) chunk.references.clear();
+    if constexpr (kShared) {
+      chunk.ids.clear();
+      chunk.histogram.clear();
+      chunk.references.clear();
+    }
     do {
       ProcessContext& p = *procs_[static_cast<u32>(cur)];
       if (slice_remaining == 0) {
@@ -275,9 +498,18 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
       n64 = std::min(n64, arch.max_instructions - t.instructions);
       const u32 n = static_cast<u32>(n64);
 
-      chunk.batches.push_back({p.state.pc, static_cast<u16>(n),
-                               static_cast<u8>(p.asid), p.flow});
-      if constexpr (kShared) chunk.references.push_back(p.reference.state());
+      const u32 pc0 = p.state.pc;
+      const cache::FetchFlow flow0 = p.flow;
+      if constexpr (kShared) {
+        if (chunk.batches.size() % RetireChunk::kReferenceInterval == 0 ||
+            transitions->changesProcess(p)) {
+          chunk.references.push_back(
+              {static_cast<u32>(chunk.batches.size()),
+               static_cast<u32>(chunk.insts.size()), p.reference.state()});
+        }
+      }
+      chunk.batches.push_back(
+          {pc0, static_cast<u16>(n), static_cast<u8>(p.asid), flow0});
       for (u32 i = 0; i < n; ++i) {
         const u32 pc = p.state.pc;
         const StepInfo info = p.core.step(p.state);
@@ -310,6 +542,8 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
                                     (word & 1u) != 0);
         }
       }
+      // Interned after the steps, which fault on a pc outside the code.
+      if constexpr (kShared) transitions->add(chunk, p, pc0, n, flow0);
       t.instructions += n;
       slice_remaining -= n;
       if (p.state.halted || slice_remaining == 0) {
@@ -317,6 +551,10 @@ GuestScheduler::StreamTotals GuestScheduler::retire(u32 line_bytes) {
         cur = nextRunnable(static_cast<u32>(cur) + 1);
       }
     } while (cur >= 0 && chunk.batches.size() < RetireChunk::kBatches);
+    if constexpr (kShared) {
+      transitions->closeHistogram(chunk);
+      batches_ += chunk.batches.size();
+    }
     // Poll the watchdog before the machines' halves, so a run past its
     // deadline stops without replaying the chunk.
     if (arch.budget_hook.check) arch.budget_hook.check(t.instructions);

@@ -33,10 +33,21 @@
 // pass. A lone machine steps one scoreboard per process on every
 // instruction. With several machines, the architectural half also
 // steps one reference scoreboard per process whose every fetch costs
-// one cycle, and records its state at each batch start; a machine then
+// one cycle, and snapshots its state every few batches; a machine then
 // steps scoreboards only in the stall windows after its fetches that
 // cost more than one cycle (pipeline::StallWindow), and is otherwise a
 // fixed number of cycles behind the reference.
+//
+// With several machines, a machine also memoizes its own fetch path,
+// as way-memoization memoizes line crossings. The architectural half
+// interns each batch's transition into a dense id and hands each chunk
+// an (id, count) histogram. A machine whose closed-form line fetch is
+// exact records, per id, the counters fetchLine moved and the cycles
+// it took, at the FetchPath::epoch() it saw. A chunk whose ids were all
+// learned at the machine's current epoch is priced from its histogram:
+// the counters add count x delta, and only the batches that stall or
+// that an open stall window covers are visited, in order. Any other
+// chunk replays in order, and teaches the memo.
 #pragma once
 
 #include <memory>
@@ -85,10 +96,33 @@ struct RetireChunk {
   /// cycles of its data access (0 without one) shifted left by one, or'ed
   /// with 1 when the branch predictor missed it.
   std::vector<u32> insts;
-  /// With more than one machine attached, one entry per batch: the
-  /// state of the batch's process's reference scoreboard (every fetch
-  /// one cycle) before the batch. Empty for a lone machine.
-  std::vector<pipeline::ScoreboardState> references;
+
+  // The rest is filled only with more than one machine attached.
+
+  /// One id per batch: the batch's transition, (process, the last pc of
+  /// the stream's previous batch when that batch is the same process's,
+  /// pc, n, flow), interned densely over the whole stream. The previous
+  /// pc, not its line: way-memoization keeps a branch link per slot.
+  std::vector<u32> ids;
+  /// Each distinct id of the chunk, with the batches that carry it.
+  struct Transition {
+    u32 id;
+    u32 count;
+  };
+  std::vector<Transition> histogram;
+  /// The state of a process's reference scoreboard (every fetch one
+  /// cycle) before some of its batches: every kReferenceInterval
+  /// batches and at each batch whose process differs from the stream's
+  /// previous batch. So the batches from a snapshot up to the next are
+  /// all one process's, and the state before any batch is its nearest
+  /// earlier snapshot stepped over them.
+  static constexpr std::size_t kReferenceInterval = 8;
+  struct Reference {
+    u32 batch;  ///< index in batches
+    u32 inst;   ///< index in insts of that batch's first instruction
+    pipeline::ScoreboardState state;
+  };
+  std::vector<Reference> references;
 };
 
 /// One guest process: private architectural state plus per-process
@@ -214,9 +248,25 @@ class GuestScheduler {
   };
   [[nodiscard]] WindowStats windowStats(u32 machine) const;
 
+  /// How machine @p machine consumed the stream: the batches it priced
+  /// from chunk histograms, and the chunks it replayed in order while
+  /// memoizing. Both stay 0 for a lone machine and for one whose line
+  /// fetch is inexact (fault hook, drowsy lines). Observability, never
+  /// fed back.
+  struct MemoStats {
+    u64 priced_batches = 0;
+    u64 learned_chunks = 0;
+  };
+  [[nodiscard]] MemoStats memoStats(u32 machine) const;
+
+  /// Batches the stream retired, counted only when more than one
+  /// machine shares it (0 otherwise). Observability, never fed back.
+  [[nodiscard]] u64 batches() const { return batches_; }
+
  private:
   struct Machine;
   struct StreamTotals;
+  class Transitions;
 
   /// First runnable process at or after @p from (round-robin order), or
   /// -1 when every process has halted.
@@ -232,9 +282,27 @@ class GuestScheduler {
   /// one scoreboard per process.
   void replay(Machine& m, const RetireChunk& chunk);
 
-  /// A shared machine's half: replays @p chunk through its fetch path
-  /// and times only its stall windows.
+  /// A shared machine's half: prices @p chunk from its histogram when
+  /// the machine's memo covers it, else replays it through its fetch
+  /// path (memoizing when its line fetch is exact). Either way it times
+  /// only its stall windows.
   void replayShared(Machine& m, const RetireChunk& chunk);
+
+  /// Prices @p chunk from its histogram and returns true when machine
+  /// @p m learned every id of it at its current epoch; otherwise
+  /// returns false having touched nothing.
+  bool priceSteady(Machine& m, const RetireChunk& chunk);
+
+  /// Steps machine @p m's stall window over batch @p bi of @p chunk,
+  /// whose instruction words start at @p inst, with the fetch cycles in
+  /// m.fetch_cycles; opens the window first when it is closed.
+  void timeWindow(Machine& m, const RetireChunk& chunk, std::size_t bi,
+                  const u32* inst);
+
+  /// The state of batch @p bi's process's reference scoreboard before
+  /// the batch, from the chunk's nearest earlier snapshot.
+  [[nodiscard]] pipeline::ScoreboardState referenceAt(
+      const RetireChunk& chunk, std::size_t bi) const;
 
   SchedulerConfig sched_;
   /// Memories addProcess allocated; declared before procs_ so they
@@ -244,6 +312,7 @@ class GuestScheduler {
   std::vector<std::unique_ptr<ProcessContext>> procs_;
   /// The attached machines; the first is the constructor's.
   std::vector<std::unique_ptr<Machine>> machines_;
+  u64 batches_ = 0;
   bool ran_ = false;
 };
 

@@ -20,8 +20,10 @@
 #include <map>
 #include <thread>
 
+#include "asmkit/builder.hpp"
 #include "driver/checkpoint.hpp"
 #include "driver/runner.hpp"
+#include "isa/isa.hpp"
 #include "layout/strategy.hpp"
 #include "profile/profiler.hpp"
 #include "workloads/workload.hpp"
@@ -186,8 +188,11 @@ struct FuzzRun {
   std::vector<u8> output;
   std::vector<sim::ProcessRunStats> processes;
   u64 icache_misses = 0;
-  /// The machine's stall windows (zero unless it shared its pass).
+  u64 itlb_misses = 0;
+  /// The machine's stall windows and its fetch-path memo (zero unless
+  /// it shared its pass).
   sim::GuestScheduler::WindowStats windows;
+  sim::GuestScheduler::MemoStats memo;
 };
 
 /// Runs @p group on one GuestScheduler over @p machine, each member with
@@ -227,7 +232,7 @@ FuzzRun runFuzz(const driver::Runner& runner, sim::MachineConfig machine,
     r.output.insert(r.output.end(), out.begin(), out.end());
   }
   return {driver::statsDigest(r), r.output, std::move(co.processes),
-          r.stats.icache.misses, {}};
+          r.stats.icache.misses, r.stats.itlb.misses, {}, {}};
 }
 
 /// The batched run and the per-instruction reference must agree on the
@@ -401,6 +406,7 @@ TEST(UnitEquivalence, Fig6MachinesMatchTheirLoneRuns) {
     std::vector<driver::Runner::CoRunExtra> extras;
     std::vector<driver::RunResult> lone;
     std::vector<driver::Runner::CoRunExtra> lone_extras;
+    driver::Runner::UnitCosts costs;
   };
   std::vector<Unit> units;
   for (const driver::PreparedWorkload& p : prepared) {
@@ -412,7 +418,7 @@ TEST(UnitEquivalence, Fig6MachinesMatchTheirLoneRuns) {
       const std::size_t n = machines.size();
       units.push_back({&p, std::move(machines), {}, {},
                        std::vector<driver::RunResult>(n),
-                       std::vector<driver::Runner::CoRunExtra>(n)});
+                       std::vector<driver::Runner::CoRunExtra>(n), {}});
     }
   }
   // Every unit, then every machine's lone run, over a few threads.
@@ -421,7 +427,7 @@ TEST(UnitEquivalence, Fig6MachinesMatchTheirLoneRuns) {
     tasks.push_back([&runner, &u] {
       u.shared = runner.runUnit({u.p}, u.machines,
                                 workloads::InputSize::kLarge, nullptr,
-                                &u.extras);
+                                &u.extras, &u.costs);
     });
   }
   for (Unit& u : units) {
@@ -461,6 +467,20 @@ TEST(UnitEquivalence, Fig6MachinesMatchTheirLoneRuns) {
       EXPECT_EQ(a.output, b.output);
     }
   }
+  // The equivalence above means something only if the memo both priced
+  // chunks from their histograms and replayed others in order to learn.
+  // Every machine but the drowsy one memoizes, so fewer priced batches
+  // than those machines' batches mean some chunks were replayed.
+  u64 priced = 0;
+  u64 batched = 0;
+  for (const Unit& u : units) {
+    priced += u.costs.priced_batches;
+    for (const driver::Runner::UnitMachine& m : u.machines) {
+      if (m.spec.drowsy_window == 0) batched += u.costs.batches;
+    }
+  }
+  EXPECT_GT(priced, 0u);
+  EXPECT_LT(priced, batched);
 }
 
 /// One machine of a fuzz unit.
@@ -524,7 +544,8 @@ std::vector<FuzzRun> runFuzzUnit(const driver::Runner& runner,
     r.output = output;
     runs.push_back({driver::statsDigest(r), output,
                     std::move(co[m].processes), r.stats.icache.misses,
-                    s.windowStats(static_cast<u32>(m))});
+                    r.stats.itlb.misses, s.windowStats(static_cast<u32>(m)),
+                    s.memoStats(static_cast<u32>(m))});
   }
   return runs;
 }
@@ -730,6 +751,190 @@ TEST(UnitEquivalence, SoloUnitOnTheSmallestMachineMatchesLoneRuns) {
                               {&guest}, cache::Scheme::kWayPlacement, 1,
                               &unit);
     for (const FuzzRun& run : unit) EXPECT_GT(run.windows.windows, 0u);
+  }
+}
+
+/// Iterations of sameLineBranchesProgram's loop: about ten RetireChunks.
+constexpr u32 kSameLineIterations = 16000;
+
+/// A loop whose back edge is three direct branches, all to the loop
+/// head: the first is taken on even iterations, the last on odd ones
+/// and the middle one on a single odd iteration deep into the run.
+/// @p pad nops shift the branches against line boundaries.
+ir::Module sameLineBranchesProgram(int pad) {
+  using namespace asmkit;
+  ModuleBuilder mb;
+  mb.bss("out", 4);
+  auto& f = mb.func("main");
+  f.prologue({r4, r5, r6, r7});
+  f.movi(r4, 0);
+  f.movi32(r5, kSameLineIterations);
+  f.movi32(r7, kSameLineIterations / 2 + 1);
+  const Label top = f.label();
+  const Label done = f.label();
+  f.bind(top);
+  f.addi(r4, r4, 1);
+  f.cmpBr(r4, r5, Cond::kGe, done);
+  for (int i = 0; i < 8 + pad; ++i) f.nop();
+  f.andi(r6, r4, 1);
+  f.cmpiBr(r6, 0, Cond::kEq, top);
+  f.cmpBr(r4, r7, Cond::kEq, top);
+  f.jmp(top);
+  f.bind(done);
+  f.la(r12, "out");
+  f.str(r4, r12);
+  f.epilogue({r4, r5, r6, r7});
+  return mb.build();
+}
+
+/// The pcs of @p image's direct branches to the target of its one
+/// unconditional branch, then that target.
+std::vector<u32> backEdges(const mem::Image& image) {
+  std::vector<std::pair<u32, isa::Instruction>> code;
+  for (u32 off = 0; off + 4 <= image.code.size(); off += 4) {
+    const u32 word = static_cast<u32>(image.code[off]) |
+                     static_cast<u32>(image.code[off + 1]) << 8 |
+                     static_cast<u32>(image.code[off + 2]) << 16 |
+                     static_cast<u32>(image.code[off + 3]) << 24;
+    code.emplace_back(mem::kCodeBase + off, isa::decode(word));
+  }
+  const auto target = [](u32 pc, const isa::Instruction& inst) {
+    return pc + 4 + static_cast<u32>(inst.imm) * 4;
+  };
+  u32 top = 0;
+  for (const auto& [pc, inst] : code) {
+    if (inst.op == isa::Opcode::kB) top = target(pc, inst);
+  }
+  std::vector<u32> edges;
+  for (const auto& [pc, inst] : code) {
+    if ((inst.op == isa::Opcode::kB || inst.op == isa::Opcode::kBeq) &&
+        target(pc, inst) == top) {
+      edges.push_back(pc);
+    }
+  }
+  edges.push_back(top);
+  return edges;
+}
+
+TEST(UnitEquivalence, BranchesOfOneLineToOneTargetAreDistinctTransitions) {
+  // Way-memoization keeps one branch link per slot, so leaving a line
+  // for one target from two slots is two transitions: the middle
+  // branch's one crossing needs a tag search and a link write that the
+  // crossings from the other two slots, long since linked, do not. A
+  // memo keyed on the previous line would price that crossing as a
+  // linked one, in a chunk whose every other transition it has seen.
+  const cache::CacheGeometry g{2048, 32, 4};
+  FuzzGuest guest{"same-line branches", {}, {}, nullptr};
+  for (int pad = 0; pad < 8 && guest.original.code.empty(); ++pad) {
+    mem::Image image =
+        layout::layoutImage(sameLineBranchesProgram(pad), "original");
+    const std::vector<u32> edges = backEdges(image);
+    ASSERT_EQ(edges.size(), 4u);
+    const u32 line = g.lineAddrOf(edges[0]);
+    if (g.lineAddrOf(edges[1]) == line && g.lineAddrOf(edges[2]) == line &&
+        g.lineAddrOf(edges[3]) != line) {
+      guest.original = image;
+      guest.placed = std::move(image);
+    }
+  }
+  ASSERT_FALSE(guest.original.code.empty())
+      << "no padding put the three branches in one line";
+
+  const driver::Runner runner;
+  std::vector<FuzzMachine> machines;
+  for (const bool skip : {true, false}) {
+    machines.push_back(
+        {fuzzMachine(runner, g, cache::Scheme::kWayMemoization, skip)});
+  }
+  machines.push_back(
+      {fuzzMachine(runner, g, cache::Scheme::kWayPlacement, true)});
+  machines.push_back({fuzzMachine(runner, g, cache::Scheme::kBaseline, true)});
+  std::vector<FuzzRun> unit;
+  expectUnitMatchesLoneRuns(runner, machines,
+                            machines.front().config.max_instructions,
+                            {&guest}, cache::Scheme::kBaseline, 2, &unit);
+  ASSERT_EQ(unit.size(), machines.size());
+  for (std::size_t m = 0; m < unit.size(); ++m) {
+    SCOPED_TRACE("machine " + std::to_string(m));
+    EXPECT_EQ(unit[m].output, std::vector<u8>({0x80, 0x3e, 0, 0}));
+    EXPECT_GT(unit[m].memo.priced_batches, 0u);
+    EXPECT_GT(unit[m].memo.learned_chunks, 0u);
+  }
+}
+
+/// Iterations of tlbExcursionProgram's loop: about nine RetireChunks.
+constexpr u32 kExcursionIterations = 16384;
+
+/// A loop that calls a function one page away on every iteration and
+/// one two pages away on every 4096th, with a page of padding between
+/// the three.
+ir::Module tlbExcursionProgram() {
+  using namespace asmkit;
+  ModuleBuilder mb;
+  mb.bss("out", 4);
+  auto& f = mb.func("main");
+  f.prologue({r4, r5, r6});
+  f.movi(r4, 0);
+  f.movi32(r5, kExcursionIterations);
+  const Label top = f.label();
+  const Label skip = f.label();
+  f.bind(top);
+  f.call("near");
+  f.andi(r6, r4, 4095);
+  f.cmpiBr(r6, 0, Cond::kNe, skip);
+  f.call("far");
+  f.bind(skip);
+  f.addi(r4, r4, 1);
+  f.cmpBr(r4, r5, Cond::kLt, top);
+  f.la(r12, "out");
+  f.str(r4, r12);
+  f.epilogue({r4, r5, r6});
+  for (const char* callee : {"near", "far"}) {
+    auto& pad = mb.func(std::string("pad_") + callee);
+    for (u32 i = 0; i < mem::kPageBytes / 4; ++i) pad.nop();
+    pad.ret();
+    auto& g = mb.func(callee);
+    g.addi(r0, r0, 1);
+    g.ret();
+  }
+  return mb.build();
+}
+
+TEST(UnitEquivalence, ItlbRefillsOfResidentCodeMatchLoneRuns) {
+  // On a two-entry I-TLB the hot loop's two pages stay resident until
+  // the rare call to the third page evicts one: the next call to the
+  // near page walks again, though its lines never left the I-cache. So
+  // one transition costs a walk after each excursion and nothing
+  // otherwise, and only the install tells the two apart.
+  const mem::Image image =
+      layout::layoutImage(tlbExcursionProgram(), "original");
+  const u32 main_page = mem::pageOf(image.function_addr.at("main"));
+  const u32 near_page = mem::pageOf(image.function_addr.at("near"));
+  const u32 far_page = mem::pageOf(image.function_addr.at("far"));
+  ASSERT_NE(main_page, near_page);
+  ASSERT_NE(near_page, far_page);
+  ASSERT_NE(far_page, main_page);
+  const FuzzGuest guest{"itlb excursions", image, image, nullptr};
+
+  const driver::Runner runner;
+  std::vector<FuzzMachine> machines;
+  for (const cache::Scheme scheme : kFuzzSchemes) {
+    machines.push_back({fuzzMachine(runner, kXScale, scheme, true)});
+    machines.back().config.fetch.tlb_entries = 2;
+  }
+  std::vector<FuzzRun> unit;
+  expectUnitMatchesLoneRuns(runner, machines,
+                            machines.front().config.max_instructions,
+                            {&guest}, cache::Scheme::kBaseline, 2, &unit);
+  ASSERT_EQ(unit.size(), machines.size());
+  for (std::size_t m = 0; m < unit.size(); ++m) {
+    SCOPED_TRACE("machine " + std::to_string(m));
+    // Three walks after each of the four excursions, beyond the cold
+    // ones, and no line refilled.
+    EXPECT_GE(unit[m].itlb_misses, 12u);
+    EXPECT_LE(unit[m].icache_misses, image.code.size() / 32);
+    EXPECT_GT(unit[m].memo.priced_batches, 0u);
+    EXPECT_GT(unit[m].memo.learned_chunks, 0u);
   }
 }
 
